@@ -261,10 +261,11 @@ func TestBackendEquivalenceGrainSweep(t *testing.T) {
 
 // TestEngineOptionMatrixEquivalence sweeps the scheduler knobs the
 // public API deliberately does not expose — affinity stealing and the
-// native fused-sweep arc packing — through the internal engine options,
-// crossed with degenerate and adaptive grains. Every cell must induce
-// the oracle partition; under -race this doubles as the scheduler
-// stress test.
+// native root-linking first sweep — through the internal engine
+// options, crossed with degenerate and adaptive grains. Every cell must
+// induce the oracle partition; under -race this doubles as the
+// scheduler stress test. The native subtest label keeps NoRootLink's
+// former name, nopack, so the subtest ids stay stable.
 func TestEngineOptionMatrixEquivalence(t *testing.T) {
 	zoo := generatorZoo()
 	for _, name := range []string{"gnm", "clique-beads", "binary-tree"} {
@@ -272,9 +273,9 @@ func TestEngineOptionMatrixEquivalence(t *testing.T) {
 		oracle := baseline.Components(g)
 		for _, grain := range []int{1, 0} {
 			for _, noAff := range []bool{false, true} {
-				for _, noPack := range []bool{false, true} {
-					opt := native.Options{Grain: grain, NoAffinity: noAff, NoPack: noPack}
-					t.Run(fmt.Sprintf("native/%s/grain=%d,noaff=%v,nopack=%v", name, grain, noAff, noPack),
+				for _, noRootLink := range []bool{false, true} {
+					opt := native.Options{Grain: grain, NoAffinity: noAff, NoRootLink: noRootLink}
+					t.Run(fmt.Sprintf("native/%s/grain=%d,noaff=%v,nopack=%v", name, grain, noAff, noRootLink),
 						func(t *testing.T) {
 							res := native.Components(g, opt)
 							if err := check.SamePartition(res.Labels, oracle); err != nil {

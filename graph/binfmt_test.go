@@ -3,6 +3,10 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -143,15 +147,77 @@ func TestReadBinaryCorruptInputs(t *testing.T) {
 			return b
 		}),
 	}
+	// The edge-array checks keep their wording on every path.
+	wording := map[string]string{
+		"truncated edges":   "graph: binary edge array truncated after 199 of 200 edges",
+		"trailing garbage":  "graph: trailing data after 200 binary edges",
+		"edge out of range": "graph: edge 0 = {1073741824,",
+	}
+	dir := t.TempDir()
 	for name, data := range cases {
-		if _, err := ReadBinary(bytes.NewReader(data)); err == nil {
-			t.Errorf("%s: accepted", name)
+		path := filepath.Join(dir, strings.ReplaceAll(name, " ", "-"))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		// ReadAuto must reject them identically (anything with the
-		// magic goes down the binary path).
-		if _, err := ReadAuto(bytes.NewReader(data)); err == nil {
-			t.Errorf("%s via ReadAuto: accepted", name)
+		// ReadAuto must reject them too (anything with the magic goes
+		// down the binary path), and both readers must give the same
+		// error when handed a regular file, whose size selects the
+		// sized path.
+		for _, read := range []struct {
+			name string
+			f    func(io.Reader) (*Graph, error)
+		}{{"ReadBinary", ReadBinary}, {"ReadAuto", ReadAuto}} {
+			_, memErr := read.f(bytes.NewReader(data))
+			if memErr == nil {
+				t.Errorf("%s via %s: accepted", name, read.name)
+				continue
+			}
+			if !strings.HasPrefix(memErr.Error(), wording[name]) {
+				t.Errorf("%s via %s: error %q, want prefix %q", name, read.name, memErr, wording[name])
+			}
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, fileErr := read.f(f)
+			f.Close()
+			if fileErr == nil || fileErr.Error() != memErr.Error() {
+				t.Errorf("%s via %s on a file: error %v, want %v", name, read.name, fileErr, memErr)
+			}
 		}
+	}
+}
+
+// TestReadAutoFileAllocatesColumnsOnce: loading a binary file through
+// ReadAuto allocates the two arc columns (16 bytes per edge) and a
+// bounded amount besides — no whole-file buffer, no column regrowth.
+func TestReadAutoFileAllocatesColumnsOnce(t *testing.T) {
+	const m = 1 << 20
+	path := filepath.Join(t.TempDir(), "g.bin")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Gnm(1<<17, m, 3)
+	if err := want.WriteBinary(f); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	got, err := ReadAuto(f)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameGraph(t, want, got)
+	budget := uint64(16*m + 2<<20)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > budget {
+		t.Fatalf("ReadAuto allocated %d bytes for %d edges, budget %d", alloc, m, budget)
 	}
 }
 

@@ -123,6 +123,12 @@ func (g *Graph) Degree(v int) int {
 
 // Validate checks structural invariants: every arc in range, and arcs
 // forming mirror pairs. It returns a descriptive error on violation.
+//
+// It runs before every solve, so the check is one pass over the arc
+// pairs: pair (2k, 2k+1) is valid exactly when U[2k] and U[2k+1] are
+// in range and V mirrors them, and matching mirrors put V in range
+// too. The first failing pair hands over to validateFrom, which
+// produces the error.
 func (g *Graph) Validate() error {
 	if len(g.U) != len(g.V) {
 		return fmt.Errorf("graph: arc slices have different lengths %d, %d", len(g.U), len(g.V))
@@ -130,18 +136,28 @@ func (g *Graph) Validate() error {
 	if len(g.U)%2 != 0 {
 		return fmt.Errorf("graph: odd arc count %d, arcs must come in mirror pairs", len(g.U))
 	}
-	for i := 0; i < len(g.U); i++ {
-		if g.U[i] < 0 || int(g.U[i]) >= g.N || g.V[i] < 0 || int(g.V[i]) >= g.N {
-			return fmt.Errorf("graph: arc %d = (%d,%d) out of range [0,%d)", i, g.U[i], g.V[i], g.N)
-		}
-	}
-	for i := 0; i < len(g.U); i += 2 {
-		if g.U[i] != g.V[i+1] || g.V[i] != g.U[i+1] {
-			return fmt.Errorf("graph: arcs %d,%d = (%d,%d),(%d,%d) are not mirrors",
-				i, i+1, g.U[i], g.V[i], g.U[i+1], g.V[i+1])
+	U, V, n := g.U, g.V[:len(g.U)], uint(g.N)
+	for i := 0; i+1 < len(U); i += 2 {
+		u, v := U[i], U[i+1]
+		if uint(u) >= n || uint(v) >= n || V[i] != v || V[i+1] != u {
+			return g.validateFrom(i)
 		}
 	}
 	return nil
+}
+
+// validateFrom builds Validate's error once pair (i, i+1) has failed
+// and every arc before i is known good: the first out-of-range arc
+// from i on wins over the first broken mirror pair, as in a check that
+// tests all ranges before any mirror.
+func (g *Graph) validateFrom(i int) error {
+	for j := i; j < len(g.U); j++ {
+		if g.U[j] < 0 || int(g.U[j]) >= g.N || g.V[j] < 0 || int(g.V[j]) >= g.N {
+			return fmt.Errorf("graph: arc %d = (%d,%d) out of range [0,%d)", j, g.U[j], g.V[j], g.N)
+		}
+	}
+	return fmt.Errorf("graph: arcs %d,%d = (%d,%d),(%d,%d) are not mirrors",
+		i, i+1, g.U[i], g.V[i], g.U[i+1], g.V[i+1])
 }
 
 // Edges returns the undirected edge list (one entry per arc pair),

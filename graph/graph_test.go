@@ -2,6 +2,9 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -340,5 +343,55 @@ func TestEdgeBatches(t *testing.T) {
 	}
 	if got := New(5).EdgeBatches(3); len(got) != 0 {
 		t.Fatalf("edgeless graph: %d batches, want 0", len(got))
+	}
+}
+
+// validateTwoPass is the reference Validate: every arc's range first,
+// then every mirror pair. The one-pass Validate must return its exact
+// error text.
+func validateTwoPass(g *Graph) error {
+	for i := range g.U {
+		if g.U[i] < 0 || int(g.U[i]) >= g.N || g.V[i] < 0 || int(g.V[i]) >= g.N {
+			return fmt.Errorf("graph: arc %d = (%d,%d) out of range [0,%d)", i, g.U[i], g.V[i], g.N)
+		}
+	}
+	for i := 0; i < len(g.U); i += 2 {
+		if g.U[i] != g.V[i+1] || g.V[i] != g.U[i+1] {
+			return fmt.Errorf("graph: arcs %d,%d = (%d,%d),(%d,%d) are not mirrors",
+				i, i+1, g.U[i], g.V[i], g.U[i+1], g.V[i+1])
+		}
+	}
+	return nil
+}
+
+// TestValidateMatchesTwoPass corrupts random arcs of a valid graph —
+// out-of-range values and broken mirrors, one or several at a time —
+// and requires Validate's verdict and error text to match the
+// reference check.
+func TestValidateMatchesTwoPass(t *testing.T) {
+	base := Gnm(50, 200, 7)
+	rng := rand.New(rand.NewSource(1))
+	bad := []int32{-1, 50, 51, math.MaxInt32, math.MinInt32}
+	for trial := 0; trial < 2000; trial++ {
+		g := base.Clone()
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			col := g.U
+			if rng.Intn(2) == 0 {
+				col = g.V
+			}
+			i := rng.Intn(len(col))
+			if rng.Intn(2) == 0 {
+				col[i] = bad[rng.Intn(len(bad))]
+			} else {
+				col[i] = int32(rng.Intn(g.N))
+			}
+		}
+		got, want := g.Validate(), validateTwoPass(g)
+		if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+			t.Fatalf("trial %d: Validate = %v, want %v", trial, got, want)
+		}
+	}
+	if err := base.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1143,19 +1143,19 @@ func budgetsForDefault(n int, density float64) func(int32) int64 {
 // cursor; the shared internal/pool scheduler sizes the grain
 // adaptively (total/(workers·8), clamped to [64, 4096]) and gives
 // every worker a sticky home range, stealing from other ranges only
-// after its own is exhausted — and the refactor let the native engine
-// fuse its first link sweep with packing the arc endpoints into an
-// interleaved buffer that later sweeps read with half the memory
-// traffic of the stride-2 graph columns. The claim: the default
-// configuration (adaptive grain + affinity + packed arcs) beats the
-// legacy configuration (grain 4096, no affinity, no packing) by
-// ≥ 1.15× on the full-scale native solve, and every configuration
-// computes the identical partition.
+// after its own is exhausted — and the native engine's first link
+// sweep root-links every edge, union-find style, so one pass connects
+// the whole label forest. Every native link sweep reads edge i as the
+// pair (U[2i], U[2i+1]) of the graph's own arc column. The claim: the
+// default configuration (adaptive grain + affinity + root link) beats
+// the legacy configuration (grain 4096, no affinity, one-hop links on
+// every sweep) by ≥ 1.15× on the full-scale native solve, and every
+// configuration computes the identical partition.
 func E17(scale Scale) *Table {
 	t := &Table{
 		ID:    "E17",
-		Title: "grain scheduler: adaptive sizing × affinity × packed arcs",
-		Claim: "adaptive grain + affinity + packed arcs ≥ 1.15× over the legacy fixed-4096 configuration on the full-scale native solve; identical partitions in every cell",
+		Title: "grain scheduler: adaptive sizing × affinity × root-linking first sweep",
+		Claim: "adaptive grain + affinity + root link ≥ 1.15× over the legacy fixed-4096 configuration on the full-scale native solve; identical partitions in every cell",
 		Header: []string{"engine", "config", "median ms", "per-round ms", "rounds",
 			"speedup vs legacy", "same partition"},
 	}
@@ -1178,12 +1178,12 @@ func E17(scale Scale) *Table {
 		name string
 		opt  native.Options
 	}{
-		{"legacy: grain=4096, no affinity, no pack", native.Options{Grain: 4096, NoAffinity: true, NoPack: true}},
-		{"grain=4096 + affinity, no pack", native.Options{Grain: 4096, NoPack: true}},
-		{"grain=64 + affinity + pack", native.Options{Grain: 64}},
-		{"grain=1024 + affinity + pack", native.Options{Grain: 1024}},
-		{"adaptive + pack, no affinity", native.Options{NoAffinity: true}},
-		{"default: adaptive + affinity + pack", native.Options{}},
+		{"legacy: grain=4096, no affinity, no root link", native.Options{Grain: 4096, NoAffinity: true, NoRootLink: true}},
+		{"grain=4096 + affinity, no root link", native.Options{Grain: 4096, NoRootLink: true}},
+		{"grain=64 + affinity + root link", native.Options{Grain: 64}},
+		{"grain=1024 + affinity + root link", native.Options{Grain: 1024}},
+		{"adaptive + root link, no affinity", native.Options{NoAffinity: true}},
+		{"default: adaptive + affinity + root link", native.Options{}},
 	}
 	engines := make([]*native.Engine, len(natCfgs))
 	natLabels := make([][]int32, len(natCfgs))
@@ -1247,10 +1247,10 @@ func E17(scale Scale) *Table {
 	}
 
 	t.Notes = append(t.Notes,
-		"legacy = the pre-scheduler behavior both engines shipped with: fixed 4096-item claims off one shared cursor, stride-2 column reads on every native sweep",
+		"legacy = the pre-scheduler behavior both engines shipped with: fixed 4096-item claims off one shared cursor, one-hop CAS-min on every native link sweep",
 		"native rows: one long-lived engine per config solves the same graph; per-round ms = median solve / link+shortcut rounds",
 		fmt.Sprintf("incremental rows: the graph replayed as %d zero-copy span batches on a fresh engine per trial; per-round ms = median total / batches", len(batches)),
 		fmt.Sprintf("workers = GOMAXPROCS; %d scored trials interleaved round-robin across configs, median scored; same partition = vs the sequential union-find", trials),
-		"on a single-core host the affinity and grain columns should be near 1× (one worker claims every range either way) and the packed-arc fusion carries the speedup; multi-core hosts add the locality term")
+		"on a single-core host the affinity and grain columns should be near 1× (one worker claims every range either way) and the root-linking first sweep carries the speedup; multi-core hosts add the locality term")
 	return t
 }

@@ -21,20 +21,22 @@
 // internal/pool: each worker sweeps a sticky contiguous home range of
 // the edge (and vertex) space first and steals from other ranges only
 // after exhausting it, so the same label cache lines keep landing in
-// the same core across the rounds of a solve. The first link sweep is
-// fused: it links each edge to the root (the incremental engine's
-// union discipline, with path splitting), which connects the whole
-// label forest in one pass regardless of diameter, while packing the
-// two stride-2 arc columns (U[2i], V[2i]) into one contiguous
-// interleaved buffer. The rounds that follow are then cheap
-// verification sweeps over half the bytes, and the convergence test —
-// a full round with no change — is unchanged and still ranges over
-// every edge. Options carries ablation switches for both.
+// the same core across the rounds of a solve. The first link sweep
+// links each edge to the root (the incremental engine's union
+// discipline, with path splitting), which connects the whole label
+// forest in one pass regardless of diameter, so the rounds that follow
+// are cheap verification sweeps; the convergence test — a full round
+// with no change — is unchanged and still ranges over every edge.
+// Every link sweep reads edge i as the mirror pair (g.U[2i], g.U[2i+1]):
+// the graph's own U column already is the interleaved [u v] record
+// layout, so no sweep touches V and the engine keeps no copy of the
+// arcs. Options carries ablation switches for the root link and the
+// scheduler's range affinity.
 //
-// The Engine type is the long-lived form: it owns the worker pool and
-// the packed-arc buffer, so repeated Run calls on same-sized graphs
-// perform zero allocations — the shape pramcc.Solver builds on.
-// Components remains the one-shot convenience wrapper.
+// The Engine type is the long-lived form: it owns the worker pool, and
+// Run allocates nothing (the caller provides the label buffer) — the
+// shape pramcc.Solver builds on. Components remains the one-shot
+// convenience wrapper.
 package native
 
 import (
@@ -69,11 +71,10 @@ type Options struct {
 	// NoAffinity disables the sticky range-to-worker assignment and
 	// claims from one shared cursor (the pre-scheduler behavior).
 	NoAffinity bool
-	// NoPack disables the fused first sweep — root-linking plus arc
-	// packing — and performs one-hop CAS-min over the stride-2 graph
-	// columns on every link sweep (the pre-scheduler behavior). Both
-	// No* switches exist for the E17 ablation.
-	NoPack bool
+	// NoRootLink disables the root-linking first sweep and performs
+	// one-hop CAS-min on every link sweep (the pre-scheduler behavior).
+	// Both No* switches exist for the E17 ablation.
+	NoRootLink bool
 }
 
 // Result is a component labeling with engine statistics. Unlike the
@@ -90,34 +91,27 @@ type Result struct {
 
 // phase selects the chunk body of the current sweep.
 const (
-	phaseLink       int32 = iota // link from the stride-2 graph columns (NoPack)
-	phaseLinkPack                // link from the graph columns, packing arcs as it goes
-	phaseLinkPacked              // link from the packed interleaved buffer
+	phaseRootLink int32 = iota // link every edge's roots (the first sweep)
+	phaseLink                  // one-hop CAS-min over every edge
 	phaseShortcut
 )
 
 // Engine is a reusable shared-memory solver. It owns a worker pool
 // spawned once at construction; Run may be called any number of times
 // (from one goroutine at a time) and allocates nothing itself — the
-// caller provides the label buffer. Close releases the pool.
-//
-// The engine retains its packed-arc buffer across runs (grow-or-reuse,
-// 8 bytes per edge at high-water mark); callers that solve one huge
-// graph and then hold the engine idle should Close and rebuild it.
+// caller provides the label buffer, and the sweeps read the graph's
+// own arc column. Close releases the pool.
 type Engine struct {
 	pool       *Pool
 	changed    atomic.Bool
 	grain      int
 	noAffinity bool
-	noPack     bool
+	noRootLink bool
 
-	// Per-run state, written by Run between pool barriers only. arcs
-	// holds the even (representative) arcs interleaved [u0 v0 u1 v1 …],
-	// filled by the first link sweep and read by every later one.
+	// Per-run state, written by Run between pool barriers only.
 	g      *graph.Graph
 	labels []int32
 	phase  int32
-	arcs   []int32
 
 	// chunk is the sweep body bound once at construction so Run does
 	// not create a closure (and therefore does not allocate) per call.
@@ -140,7 +134,7 @@ func NewEngineOpt(opt Options) *Engine {
 		pool:       NewPool(workers),
 		grain:      opt.Grain,
 		noAffinity: opt.NoAffinity,
-		noPack:     opt.NoPack,
+		noRootLink: opt.NoRootLink,
 	}
 	e.chunk = e.chunkBody
 	return e
@@ -185,14 +179,9 @@ func (e *Engine) Run(ctx context.Context, g *graph.Graph, labels []int32) (int, 
 	e.g, e.labels = g, labels
 	defer func() { e.g, e.labels = nil, nil }()
 
-	linkPhase := phaseLink
-	if !e.noPack {
-		linkPhase = phaseLinkPack
-		if cap(e.arcs) < 2*numEdges {
-			//pramcc:allow zeroalloc -- grow-or-reuse contract: allocates only when the edge count outgrows the retained buffer
-			e.arcs = make([]int32, 2*numEdges)
-		}
-		e.arcs = e.arcs[:2*numEdges]
+	linkPhase := phaseRootLink
+	if e.noRootLink {
+		linkPhase = phaseLink
 	}
 
 	// Event emission is decided once per run: the envelope (and its
@@ -215,9 +204,7 @@ func (e *Engine) Run(ctx context.Context, g *graph.Graph, labels []int32) (int, 
 			roundStart = time.Now()
 		}
 		linked := e.sweep(linkPhase, numEdges)
-		if linkPhase == phaseLinkPack {
-			linkPhase = phaseLinkPacked
-		}
+		linkPhase = phaseLink
 		cut := e.sweep(phaseShortcut, g.N)
 		if emit {
 			obs.Emit(obs.Event{Source: "native", Category: "engine",
@@ -269,12 +256,10 @@ func (e *Engine) sweep(phase int32, total int) bool {
 func (e *Engine) chunkBody(_, lo, hi int) bool {
 	var local bool
 	switch e.phase {
+	case phaseRootLink:
+		local = e.rootLinkEdges(lo, hi)
 	case phaseLink:
 		local = e.link(lo, hi)
-	case phaseLinkPack:
-		local = e.linkPack(lo, hi)
-	case phaseLinkPacked:
-		local = e.linkPacked(lo, hi)
 	default:
 		local = e.shortcut(lo, hi)
 	}
@@ -285,16 +270,18 @@ func (e *Engine) chunkBody(_, lo, hi int) bool {
 }
 
 // link lowers both endpoints of every edge in [lo, hi) towards the
-// smaller of their two current labels, reading the stride-2 graph
-// columns. Arcs come in mirror pairs, so scanning arc 2e covers edge e
-// in both directions (the update is symmetric in u and v).
+// smaller of their two current labels. Arcs come in mirror pairs, so
+// edge i is the adjacent pair (U[2i], U[2i+1]) of the graph's U column
+// — one contiguous 8-byte record — and covering it once covers both
+// directions (the update is symmetric in u and v). Graph.Validate,
+// which every pramcc entry point runs first, rejects non-mirror arcs.
 //
 //pramcc:zeroalloc
 func (e *Engine) link(lo, hi int) bool {
-	g, labels := e.g, e.labels
+	arcs, labels := e.g.U, e.labels
 	local := false
 	for i := lo; i < hi; i++ {
-		u, v := g.U[2*i], g.V[2*i]
+		u, v := arcs[2*i], arcs[2*i+1]
 		if u == v {
 			continue
 		}
@@ -310,23 +297,21 @@ func (e *Engine) link(lo, hi int) bool {
 	return local
 }
 
-// linkPack is the fused first sweep: it packs the even arcs into the
-// interleaved buffer while linking each edge all the way — the larger
-// root is CAS-linked under the smaller, retrying from the fresh roots
-// on contention, so both endpoints share a root when the call moves
-// on (the incremental engine's union discipline). One such sweep
-// connects the whole label forest regardless of diameter, so the
-// rounds that follow are cheap all-labels-equal verification sweeps
-// instead of further rounds of propagation. The packing traffic rides
-// on a sweep that had to read the graph columns anyway.
+// rootLinkEdges is the first link sweep: it links each edge of
+// [lo, hi), read as link reads it, all the way — the larger root is
+// CAS-linked under the smaller, retrying from the fresh roots on
+// contention, so both endpoints share a root when the call moves on
+// (the incremental engine's union discipline). One such sweep connects
+// the whole label forest regardless of diameter, so the rounds that
+// follow are cheap all-labels-equal verification sweeps instead of
+// further rounds of propagation.
 //
 //pramcc:zeroalloc
-func (e *Engine) linkPack(lo, hi int) bool {
-	g, labels, arcs := e.g, e.labels, e.arcs
+func (e *Engine) rootLinkEdges(lo, hi int) bool {
+	arcs, labels := e.g.U, e.labels
 	local := false
 	for i := lo; i < hi; i++ {
-		u, v := g.U[2*i], g.V[2*i]
-		arcs[2*i], arcs[2*i+1] = u, v
+		u, v := arcs[2*i], arcs[2*i+1]
 		if u == v {
 			continue
 		}
@@ -378,31 +363,6 @@ func findRoot(labels []int32, x int32) int32 {
 		atomic.CompareAndSwapInt32(&labels[x], p, gp)
 		x = gp
 	}
-}
-
-// linkPacked is link reading the interleaved packed buffer: half the
-// memory traffic of the stride-2 column walk, which is the whole cost
-// of a link sweep once the labels are cache-resident.
-//
-//pramcc:zeroalloc
-func (e *Engine) linkPacked(lo, hi int) bool {
-	labels, arcs := e.labels, e.arcs
-	local := false
-	for i := lo; i < hi; i++ {
-		u, v := arcs[2*i], arcs[2*i+1]
-		if u == v {
-			continue
-		}
-		pu := atomic.LoadInt32(&labels[u])
-		pv := atomic.LoadInt32(&labels[v])
-		switch {
-		case pv < pu:
-			local = casMin(labels, pu, pv) || local
-		case pu < pv:
-			local = casMin(labels, pv, pu) || local
-		}
-	}
-	return local
 }
 
 // shortcut pointer-jumps every vertex in [lo, hi) to its root.

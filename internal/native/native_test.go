@@ -199,3 +199,35 @@ func TestEngineRunBadBuffer(t *testing.T) {
 	}()
 	_, _ = e.Run(context.Background(), graph.Path(10), make([]int32, 3))
 }
+
+// TestEngineFirstRunZeroAlloc: Run allocates nothing, not even on a
+// fresh engine's first call — the sweeps read the graph's own arc
+// column, and the pool's claim state is sized when the pool is built.
+// AllocsPerRun warms up with one call before it counts, so every call
+// takes an engine of its own, built outside the measured function.
+func TestEngineFirstRunZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const runs = 3
+	g := graph.Gnm(20000, 60000, 1)
+	labels := make([]int32, g.N)
+	engines := make([]*Engine, runs+1) // +1 for AllocsPerRun's warm-up call
+	for i := range engines {
+		engines[i] = NewEngine(2)
+		defer engines[i].Close()
+	}
+	ctx := context.Background()
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		e := engines[next]
+		next++
+		if _, err := e.Run(ctx, g, labels); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("first Run on a fresh engine allocates %.1f objects, want 0", allocs)
+	}
+	requireOracle(t, g, labels)
+}

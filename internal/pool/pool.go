@@ -36,8 +36,9 @@ type Pool struct {
 	closeOnce sync.Once
 
 	// shard is the pool-owned claim state behind Sharded/ShardedOpt,
-	// with shardWork pre-bound once here so dispatching a sharded
-	// sweep allocates nothing.
+	// with its cursors sized for the worker count and shardWork
+	// pre-bound once here, so dispatching a sharded sweep allocates
+	// nothing, the first one included.
 	shard     Shard
 	shardWork func(worker int)
 }
@@ -45,6 +46,7 @@ type Pool struct {
 // New spawns a pool of the given worker count (must be > 0).
 func New(workers int) *Pool {
 	p := &Pool{jobs: make([]chan func(worker int), workers)}
+	p.shard.cursors = make([]padCursor, workers)
 	p.shardWork = p.shard.Work
 	for i := range p.jobs {
 		ch := make(chan func(worker int))
