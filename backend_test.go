@@ -354,17 +354,17 @@ func FuzzBackendEquivalence(f *testing.F) {
 			}
 		}
 		// Batched replay: the partition must not depend on the split.
-		inc, err := NewIncremental(g.N, WithWorkers(int(workersRaw%17)), WithGrain(grain))
+		sv, err := NewService(g.N, WithBackend(BackendIncremental), WithWorkers(int(workersRaw%17)), WithGrain(grain))
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer inc.Close()
+		defer sv.Close()
 		for _, batch := range g.EdgeBatches(int(batchesRaw%29) + 1) {
-			if _, err := inc.AddEdges(batch); err != nil {
+			if _, err := sv.Ingest(context.Background(), batch); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := check.SamePartition(inc.Labels(), oracle); err != nil {
+		if err := check.SamePartition(sv.Labels(), oracle); err != nil {
 			t.Fatalf("batched incremental: %v", err)
 		}
 	})

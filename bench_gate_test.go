@@ -93,19 +93,19 @@ func BenchmarkGate(b *testing.B) {
 					spans := g.SpanBatches(20)
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						inc, err := pramcc.NewIncremental(g.N, pramcc.WithWorkers(w.n))
+						sv, err := pramcc.NewService(g.N, pramcc.WithBackend(pramcc.BackendIncremental), pramcc.WithWorkers(w.n))
 						if err != nil {
 							b.Fatal(err)
 						}
 						for _, span := range spans {
-							if _, err := inc.AddSpan(span); err != nil {
+							if _, err := sv.IngestSpan(ctx, span); err != nil {
 								b.Fatal(err)
 							}
 						}
-						if inc.ComponentCount() == 0 {
+						if sv.NumComponents() == 0 {
 							b.Fatal("no components")
 						}
-						inc.Close()
+						sv.Close()
 					}
 				})
 			}

@@ -131,28 +131,36 @@ func BenchmarkSolverReuse(b *testing.B) {
 }
 
 // BenchmarkIncrementalBatches is the streaming scenario: the benchGraph
-// workload replayed in 16 batches through the Incremental handle, so
-// the baseline tracks per-batch maintenance cost next to the one-shot
-// backends above.
+// workload replayed in 16 [][2]int batches through Service.Ingest on
+// the incremental backend, so the baseline tracks per-batch
+// maintenance cost next to the one-shot backends above.
 func BenchmarkIncrementalBatches(b *testing.B) {
 	g := benchGraph()
 	batches := g.EdgeBatches(16)
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		inc, err := pramcc.NewIncremental(g.N)
-		if err != nil {
-			b.Fatal(err)
-		}
+		sv := newStreamService(b, g.N)
 		for _, batch := range batches {
-			if _, err := inc.AddEdges(batch); err != nil {
+			if _, err := sv.Ingest(ctx, batch); err != nil {
 				b.Fatal(err)
 			}
 		}
-		if inc.ComponentCount() == 0 {
+		if sv.NumComponents() == 0 {
 			b.Fatal("no components")
 		}
-		inc.Close()
+		sv.Close()
 	}
+}
+
+// newStreamService returns a Service over n isolated vertices on the
+// streaming incremental backend.
+func newStreamService(b *testing.B, n int) *pramcc.Service {
+	sv, err := pramcc.NewService(n, pramcc.WithBackend(pramcc.BackendIncremental))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return sv
 }
 
 // ingestBenchGraph is the full-bench-scale replay workload for the
@@ -168,31 +176,17 @@ func ingestBenchGraph() *graph.Graph {
 // BenchmarkIngestSpan / BenchmarkIngestPairs are the replay-layer
 // comparison behind experiment E14, measured end-to-end at the public
 // API as a streaming consumer runs it: batch construction from the
-// resident graph plus ingestion. The span side slices the graph's arc
-// columns in place (SpanBatches + AddSpan, the zero-copy pipeline —
-// its replay layer performs zero allocations, enforced by
-// TestSpanIngestZeroAlloc in internal/incremental; the allocs/op
-// reported here are snapshot publication and engine setup only); the
-// pairs side materializes [][2]int batches (EdgeBatches + AddEdges,
-// the kept compatibility adapters). Both end in the identical
-// union-find; the difference is pure replay-layer overhead.
+// resident graph plus ingestion into a Service on the incremental
+// backend. The span side slices the graph's arc columns in place
+// (SpanBatches + IngestSpan, the zero-copy pipeline — its replay layer
+// performs zero allocations, enforced by TestSpanIngestZeroAlloc in
+// internal/incremental; the allocs/op reported here are snapshot
+// publication and service setup only); the pairs side materializes
+// [][2]int batches (EdgeBatches + Ingest, which converts each batch
+// with graph.FromPairs). Both end in the identical union-find; the
+// difference is pure replay-layer overhead.
 func BenchmarkIngestSpan(b *testing.B) {
-	g := ingestBenchGraph()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		inc, err := pramcc.NewIncremental(g.N)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, batch := range g.SpanBatches(16) {
-			if _, err := inc.AddSpan(batch); err != nil {
-				b.Fatal(err)
-			}
-		}
-		inc.Close()
-	}
-	b.ReportMetric(float64(g.NumEdges())*float64(b.N)/b.Elapsed().Seconds(), "edges/s")
+	benchIngestSpan(b)
 }
 
 // BenchmarkIngestSpanInstrumented is BenchmarkIngestSpan with the JSON
@@ -202,41 +196,41 @@ func BenchmarkIngestSpan(b *testing.B) {
 // a sink (envelope construction + JSON encoding per batch); without a
 // sink the cost is zero by construction (TestSpanIngestZeroAlloc).
 func BenchmarkIngestSpanInstrumented(b *testing.B) {
-	g := ingestBenchGraph()
 	pramcc.SetEventSink(pramcc.NewJSONEventSink(io.Discard))
 	defer pramcc.SetEventSink(nil)
+	benchIngestSpan(b)
+}
+
+func benchIngestSpan(b *testing.B) {
+	g := ingestBenchGraph()
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		inc, err := pramcc.NewIncremental(g.N)
-		if err != nil {
-			b.Fatal(err)
-		}
+		sv := newStreamService(b, g.N)
 		for _, batch := range g.SpanBatches(16) {
-			if _, err := inc.AddSpan(batch); err != nil {
+			if _, err := sv.IngestSpan(ctx, batch); err != nil {
 				b.Fatal(err)
 			}
 		}
-		inc.Close()
+		sv.Close()
 	}
 	b.ReportMetric(float64(g.NumEdges())*float64(b.N)/b.Elapsed().Seconds(), "edges/s")
 }
 
 func BenchmarkIngestPairs(b *testing.B) {
 	g := ingestBenchGraph()
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		inc, err := pramcc.NewIncremental(g.N)
-		if err != nil {
-			b.Fatal(err)
-		}
+		sv := newStreamService(b, g.N)
 		for _, batch := range g.EdgeBatches(16) {
-			if _, err := inc.AddEdges(batch); err != nil {
+			if _, err := sv.Ingest(ctx, batch); err != nil {
 				b.Fatal(err)
 			}
 		}
-		inc.Close()
+		sv.Close()
 	}
 	b.ReportMetric(float64(g.NumEdges())*float64(b.N)/b.Elapsed().Seconds(), "edges/s")
 }

@@ -10,8 +10,8 @@
 // With no file, stdin is read. Output: a summary line; per-vertex
 // "vertex label" pairs with -v; the forest edge list with -forest.
 //
-// With -batches K, the edge list is replayed in K batches through the
-// streaming incremental backend (pramcc.Incremental): one line per
+// With -batches K, the edge list is replayed in K batches through a
+// pramcc.Service on the streaming incremental backend: one line per
 // batch with the running component count and the batch's ingestion
 // latency, then the summary. This is the command-line view of the
 // scenario experiment E12 measures (see EXPERIMENTS.md).

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -164,32 +165,35 @@ func grainLabel(n int) string {
 	return fmt.Sprintf("%d", n)
 }
 
-// runBatches replays g's edges in k batches through the streaming
-// incremental backend, printing one latency line per batch and a
-// final summary. The replay is columnar end-to-end: each batch is a
-// zero-copy SpanBatches slice of the loaded graph's arc columns,
-// ingested with AddSpan, so nothing between the loader and the
+// runBatches replays g's edges in k batches through a Service on the
+// streaming incremental backend, printing one latency line per batch
+// and a final summary. The replay is columnar end-to-end: each batch
+// is a zero-copy SpanBatches slice of the loaded graph's arc columns,
+// ingested with IngestSpan, so nothing between the loader and the
 // union-find materializes a [][2]int edge list.
 func runBatches(g *graph.Graph, k, workers, grain int, verbose bool, out io.Writer) error {
-	inc, err := pramcc.NewIncremental(g.N, pramcc.WithWorkers(workers), pramcc.WithGrain(grain))
+	sv, err := pramcc.NewService(g.N, pramcc.WithBackend(pramcc.BackendIncremental),
+		pramcc.WithWorkers(workers), pramcc.WithGrain(grain))
 	if err != nil {
 		return err
 	}
-	defer inc.Close()
+	defer sv.Close()
 	// SpanBatches caps k at the edge count; report the real total.
 	batches := g.SpanBatches(k)
-	for _, batch := range batches {
-		bs, err := inc.AddSpan(batch)
+	var total int64
+	for i, batch := range batches {
+		res, err := sv.IngestSpan(context.Background(), batch)
 		if err != nil {
 			return err
 		}
+		total += int64(batch.Len())
 		fmt.Fprintf(out, "batch %d/%d: edges=%d total-edges=%d components=%d wall=%v\n",
-			bs.Batch, len(batches), bs.Edges, bs.TotalEdges, bs.Components, bs.Wall)
+			i+1, len(batches), batch.Len(), total, res.NumComponents, res.Stats.Wall)
 	}
 	fmt.Fprintf(out, "n=%d m=%d components=%d batches=%d grain=%s backend=incremental\n",
-		g.N, g.NumEdges(), inc.ComponentCount(), inc.BatchCount(), grainLabel(grain))
+		g.N, g.NumEdges(), sv.NumComponents(), len(batches), grainLabel(grain))
 	if verbose {
-		for v, l := range inc.LabelsInto(nil) {
+		for v, l := range sv.Snapshot().Labels {
 			fmt.Fprintf(out, "%d %d\n", v, l)
 		}
 	}

@@ -100,8 +100,7 @@ func run(args []string, out io.Writer) error {
 		}
 		fmt.Fprintf(out, "serving sharded backend=%v shards=%d tenants=%d on http://%s (endpoints: /healthz /metrics /debug/pprof/ /v1/admin/tenants /v1/t/{tenant}/...)\n",
 			backend, rt.Shards(), len(rt.Tenants()), *addr)
-		srv := &http.Server{Addr: *addr, Handler: newRouterHandler(rt)}
-		return srv.ListenAndServe()
+		return newServer(*addr, newRouterHandler(rt)).ListenAndServe()
 	}
 
 	var sv *pramcc.Service
@@ -148,8 +147,62 @@ func run(args []string, out io.Writer) error {
 
 	fmt.Fprintf(out, "serving backend=%v n=%d on http://%s (endpoints: /healthz /metrics /debug/pprof/ /v1/...)\n",
 		backend, sv.N(), *addr)
-	srv := &http.Server{Addr: *addr, Handler: newHandler(sv)}
-	return srv.ListenAndServe()
+	return newServer(*addr, newHandler(sv)).ListenAndServe()
+}
+
+// Request limits shared by both serving modes. Every POST body is read
+// through http.MaxBytesReader, so a client cannot make the server
+// buffer more than maxBodyBytes of JSON; the timeouts stop a slow or
+// stalled client from holding a connection open indefinitely.
+// ReadTimeout covers a whole request, body included. There is no
+// WriteTimeout, because /debug/pprof/profile streams for as long as
+// the caller asks.
+const (
+	maxBodyBytes      = 64 << 20
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 2 * time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer builds the HTTP server for either mode with the request
+// timeouts set.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
+// decodeBody decodes r's JSON body into v under the maxBodyBytes cap.
+// On failure it has written the error response and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	return decodeLimited(w, r, v, maxBodyBytes)
+}
+
+// decodeLimited decodes r's JSON body into v, reading at most limit
+// bytes of it; a body whose declared length is over the limit is
+// refused unread. On failure it writes the error response — 413 for an
+// oversized body, 400 for anything else — and returns false.
+func decodeLimited(w http.ResponseWriter, r *http.Request, v any, limit int64) bool {
+	var err error
+	if r.ContentLength > limit {
+		err = &http.MaxBytesError{Limit: limit}
+	} else {
+		err = json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	}
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+	} else {
+		httpError(w, http.StatusBadRequest, "bad body: "+err.Error())
+	}
+	return false
 }
 
 // notFound is the catch-all for routes no handler claims: the JSON
@@ -194,8 +247,7 @@ func newHandler(sv *pramcc.Service) http.Handler {
 		var req struct {
 			Edges [][2]int `json:"edges"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, "bad body: "+err.Error())
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		start := time.Now()
@@ -218,8 +270,7 @@ func newHandler(sv *pramcc.Service) http.Handler {
 		var req struct {
 			N int `json:"n"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, "bad body: "+err.Error())
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		if err := sv.Grow(req.N); err != nil {
@@ -293,8 +344,7 @@ func newRouterHandler(rt *pramcc.Router) http.Handler {
 				Tenant string `json:"tenant"`
 				N      int    `json:"n"`
 			}
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				httpError(w, http.StatusBadRequest, "bad body: "+err.Error())
+			if !decodeBody(w, r, &req) {
 				return
 			}
 			if !pramcc.ValidTenantID(req.Tenant) {
@@ -334,8 +384,7 @@ func newRouterHandler(rt *pramcc.Router) http.Handler {
 		var req struct {
 			Edges [][2]int `json:"edges"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, "bad body: "+err.Error())
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		start := time.Now()
@@ -364,8 +413,7 @@ func newRouterHandler(rt *pramcc.Router) http.Handler {
 		var req struct {
 			N int `json:"n"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, "bad body: "+err.Error())
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		if err := tn.Grow(req.N); err != nil {

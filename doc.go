@@ -44,8 +44,10 @@
 //	ConnectedComponents(g, opts...) →  solver.Solve(ctx, g)       (simulated backend, the default)
 //	SpanningForest(g, opts...)      →  solver.SpanningForest(ctx, g)
 //	Components per query cycle      →  service.Update(ctx, g) + service.SameComponent(v, w)
-//	Incremental + AddSpan           →  service.IngestSpan(ctx, span) (NewService(n, WithBackend(BackendIncremental)))
-//	Incremental + AddEdges          →  service.Ingest(ctx, pairs)   (the kept [][2]int adapter over the span path)
+//
+// The separate streaming Incremental handle has been removed: a
+// Service built with WithBackend(BackendIncremental) takes its place,
+// with IngestSpan for spans and Ingest for [][2]int batches.
 //
 // # Three execution backends
 //
@@ -75,30 +77,30 @@
 //
 // # Streaming updates and the columnar data path
 //
-// When edges arrive over time, the Incremental handle keeps the
-// labeling fresh without recomputing from scratch: NewIncremental
-// creates a live engine over a fixed vertex set, AddSpan (or its
-// boxed adapter AddEdges) ingests one batch (Θ(batch) union work plus
-// a Θ(n) snapshot flatten — never a rescan of previously ingested
-// edges), and SameComponent / ComponentCount / Labels / LabelsInto
-// answer from a flattened snapshot taken at the last batch boundary.
-// Queries are safe to call concurrently with an in-flight batch —
-// they see the previous consistent snapshot, never a half-ingested
-// one. The cmd/ccfind -batches mode replays an edge file through this
-// API and reports per-batch latency.
+// When edges arrive over time, a Service on the incremental backend
+// keeps the labeling fresh without recomputing from scratch:
+// NewService(n, WithBackend(BackendIncremental)) creates a live engine
+// over n isolated vertices (Grow adds more), IngestSpan (or its boxed
+// adapter Ingest) ingests one batch (Θ(batch) union work plus a Θ(n)
+// snapshot flatten — never a rescan of previously ingested edges), and
+// SameComponent / NumComponents / Labels / LabelsInto answer from a
+// flattened snapshot taken at the last batch boundary. Queries are
+// safe to call concurrently with an in-flight batch — they see the
+// previous consistent snapshot, never a half-ingested one. The
+// cmd/ccfind -batches mode replays an edge file through this API and
+// reports per-batch latency.
 //
 // Batches travel the pipeline as graph.EdgeSpan values: zero-copy
 // columnar (structure-of-arrays) views over a graph's int32 arc
 // columns, produced by Graph.Span / Graph.SpanBatches or the loader
 // hooks (graph.ParseEdgeListSpan, graph.ReadBinarySpan) and consumed
-// by Incremental.AddSpan and Service.IngestSpan — no [][2]int is
-// materialized anywhere between disk and the union-find, and the
-// replay layer performs zero allocations (experiment E14 measures
-// the resulting throughput against the boxed path). The [][2]int
-// methods (AddEdges, Service.Ingest, graph.EdgeBatches) remain as
-// validating adapters over graph.FromPairs for callers assembling
-// edges ad hoc; Labels copies, while LabelsInto refills a
-// caller-owned buffer allocation-free.
+// by Service.IngestSpan — no [][2]int is materialized anywhere
+// between disk and the union-find, and the replay layer performs zero
+// allocations (experiment E14 measures the resulting throughput
+// against the boxed path). The [][2]int methods (Service.Ingest,
+// Tenant.Ingest, graph.EdgeBatches) remain as validating adapters over
+// graph.FromPairs for callers assembling edges ad hoc; Labels copies,
+// while LabelsInto refills a caller-owned buffer allocation-free.
 //
 // # Observability
 //
@@ -213,10 +215,10 @@
 //
 // and streamed in zero-copy columnar batches with graph.SpanBatches:
 //
-//	inc, _ := pramcc.NewIncremental(g.N)
-//	defer inc.Close()
+//	sv, _ := pramcc.NewService(g.N, pramcc.WithBackend(pramcc.BackendIncremental))
+//	defer sv.Close()
 //	for _, batch := range g.SpanBatches(16) {
-//		stats, _ := inc.AddSpan(batch)
-//		fmt.Println(stats.Components, stats.Wall)
+//		res, _ := sv.IngestSpan(ctx, batch)
+//		fmt.Println(res.NumComponents, res.Stats.Wall)
 //	}
 package pramcc

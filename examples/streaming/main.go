@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -34,37 +35,41 @@ func main() {
 	g := graph.RMAT(*n, *n**deg, 7)
 	fmt.Printf("workload: RMAT  n=%d  m=%d  arriving in %d batches\n\n", g.N, g.NumEdges(), *batches)
 
-	inc, err := pramcc.NewIncremental(g.N, pramcc.WithWorkers(*workers))
+	sv, err := pramcc.NewService(g.N, pramcc.WithBackend(pramcc.BackendIncremental),
+		pramcc.WithWorkers(*workers))
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer inc.Close()
+	defer sv.Close()
 
 	fmt.Printf("%7s %10s %12s %12s %14s\n", "batch", "edges", "total edges", "components", "batch latency")
 	var incrTotal time.Duration
+	var totalEdges int
 	// SpanBatches slices the graph's columnar arc storage in place, and
-	// AddSpan shards those columns straight onto the worker pool: the
+	// IngestSpan shards those columns straight onto the worker pool: the
 	// whole replay is zero-copy (no [][2]int is ever materialized).
-	for _, batch := range g.SpanBatches(*batches) {
-		bs, err := inc.AddSpan(batch)
+	spans := g.SpanBatches(*batches)
+	for i, batch := range spans {
+		res, err := sv.IngestSpan(context.Background(), batch)
 		if err != nil {
 			log.Fatal(err)
 		}
-		incrTotal += bs.Wall
+		incrTotal += res.Stats.Wall
+		totalEdges += batch.Len()
 		fmt.Printf("%7d %10d %12d %12d %14v\n",
-			bs.Batch, bs.Edges, bs.TotalEdges, bs.Components, bs.Wall.Round(10_000))
+			i+1, batch.Len(), totalEdges, res.NumComponents, res.Stats.Wall.Round(10_000))
 	}
 
 	// The query side: answers come from the flattened snapshot in O(1).
 	u, v := 0, g.N-1
 	fmt.Printf("\nSameComponent(%d, %d) = %v  (answered from the live snapshot)\n",
-		u, v, inc.SameComponent(u, v))
+		u, v, sv.SameComponent(u, v))
 
 	// What staying fresh would have cost without the streaming engine:
 	// one full native recompute per batch over the growing prefix.
 	prefix := graph.New(g.N)
 	var recompute time.Duration
-	for _, batch := range g.SpanBatches(*batches) {
+	for _, batch := range spans {
 		for i := 0; i < batch.Len(); i++ {
 			u, v := batch.Edge(i)
 			prefix.AddEdge(int(u), int(v))
@@ -82,14 +87,14 @@ func main() {
 		log.Fatal(err)
 	}
 	agree := true
-	for i, l := range inc.LabelsInto(nil) {
+	for i, l := range sv.Snapshot().Labels {
 		if l != nat.Labels[i] {
 			agree = false
 			break
 		}
 	}
 
-	fmt.Printf("\nincremental, all %d batches:        %12v\n", inc.BatchCount(), incrTotal.Round(10_000))
+	fmt.Printf("\nincremental, all %d batches:        %12v\n", len(spans), incrTotal.Round(10_000))
 	fmt.Printf("native recompute after every batch: %12v  (%.1fx slower)\n",
 		recompute.Round(10_000), float64(recompute)/float64(incrTotal))
 	fmt.Printf("final labels equal one-shot native:  %v\n", agree)

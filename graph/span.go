@@ -9,9 +9,9 @@ import "fmt"
 // taken from a Graph (Span, SpanBatches) or a loader (ReadBinarySpan,
 // ParseEdgeListSpan) aliases the graph's own arc columns: no edge is
 // copied, boxed into [2]int, or widened to int, which is what lets the
-// streaming replay path (Service.IngestSpan, Incremental.AddSpan,
-// ccfind -batches) move batches between layers at 8 bytes per edge
-// with zero per-batch materialization.
+// streaming replay path (Service.IngestSpan, ccfind -batches) move
+// batches between layers at 8 bytes per edge with zero per-batch
+// materialization.
 //
 // The zero EdgeSpan is an empty span. Sub-slicing (Slice) is cheap and
 // shares the backing columns; Pairs and FromPairs convert to and from

@@ -697,7 +697,7 @@ func E12(scale Scale) *Table {
 			ms(oneShot), ms(recompute), float64(recompute)/float64(incrTotal), same)
 	}
 	t.Notes = append(t.Notes,
-		"incr = internal/incremental lock-free union-find, one zero-copy AddSpan per batch (pramcc.Incremental / BackendIncremental)",
+		"incr = internal/incremental lock-free union-find, one zero-copy AddSpan per batch (the engine behind Service.IngestSpan on BackendIncremental)",
 		"recompute = a full native run after every batch, the non-streaming way to keep answers fresh",
 		"speedup = recompute / incr total; same labels = exact elementwise equality (both label by component minimum); "+grainNote())
 	return t
@@ -821,11 +821,12 @@ func sameArcs(a, b *graph.Graph) bool {
 // than unioning. The claim: replaying a resident graph through the
 // incremental engine via zero-copy spans (SpanBatches + AddSpan)
 // sustains ≥ 1.5× the edges/sec of the boxed pair replay (EdgeBatches
-// + AddEdges), identical final labels, across batch sizes. Both sides
-// are measured end-to-end as a consumer would run them: batch
-// construction from the resident graph plus ingestion — exactly the
-// layers the span representation de-copies; the union-find work in
-// the middle is byte-for-byte the same.
+// + graph.FromPairs + AddSpan — the conversion Service.Ingest performs
+// at the API boundary), identical final labels, across batch sizes.
+// Both sides are measured end-to-end as a consumer would run them:
+// batch construction from the resident graph plus ingestion — exactly
+// the layers the span representation de-copies; the union-find work
+// in the middle is byte-for-byte the same.
 func E14(scale Scale) *Table {
 	t := &Table{
 		ID:    "E14",
@@ -861,11 +862,12 @@ func E14(scale Scale) *Table {
 	for _, w := range wls {
 		for _, k := range ks {
 			// Boxed replay: materialize the [][2]int batches from the
-			// resident graph, then one AddEdges per batch.
+			// resident graph, then convert each to a span and ingest it
+			// — what Service.Ingest does with a [][2]int batch.
 			eng := incremental.New(w.g.N, incremental.Options{Grain: grainOverride})
 			t0 := time.Now()
 			for _, b := range w.g.EdgeBatches(k) {
-				eng.AddEdges(b)
+				eng.AddSpan(graph.FromPairs(b))
 			}
 			pairsD := time.Since(t0)
 			pairsLabels := eng.Snapshot().Labels
@@ -889,7 +891,7 @@ func E14(scale Scale) *Table {
 		}
 	}
 	t.Notes = append(t.Notes,
-		"pairs = g.EdgeBatches(K) + Engine.AddEdges: materializes [][2]int batches (16 bytes/edge) and re-validates boxed ints per edge",
+		"pairs = g.EdgeBatches(K) + graph.FromPairs + Engine.AddSpan: materializes [][2]int batches (16 bytes/edge) and converts each to a fresh span — the path Service.Ingest takes (it adds only a range check on the ints)",
 		"span = g.SpanBatches(K) + Engine.AddSpan: zero-copy arc-column slices (8 bytes/edge, no materialization), columnar validation",
 		"both sides time batch construction + ingestion on a fresh engine; the union-find and snapshot publication are identical",
 		"workers = GOMAXPROCS; same labels = exact elementwise equality of the final snapshots; "+grainNote())

@@ -19,11 +19,12 @@
 //  3. parent[x] always names a vertex of x's component, so no CAS can
 //     merge components that share no edge.
 //
-// Batches are ingested by sharding the edge range over the
-// locality-aware grain-claim scheduler in internal/pool (contiguous
-// chunks claimed off per-worker range cursors, with stealing after a
-// worker's sticky home range is exhausted). After the pool barrier at
-// the end of each
+// Batches arrive as columnar arc-pair spans (graph.EdgeSpan) and are
+// ingested by sharding the edge range over the locality-aware
+// grain-claim scheduler in internal/pool (contiguous chunks claimed
+// off per-worker range cursors, with stealing after a worker's sticky
+// home range is exhausted); pairs are converted with graph.FromPairs
+// at the API boundary. After the pool barrier at the end of each
 // batch, every component ingested so far is a single tree whose root
 // is the minimum vertex id of the component — the same canonical
 // labeling the one-shot native engine produces — and the engine
@@ -32,11 +33,13 @@
 // unions plus a Θ(n) flatten-and-publish pass: the per-update price of
 // snapshot-consistent O(1) queries. What streaming saves over
 // recompute-per-batch is the repeated multi-round Θ(n + m) scans of
-// the whole edge set, not the per-vertex pass. Queries (SameComponent, ComponentCount, Snapshot)
-// read whichever snapshot is currently published, so they are safe to
-// call concurrently with an in-flight AddEdges and always observe a
-// consistent batch boundary, never a half-ingested batch. AddEdges
-// itself must be called from one goroutine at a time.
+// the whole edge set, not the per-vertex pass.
+//
+// Readers take the currently published Snapshot, so they are safe to
+// run concurrently with an in-flight AddSpan and always observe a
+// consistent batch boundary, never a half-ingested batch. The writers
+// (AddSpan, AddSpanContext, AddGraphContext, Reset, RestoreLabels,
+// Grow) must be called from one goroutine at a time.
 package incremental
 
 import (
@@ -93,8 +96,9 @@ type Snapshot struct {
 }
 
 // Engine is a concurrent union-find maintaining connected components
-// under streaming edge batches. Queries may run concurrently with one
-// AddEdges/AddGraph/AddSpan call; ingestion itself is single-writer.
+// under streaming edge batches. Snapshot may be called concurrently
+// with one AddSpan/AddGraphContext call; ingestion itself is
+// single-writer.
 type Engine struct {
 	n      int
 	parent []int32 // CAS-only disjoint-set forest, parent[x] <= x
@@ -140,7 +144,7 @@ func New(n int, opt Options) *Engine {
 // n isolated vertices, reusing the parent buffer (and keeping the
 // worker pool alive) when capacity allows. It publishes a fresh
 // identity snapshot; snapshots handed out earlier stay valid. Reset is
-// a writer operation: it must not race AddEdges/AddGraph.
+// a writer operation: it must not race AddSpan/AddGraphContext.
 func (e *Engine) Reset(n int) {
 	if cap(e.parent) >= n {
 		e.parent = e.parent[:n]
@@ -189,7 +193,7 @@ func (e *Engine) RestoreLabels(labels []int32) {
 
 // Grow extends the vertex set to n, preserving every component built
 // so far; the new vertices are isolated. A no-op when n ≤ N(). Grow is
-// a writer operation like AddEdges; the published snapshot is not
+// a writer operation like AddSpan; the published snapshot is not
 // advanced (the new vertices appear in the snapshot after the next
 // completed batch).
 func (e *Engine) Grow(n int) {
@@ -221,7 +225,7 @@ func (e *Engine) Grain() int { return e.grain }
 func (e *Engine) N() int { return e.n }
 
 // Close releases the worker pool. The engine's snapshot remains
-// queryable; further AddEdges calls are invalid.
+// queryable; further writer calls are invalid.
 func (e *Engine) Close() { e.pool.Close() }
 
 // Snapshot returns the labeling as of the last completed batch.
@@ -229,69 +233,11 @@ func (e *Engine) Close() { e.pool.Close() }
 //pramcc:zeroalloc
 func (e *Engine) Snapshot() *Snapshot { return e.snap.Load() }
 
-// SameComponent reports whether v and w are connected by the edges
-// ingested up to the last completed batch.
-//
-//pramcc:zeroalloc
-func (e *Engine) SameComponent(v, w int) bool {
-	s := e.snap.Load()
-	return s.Labels[v] == s.Labels[w]
-}
-
-// ComponentCount returns the number of components as of the last
-// completed batch.
-//
-//pramcc:zeroalloc
-func (e *Engine) ComponentCount() int { return e.snap.Load().Components }
-
-// Batches returns how many batches have been ingested.
-func (e *Engine) Batches() int { return e.snap.Load().Batches }
-
-// EdgesIngested returns the total edge count across all batches.
-func (e *Engine) EdgesIngested() int64 { return e.snap.Load().Edges }
-
-// AddEdges ingests one batch of undirected edges and publishes a new
-// snapshot. A batch with an endpoint outside [0, n) is rejected whole
-// — the error names the offending edge and nothing is applied.
-func (e *Engine) AddEdges(edges [][2]int) (*Snapshot, error) {
-	return e.AddEdgesContext(context.Background(), edges)
-}
-
-// AddEdgesContext is AddEdges with cancellation: ctx is checked before
-// any work and at every chunk boundary of the sharded ingest. On
-// cancellation no snapshot is published and ctx.Err() is returned —
-// queries keep observing the last completed batch, never a partial
-// one. The cancelled batch may have been partially unioned into the
-// (unpublished) forest; because unions are idempotent, re-submitting
-// the same batch after cancellation yields exactly the labeling the
-// uncancelled call would have produced.
-func (e *Engine) AddEdgesContext(ctx context.Context, edges [][2]int) (*Snapshot, error) {
-	for i, ed := range edges {
-		if ed[0] < 0 || ed[0] >= e.n || ed[1] < 0 || ed[1] >= e.n {
-			return nil, fmt.Errorf("incremental: batch edge %d = {%d,%d} out of range [0,%d)", i, ed[0], ed[1], e.n)
-		}
-	}
-	if err := e.ingest(ctx, len(edges), func(i int) (int32, int32) {
-		return int32(edges[i][0]), int32(edges[i][1])
-	}); err != nil {
-		return nil, err
-	}
-	return e.publish(int64(len(edges))), nil
-}
-
-// AddGraph ingests every edge of g as one batch. g must have the same
-// vertex count the engine was created with; its edges are in range by
-// the graph package's own construction-time validation.
-func (e *Engine) AddGraph(g *graph.Graph) *Snapshot {
-	s, _ := e.AddGraphContext(context.Background(), g)
-	return s
-}
-
-// AddGraphContext is AddGraph with the cancellation semantics of
-// AddEdgesContext. It rides the columnar span path: the graph's arc
-// columns are sharded over the pool directly, with no per-edge
-// accessor indirection and no validation pass (the graph's own
-// construction already guarantees its endpoints).
+// AddGraphContext ingests every edge of g as one batch, with the
+// cancellation semantics of AddSpanContext. g must have the same
+// vertex count as the engine. It rides the span path with no
+// validation pass: the graph's own construction already guarantees
+// its endpoints.
 func (e *Engine) AddGraphContext(ctx context.Context, g *graph.Graph) (*Snapshot, error) {
 	if g.N != e.n {
 		panic("incremental: graph vertex count mismatch")
@@ -303,21 +249,24 @@ func (e *Engine) AddGraphContext(ctx context.Context, g *graph.Graph) (*Snapshot
 }
 
 // AddSpan ingests one batch given as a columnar arc-pair span and
-// publishes a new snapshot — the zero-copy twin of AddEdges: the
-// span's columns are sharded over the worker pool as-is, so a batch
-// sliced from a Graph (SpanBatches) or a loader span reaches the
-// union-find with no copy, no boxing, and no per-edge allocation. A
-// span with an even-arc endpoint outside [0, n) is rejected whole —
-// the error names the offending edge and nothing is applied.
+// publishes a new snapshot. The span's columns are sharded over the
+// worker pool as-is, so a batch sliced from a Graph (SpanBatches), a
+// loader span, or graph.FromPairs output reaches the union-find with
+// no copy, no boxing, and no per-edge allocation. A span with an
+// even-arc endpoint outside [0, n) is rejected whole — the error
+// names the offending edge and nothing is applied.
 func (e *Engine) AddSpan(span graph.EdgeSpan) (*Snapshot, error) {
 	return e.AddSpanContext(context.Background(), span)
 }
 
-// AddSpanContext is AddSpan with the cancellation semantics of
-// AddEdgesContext: checked before any work and at every chunk
-// boundary; on cancellation no snapshot is published, and
-// re-submitting the span completes the cancelled batch exactly
-// (unions are idempotent).
+// AddSpanContext is AddSpan with cancellation: ctx is checked before
+// any work and at every chunk boundary of the sharded ingest. On
+// cancellation no snapshot is published and ctx.Err() is returned —
+// queries keep observing the last completed batch, never a partial
+// one. The cancelled batch may have been partially unioned into the
+// (unpublished) forest; because unions are idempotent, re-submitting
+// the same span yields exactly the labeling the uncancelled call
+// would have produced.
 func (e *Engine) AddSpanContext(ctx context.Context, span graph.EdgeSpan) (*Snapshot, error) {
 	if err := e.validateSpan(span); err != nil {
 		return nil, err
@@ -349,10 +298,10 @@ func (e *Engine) validateSpan(span graph.EdgeSpan) error {
 	return nil
 }
 
-// ingestSpan shards the span's edge range over the scheduler through
-// the pre-bound spanChunk, so a steady-state batch performs zero
-// allocations between validation and publish. Writer-only, like
-// ingest.
+// ingestSpan is the engine's one sharded union loop: it shards the
+// span's edge range over the scheduler through the pre-bound
+// spanChunk, so a steady-state batch performs zero allocations
+// between validation and publish. Writer-only.
 //
 //pramcc:zeroalloc
 func (e *Engine) ingestSpan(ctx context.Context, span graph.EdgeSpan) error {
@@ -443,42 +392,6 @@ func (e *Engine) spanChunkBody(_, lo, hi int) bool {
 		e.union(u[2*i], v[2*i])
 	}
 	return true
-}
-
-// ingest shards [0, total) over the pool and unions each edge,
-// checking ctx between grain-sized chunks.
-func (e *Engine) ingest(ctx context.Context, total int, edge func(i int) (int32, int32)) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if total == 0 {
-		e.noteIngest(0, 0)
-		return nil
-	}
-	emit := obs.Enabled()
-	var start time.Time
-	if emit {
-		start = time.Now()
-	}
-	e.pool.ShardedOpt(total, pool.ShardOptions{Grain: e.grain, NoAffinity: e.noAffinity}, func(_, lo, hi int) bool {
-		if ctx.Err() != nil {
-			return false
-		}
-		for i := lo; i < hi; i++ {
-			u, v := edge(i)
-			e.union(u, v)
-		}
-		return true
-	})
-	if err := ctx.Err(); err != nil {
-		e.noteIngestErr(err)
-		return err
-	}
-	e.noteIngest(total, elapsedIf(emit, start))
-	return nil
 }
 
 // publish flattens the forest into a fresh snapshot. It runs after the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/graph"
@@ -39,7 +40,7 @@ func TestEngineMatchesNativeLabels(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			e := New(g.N, Options{})
 			defer e.Close()
-			snap := e.AddGraph(g)
+			snap := addGraph(t, e, g)
 			nat := native.Components(g, native.Options{})
 			if len(snap.Labels) != len(nat.Labels) {
 				t.Fatalf("label lengths differ: %d vs %d", len(snap.Labels), len(nat.Labels))
@@ -71,7 +72,9 @@ func TestBatchSplitInvariance(t *testing.T) {
 				// Random cut points: between 1 and 7 batches of random sizes.
 				for lo := 0; lo < len(edges); {
 					hi := lo + 1 + rng.Intn(len(edges)-lo)
-					e.AddEdges(edges[lo:hi])
+					if _, err := e.AddSpan(graph.FromPairs(edges[lo:hi])); err != nil {
+						t.Fatal(err)
+					}
 					lo = hi
 				}
 				snap := e.Snapshot()
@@ -104,18 +107,18 @@ func TestSnapshotMonotonicity(t *testing.T) {
 	g := graph.CliqueBeads(graph.CliqueBeadsSpec{Beads: 16, Size: 8, IntraDeg: 5, Bridges: 1, Seed: 3})
 	e := New(g.N, Options{})
 	defer e.Close()
-	if e.ComponentCount() != g.N {
-		t.Fatalf("empty engine has %d components, want %d", e.ComponentCount(), g.N)
+	if c := e.Snapshot().Components; c != g.N {
+		t.Fatalf("empty engine has %d components, want %d", c, g.N)
 	}
 	uf := baseline.NewUnionFind(g.N)
 	prev := g.N
-	for _, batch := range g.EdgeBatches(9) {
-		snap, err := e.AddEdges(batch)
+	for _, batch := range g.SpanBatches(9) {
+		snap, err := e.AddSpan(batch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, ed := range batch {
-			uf.Union(int32(ed[0]), int32(ed[1]))
+		for i := 0; i < batch.Len(); i++ {
+			uf.Union(batch.Edge(i))
 		}
 		if snap.Components > prev {
 			t.Fatalf("component count rose from %d to %d", prev, snap.Components)
@@ -131,8 +134,7 @@ func TestSnapshotMonotonicity(t *testing.T) {
 	}
 }
 
-// TestConcurrentQueriesDuringIngest: SameComponent/ComponentCount/
-// Snapshot racing an in-flight AddEdges must be safe (the race
+// TestConcurrentQueriesDuringIngest: Snapshot reads racing an in-flight AddSpan must be safe (the race
 // detector is the assertion) and must only ever observe consistent
 // batch-boundary states: a snapshot's component count always matches
 // its labels.
@@ -157,12 +159,14 @@ func TestConcurrentQueriesDuringIngest(t *testing.T) {
 					t.Errorf("inconsistent snapshot: %d distinct labels, Components=%d", got, s.Components)
 					return
 				}
-				_ = e.SameComponent(r, g.N-1-r)
+				_ = sameComponent(e, r, g.N-1-r)
 			}
 		}(r)
 	}
-	for _, batch := range g.EdgeBatches(50) {
-		e.AddEdges(batch)
+	for _, batch := range g.SpanBatches(50) {
+		if _, err := e.AddSpan(batch); err != nil {
+			t.Fatal(err)
+		}
 	}
 	close(stop)
 	wg.Wait()
@@ -175,18 +179,20 @@ func TestConcurrentQueriesDuringIngest(t *testing.T) {
 // empty batches.
 func TestDegenerateInputs(t *testing.T) {
 	e := New(0, Options{})
-	if s, err := e.AddEdges(nil); err != nil || s.Components != 0 || s.Batches != 1 {
+	if s, err := e.AddSpan(graph.EdgeSpan{}); err != nil || s.Components != 0 || s.Batches != 1 {
 		t.Fatalf("empty engine snapshot: %+v, %v", s, err)
 	}
 	e.Close()
 
 	e = New(5, Options{Workers: 3})
 	defer e.Close()
-	e.AddEdges(nil) // empty batch still publishes
-	if e.Batches() != 1 || e.ComponentCount() != 5 {
-		t.Fatalf("after empty batch: batches=%d components=%d", e.Batches(), e.ComponentCount())
+	if _, err := e.AddSpan(graph.FromPairs(nil)); err != nil { // empty batch still publishes
+		t.Fatal(err)
 	}
-	snap, err := e.AddEdges([][2]int{{2, 2}, {0, 1}, {1, 0}, {0, 1}}) // self-loop + parallels
+	if s := e.Snapshot(); s.Batches != 1 || s.Components != 5 {
+		t.Fatalf("after empty batch: batches=%d components=%d", s.Batches, s.Components)
+	}
+	snap, err := e.AddSpan(graph.FromPairs([][2]int{{2, 2}, {0, 1}, {1, 0}, {0, 1}})) // self-loop + parallels
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,19 +202,19 @@ func TestDegenerateInputs(t *testing.T) {
 	if snap.Edges != 4 || snap.Batches != 2 {
 		t.Fatalf("snapshot bookkeeping: %+v", snap)
 	}
-	if !e.SameComponent(0, 1) || e.SameComponent(0, 2) {
-		t.Fatal("SameComponent wrong after degenerate batch")
+	if !sameComponent(e, 0, 1) || sameComponent(e, 0, 2) {
+		t.Fatal("connectivity wrong after degenerate batch")
 	}
 
-	if _, err := e.AddEdges([][2]int{{0, 5}}); err == nil {
+	if _, err := e.AddSpan(graph.FromPairs([][2]int{{0, 5}})); err == nil {
 		t.Fatal("out-of-range edge accepted")
 	}
 	// A rejected batch must not be applied even partially: the valid
 	// {0,2} edge precedes the bad one, yet 2 must stay isolated.
-	if _, err := e.AddEdges([][2]int{{0, 2}, {-1, 2}}); err == nil {
+	if _, err := e.AddSpan(graph.FromPairs([][2]int{{0, 2}, {-1, 2}})); err == nil {
 		t.Fatal("negative endpoint accepted")
 	}
-	if e.SameComponent(0, 2) || e.Batches() != 2 {
+	if sameComponent(e, 0, 2) || e.Snapshot().Batches != 2 {
 		t.Fatal("rejected batch was partially applied")
 	}
 }
@@ -219,7 +225,7 @@ func TestWorkerCounts(t *testing.T) {
 	want := native.Components(g, native.Options{}).Labels
 	for _, w := range []int{1, 2, 3, 7, 16} {
 		e := New(g.N, Options{Workers: w})
-		snap := e.AddGraph(g)
+		snap := addGraph(t, e, g)
 		for v := range want {
 			if snap.Labels[v] != want[v] {
 				t.Fatalf("workers=%d: label[%d] = %d, want %d", w, v, snap.Labels[v], want[v])
@@ -237,19 +243,21 @@ func BenchmarkIncrementalOneBatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := New(g.N, Options{})
-		e.AddGraph(g)
+		addGraph(b, e, g)
 		e.Close()
 	}
 }
 
 func BenchmarkIncrementalStream16(b *testing.B) {
 	g := graph.Gnm(100000, 400000, 42)
-	batches := g.EdgeBatches(16)
+	batches := g.SpanBatches(16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := New(g.N, Options{})
 		for _, batch := range batches {
-			e.AddEdges(batch)
+			if _, err := e.AddSpan(batch); err != nil {
+				b.Fatal(err)
+			}
 		}
 		e.Close()
 	}
@@ -262,15 +270,19 @@ func BenchmarkIncrementalAppendBatch(b *testing.B) {
 	g := graph.Gnm(100000, 400000, 42)
 	e := New(g.N, Options{})
 	defer e.Close()
-	e.AddGraph(g)
+	addGraph(b, e, g)
 	rng := rand.New(rand.NewSource(7))
-	batch := make([][2]int, 1024)
+	batch := graph.EdgeSpan{U: make([]int32, 2*1024), V: make([]int32, 2*1024)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j := range batch {
-			batch[j] = [2]int{rng.Intn(g.N), rng.Intn(g.N)}
+		for j := 0; j < batch.Len(); j++ {
+			u, v := int32(rng.Intn(g.N)), int32(rng.Intn(g.N))
+			batch.U[2*j], batch.U[2*j+1] = u, v
+			batch.V[2*j], batch.V[2*j+1] = v, u
 		}
-		e.AddEdges(batch)
+		if _, err := e.AddSpan(batch); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -287,13 +299,13 @@ func TestEngineReset(t *testing.T) {
 	}
 	for i, g := range graphs {
 		e.Reset(g.N)
-		if e.N() != g.N || e.ComponentCount() != g.N || e.Batches() != 0 || e.EdgesIngested() != 0 {
+		if s := e.Snapshot(); e.N() != g.N || s.Components != g.N || s.Batches != 0 || s.Edges != 0 {
 			t.Fatalf("graph %d: reset state wrong: n=%d comps=%d batches=%d edges=%d",
-				i, e.N(), e.ComponentCount(), e.Batches(), e.EdgesIngested())
+				i, e.N(), s.Components, s.Batches, s.Edges)
 		}
-		snap := e.AddGraph(g)
+		snap := addGraph(t, e, g)
 		if snap.Batches != 1 {
-			t.Fatalf("graph %d: batches=%d after one AddGraph", i, snap.Batches)
+			t.Fatalf("graph %d: batches=%d after one AddGraphContext", i, snap.Batches)
 		}
 		if err := check.SamePartition(snap.Labels, baseline.Components(g)); err != nil {
 			t.Fatalf("graph %d: %v", i, err)
@@ -306,7 +318,7 @@ func TestEngineReset(t *testing.T) {
 func TestEngineGrow(t *testing.T) {
 	e := New(10, Options{Workers: 2})
 	defer e.Close()
-	if _, err := e.AddEdges([][2]int{{0, 1}, {1, 2}}); err != nil {
+	if _, err := e.AddSpan(graph.FromPairs([][2]int{{0, 1}, {1, 2}})); err != nil {
 		t.Fatal(err)
 	}
 	e.Grow(12)
@@ -314,7 +326,7 @@ func TestEngineGrow(t *testing.T) {
 	if e.N() != 12 {
 		t.Fatalf("N after grow = %d", e.N())
 	}
-	snap, err := e.AddEdges([][2]int{{2, 10}})
+	snap, err := e.AddSpan(graph.FromPairs([][2]int{{2, 10}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,32 +342,83 @@ func TestEngineGrow(t *testing.T) {
 	}
 }
 
-// TestAddEdgesContextCancelled: a cancelled batch publishes nothing —
-// queries keep seeing the previous batch boundary — and re-submitting
-// the batch completes it exactly (unions are idempotent).
-func TestAddEdgesContextCancelled(t *testing.T) {
+// cancelAfter is a context that reports cancellation from its k-th
+// Err call on, so a test can cancel a batch midway through the
+// sharded ingest instead of before it starts.
+type cancelAfter struct {
+	context.Context
+	left atomic.Int64
+}
+
+func newCancelAfter(k int64) *cancelAfter {
+	c := &cancelAfter{Context: context.Background()}
+	c.left.Store(k)
+	return c
+}
+
+func (c *cancelAfter) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestAddSpanCancelledMidBatch: a batch cancelled after some of its
+// chunks were unioned publishes nothing — queries keep seeing the
+// previous batch boundary even though the unpublished forest already
+// holds part of the batch — and re-submitting the batch completes it
+// exactly (unions are idempotent).
+func TestAddSpanCancelledMidBatch(t *testing.T) {
 	g := graph.Gnm(3000, 12000, 17)
-	e := New(g.N, Options{Workers: 2})
+	e := New(g.N, Options{Workers: 2, Grain: 64})
 	defer e.Close()
-	batches := g.EdgeBatches(3)
-	if _, err := e.AddEdges(batches[0]); err != nil {
+	batches := g.SpanBatches(3)
+	if _, err := e.AddSpan(batches[0]); err != nil {
 		t.Fatal(err)
 	}
 	before := e.Snapshot()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := e.AddEdgesContext(ctx, batches[1]); err != context.Canceled {
-		t.Fatalf("AddEdgesContext = %v, want context.Canceled", err)
+	// Two Err calls pass (ingestSpan's entry check and the first
+	// chunk), so the batch is cut off partway through its chunks.
+	if _, err := e.AddSpanContext(newCancelAfter(2), batches[1]); err != context.Canceled {
+		t.Fatalf("AddSpanContext = %v, want context.Canceled", err)
 	}
 	if e.Snapshot() != before {
 		t.Fatal("cancelled batch advanced the snapshot")
 	}
+	merged := 0
+	for i := 0; i < batches[1].Len(); i++ {
+		u, v := batches[1].Edge(i)
+		if before.Labels[u] != before.Labels[v] && e.find(u) == e.find(v) {
+			merged++
+		}
+	}
+	if merged == 0 {
+		t.Fatal("the cancelled batch unioned nothing; the test no longer cancels mid-batch")
+	}
 	for _, b := range batches[1:] {
-		if _, err := e.AddEdges(b); err != nil {
+		if _, err := e.AddSpan(b); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := check.SamePartition(e.Snapshot().Labels, baseline.Components(g)); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// sameComponent reports whether v and w share a label in e's
+// published snapshot.
+func sameComponent(e *Engine, v, w int) bool {
+	s := e.Snapshot()
+	return s.Labels[v] == s.Labels[w]
+}
+
+// addGraph ingests g as one batch, failing the test or benchmark on
+// error.
+func addGraph(tb testing.TB, e *Engine, g *graph.Graph) *Snapshot {
+	tb.Helper()
+	snap, err := e.AddGraphContext(context.Background(), g)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return snap
 }

@@ -11,11 +11,13 @@ import (
 	"repro/internal/native"
 )
 
-// TestAddSpanMatchesAddEdges: replaying the same graph through the
-// columnar span path and the boxed pair path must produce the exact
-// same labels — and both must match the one-shot native engine — for
-// every structural family and across random batch splits.
-func TestAddSpanMatchesAddEdges(t *testing.T) {
+// TestAddSpanMatchesFromPairs: replaying the same graph as zero-copy
+// span slices (SpanBatches) and as boxed pair batches converted at the
+// boundary (EdgeBatches + graph.FromPairs, the path pramcc's
+// Service.Ingest takes) must produce the exact same labels — and both
+// must match the one-shot native engine — for every structural family
+// and across random batch splits.
+func TestAddSpanMatchesFromPairs(t *testing.T) {
 	for name, g := range zoo() {
 		t.Run(name, func(t *testing.T) {
 			want := native.Components(g, native.Options{}).Labels
@@ -30,7 +32,7 @@ func TestAddSpanMatchesAddEdges(t *testing.T) {
 				}
 				pairEng := New(g.N, Options{Workers: 1 + rng.Intn(8)})
 				for _, b := range g.EdgeBatches(k) {
-					if _, err := pairEng.AddEdges(b); err != nil {
+					if _, err := pairEng.AddSpan(graph.FromPairs(b)); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -69,7 +71,7 @@ func TestAddSpanRejects(t *testing.T) {
 	if e.Snapshot() != before {
 		t.Fatal("rejected span advanced the snapshot")
 	}
-	if e.SameComponent(0, 1) {
+	if sameComponent(e, 0, 1) {
 		t.Fatal("rejected span was partially applied")
 	}
 }
@@ -90,14 +92,14 @@ func TestAddSpanDegenerate(t *testing.T) {
 	if s.Components != 4 || s.Edges != 4 || s.Batches != 2 {
 		t.Fatalf("degenerate span snapshot: %+v", s)
 	}
-	if !e.SameComponent(0, 1) || e.SameComponent(0, 2) {
-		t.Fatal("SameComponent wrong after degenerate span")
+	if !sameComponent(e, 0, 1) || sameComponent(e, 0, 2) {
+		t.Fatal("connectivity wrong after degenerate span")
 	}
 }
 
-// TestAddSpanContextCancelled: the cancellation contract of the span
-// path matches AddEdgesContext — nothing published, idempotent
-// completion on resubmission.
+// TestAddSpanContextCancelled: a span batch whose ctx is already
+// cancelled publishes nothing, and resubmission completes it.
+// TestAddSpanCancelledMidBatch covers cancellation partway through.
 func TestAddSpanContextCancelled(t *testing.T) {
 	g := graph.Gnm(3000, 12000, 23)
 	e := New(g.N, Options{Workers: 2})
@@ -171,10 +173,10 @@ func TestSpanIngestZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkEngineIngestSpan / BenchmarkEngineIngestPairs: the replay
-// comparison at the engine layer (fresh forest per iteration, batch
-// construction included — the quantity experiment E14 sweeps at full
-// scale and scripts/bench_baseline.sh tracks).
+// BenchmarkEngineIngestSpan: the span replay at the engine layer
+// (fresh forest per iteration, batch construction included — the
+// quantity experiment E14 sweeps at full scale and
+// scripts/bench_baseline.sh tracks).
 func BenchmarkEngineIngestSpan(b *testing.B) {
 	g := graph.Gnm(100000, 400000, 42)
 	b.SetBytes(int64(g.NumEdges()))
@@ -184,22 +186,6 @@ func BenchmarkEngineIngestSpan(b *testing.B) {
 		e := New(g.N, Options{})
 		for _, batch := range g.SpanBatches(16) {
 			if _, err := e.AddSpan(batch); err != nil {
-				b.Fatal(err)
-			}
-		}
-		e.Close()
-	}
-}
-
-func BenchmarkEngineIngestPairs(b *testing.B) {
-	g := graph.Gnm(100000, 400000, 42)
-	b.SetBytes(int64(g.NumEdges()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := New(g.N, Options{})
-		for _, batch := range g.EdgeBatches(16) {
-			if _, err := e.AddEdges(batch); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -25,10 +25,11 @@ const (
 	// (internal/incremental): a lock-free CAS-linked disjoint-set
 	// forest built for batched edge arrival. Components feeds the
 	// whole graph as a single batch and returns the same partition as
-	// the other backends; the engine's real strength is the streaming
-	// Incremental handle, where each batch costs Θ(batch) union work
-	// plus a Θ(n) snapshot flatten instead of a full multi-round
-	// recompute over all edges. Model-only Stats fields are zero.
+	// the other backends; the engine's real strength is streaming
+	// ingest through a Service (IngestSpan, Ingest), where each batch
+	// costs Θ(batch) union work plus a Θ(n) snapshot flatten instead
+	// of a full multi-round recompute over all edges. Model-only Stats
+	// fields are zero.
 	BackendIncremental
 )
 

@@ -64,8 +64,8 @@ type ForestResult struct {
 	// compatibility; Span is the columnar form).
 	Edges [][2]int
 	// Span is the forest as a columnar arc-pair span (mirror arcs, in
-	// EdgeIndices order) — directly ingestible by Service.IngestSpan,
-	// Incremental.AddSpan, or any other EdgeSpan consumer.
+	// EdgeIndices order) — directly ingestible by Service.IngestSpan
+	// or any other EdgeSpan consumer.
 	Span graph.EdgeSpan
 }
 
@@ -99,9 +99,9 @@ func countLabels(labels []int32) int {
 }
 
 // labelsInto copies src into dst, growing dst only when its capacity
-// is short, and returns the filled slice — the grow-or-reuse core
-// shared by the zero-alloc LabelsInto query methods of Incremental
-// and Service. src is an immutable published labeling, so a plain
+// is short, and returns the filled slice — the grow-or-reuse core of
+// the zero-alloc Service.LabelsInto query. src is an immutable
+// published labeling, so a plain
 // copy after the caller's one atomic snapshot read is
 // snapshot-consistent.
 //

@@ -11,8 +11,9 @@
 # cumulative drift of the backends (BackendSimulated vs BackendNative
 # vs BackendIncremental), of the graph loaders (sequential text vs
 # parallel text vs binary), and of the streaming replay paths
-# (columnar BenchmarkIngestSpan vs boxed BenchmarkIngestPairs, their
-# engine-level BenchmarkEngineIngest* twins, and the fully
+# (columnar BenchmarkIngestSpan vs boxed BenchmarkIngestPairs, both
+# through pramcc.Service, the engine-level BenchmarkEngineIngestSpan,
+# and the fully
 # instrumented BenchmarkIngestSpanInstrumented — the JSON-event-sink
 # worst case, whose delta against BenchmarkIngestSpan is the whole
 # cost of observability), and of the durability layer (BenchmarkWALAppend,

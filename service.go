@@ -15,14 +15,19 @@ import (
 // that answers SameComponent/Labels/NumComponents queries lock-free
 // and concurrently — from an atomically published immutable snapshot —
 // while a recompute (Update) or a streaming batch (Ingest) is in
-// flight. It generalizes what the Incremental handle has always done
-// for the union-find backend to every registered backend: queries
-// never block on writers and never observe a half-built labeling; a
-// snapshot is replaced only by a complete successor.
+// flight. This holds on every registered backend: queries never block
+// on writers and never observe a half-built labeling; a snapshot is
+// replaced only by a complete successor. With BackendIncremental the
+// Service is also the streaming handle: each IngestSpan/Ingest batch
+// is unioned into the live labeling, and the Result it returns
+// describes the batch (NumComponents after it; Stats.Wall, its ingest
+// time; Stats.Rounds, the engine's batch count since its last reset).
 //
-// Writers (Update, Ingest, Grow) serialize on an internal mutex. A
-// cancelled or failed Update/Ingest leaves the published snapshot
-// untouched, so queries stay consistent across a cancelled solve.
+// Writers (Update, Ingest, IngestSpan, Grow, Close) serialize on an
+// internal mutex, so they may be called from several goroutines, and
+// Close may race an in-flight batch. A cancelled or failed
+// Update/Ingest leaves the published snapshot untouched, so queries
+// stay consistent across a cancelled solve.
 type Service struct {
 	mu     sync.Mutex
 	solver *Solver

@@ -2,6 +2,8 @@ package pramcc
 
 import (
 	"context"
+	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -249,22 +251,245 @@ func TestServiceIngestAfterCancelledUpdate(t *testing.T) {
 }
 
 // TestServiceClosed: writers fail after Close, queries keep serving
-// the last snapshot.
+// the last snapshot — on a recomputing backend and on the streaming
+// one, whose Ingest, IngestSpan and Grow must all refuse.
 func TestServiceClosed(t *testing.T) {
 	g := graph.Path(100)
-	sv, err := NewService(0, WithBackend(BackendNative))
+	for _, bk := range []Backend{BackendNative, BackendIncremental} {
+		t.Run(bk.String(), func(t *testing.T) {
+			sv, err := NewService(0, WithBackend(bk))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sv.Update(context.Background(), g); err != nil {
+				t.Fatal(err)
+			}
+			sv.Close()
+			sv.Close() // idempotent
+			if _, err := sv.Update(context.Background(), g); err != ErrSolverClosed {
+				t.Fatalf("Update after Close: %v", err)
+			}
+			if bk == BackendIncremental {
+				if _, err := sv.Ingest(context.Background(), [][2]int{{0, 1}}); err != ErrSolverClosed {
+					t.Fatalf("Ingest after Close: %v", err)
+				}
+				if _, err := sv.IngestSpan(context.Background(), g.Span()); err != ErrSolverClosed {
+					t.Fatalf("IngestSpan after Close: %v", err)
+				}
+				if err := sv.Grow(200); err != ErrSolverClosed {
+					t.Fatalf("Grow after Close: %v", err)
+				}
+			}
+			if !sv.SameComponent(0, 99) || sv.NumComponents() != 1 || sv.N() != 100 {
+				t.Fatal("queries broken after Close")
+			}
+		})
+	}
+}
+
+// TestIncrementalStreaming: the happy path of streaming on the
+// incremental backend — a graph replayed in batches, with the
+// per-batch figures a caller reads off each Result (batch index as
+// Stats.Rounds, components, wall time; the edge total is the caller's
+// running sum) agreeing with the served snapshot.
+func TestIncrementalStreaming(t *testing.T) {
+	g := graph.CliqueBeads(graph.CliqueBeadsSpec{Beads: 20, Size: 10, IntraDeg: 6, Bridges: 1, Seed: 7})
+	sv, err := NewService(g.N, WithBackend(BackendIncremental), WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sv.Update(context.Background(), g); err != nil {
+	defer sv.Close()
+	if sv.NumComponents() != g.N || sv.N() != g.N {
+		t.Fatalf("fresh service: count=%d n=%d", sv.NumComponents(), sv.N())
+	}
+	batches := g.EdgeBatches(7)
+	total := 0
+	for i, batch := range batches {
+		res, err := sv.Ingest(context.Background(), batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += len(batch)
+		if res.Stats.Rounds != i+1 || res.Stats.Backend != BackendIncremental || res.Stats.Wall <= 0 {
+			t.Fatalf("batch %d stats %+v", i+1, res.Stats)
+		}
+		if res.NumComponents != sv.NumComponents() {
+			t.Fatalf("Result components %d, service says %d", res.NumComponents, sv.NumComponents())
+		}
+	}
+	if total != g.NumEdges() {
+		t.Fatalf("replayed %d edges, graph has %d", total, g.NumEdges())
+	}
+	if err := check.SamePartition(sv.Labels(), baseline.Components(g)); err != nil {
 		t.Fatal(err)
 	}
-	sv.Close()
-	sv.Close() // idempotent
-	if _, err := sv.Update(context.Background(), g); err != ErrSolverClosed {
-		t.Fatalf("Update after Close: %v", err)
+}
+
+// TestIncrementalMatchesSimulated: after any randomized batch split,
+// the streaming partition equals the simulated Theorem-3 partition.
+func TestIncrementalMatchesSimulated(t *testing.T) {
+	g := graph.Gnm(2000, 6000, 19)
+	sim, err := Components(g, WithSeed(5))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !sv.SameComponent(0, 99) || sv.NumComponents() != 1 {
-		t.Fatal("queries broken after Close")
+	rng := rand.New(rand.NewSource(99))
+	edges := g.Edges()
+	for trial := 0; trial < 3; trial++ {
+		rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+		sv, err := NewService(g.N, WithBackend(BackendIncremental))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for lo := 0; lo < len(edges); {
+			hi := lo + 1 + rng.Intn(len(edges)-lo)
+			if _, err := sv.Ingest(context.Background(), edges[lo:hi]); err != nil {
+				t.Fatal(err)
+			}
+			lo = hi
+		}
+		if err := check.SamePartition(sv.Labels(), sim.Labels); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		sv.Close()
+	}
+}
+
+// TestIncrementalErrors: constructor and batch validation on the
+// streaming service — a negative vertex count is refused, and a batch
+// with any bad endpoint is rejected whole, nothing of it applied.
+func TestIncrementalErrors(t *testing.T) {
+	if _, err := NewService(-1, WithBackend(BackendIncremental)); err == nil {
+		t.Fatal("NewService(-1) succeeded")
+	}
+	sv, err := NewService(10, WithBackend(BackendIncremental))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sv.Close()
+	ctx := context.Background()
+	if _, err := sv.Ingest(ctx, [][2]int{{0, 10}}); err == nil {
+		t.Fatal("out-of-range edge accepted")
+	}
+	if _, err := sv.Ingest(ctx, [][2]int{{-1, 0}}); err == nil {
+		t.Fatal("negative endpoint accepted")
+	}
+	before := sv.Snapshot()
+	if _, err := sv.Ingest(ctx, [][2]int{{0, 1}, {2, 99}}); err == nil {
+		t.Fatal("half-bad batch accepted")
+	}
+	if sv.Snapshot() != before || sv.SameComponent(0, 1) {
+		t.Fatal("rejected batch was partially applied")
+	}
+	// The engine itself must be untouched too, not just the snapshot:
+	// the next good batch publishes exactly its own edge.
+	res, err := sv.Ingest(ctx, [][2]int{{2, 3}})
+	if err != nil || res.NumComponents != 9 || sv.SameComponent(0, 1) || res.Stats.Rounds != 1 {
+		t.Fatalf("good batch after rejections: %+v, %v", res, err)
+	}
+}
+
+// TestIncrementalConcurrentQueries: queries racing the streaming
+// writers — Ingest batches interleaved with Grow — are safe and see
+// consistent snapshots (run under -race in CI).
+func TestIncrementalConcurrentQueries(t *testing.T) {
+	g := graph.Gnm(3000, 15000, 23)
+	sv, err := NewService(g.N, WithBackend(BackendIncremental))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sv.Close()
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				snap := sv.Snapshot()
+				if snap.NumComponents < 1 || snap.NumComponents > len(snap.Labels) {
+					t.Errorf("inconsistent snapshot: %d components over %d vertices", snap.NumComponents, len(snap.Labels))
+					return
+				}
+				_ = sv.SameComponent(0, sv.N()-1)
+			}
+		}()
+	}
+	for i, batch := range g.EdgeBatches(40) {
+		if _, err := sv.Ingest(context.Background(), batch); err != nil {
+			t.Fatal(err)
+		}
+		if err := sv.Grow(g.N + i + 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if err := check.SamePartition(sv.Labels()[:g.N], baseline.Components(g)); err != nil {
+		t.Fatal(err)
+	}
+	if want := countLabels(baseline.Components(g)) + 40; sv.N() != g.N+40 || sv.NumComponents() != want {
+		t.Fatalf("after grows: N=%d components=%d", sv.N(), sv.NumComponents())
+	}
+}
+
+// TestServiceCloseRace: Close racing an IngestSpan writer (and another
+// Close) must stay clean under -race; every IngestSpan either applies
+// fully or reports ErrSolverClosed, and queries survive throughout.
+func TestServiceCloseRace(t *testing.T) {
+	for trial := 0; trial < 8; trial++ {
+		g := graph.Gnm(2000, 8000, int64(trial))
+		sv, err := NewService(g.N, WithBackend(BackendIncremental), WithWorkers(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches := g.SpanBatches(16)
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		wg.Add(3)
+		go func() { // writer
+			defer wg.Done()
+			<-start
+			for _, b := range batches {
+				if _, err := sv.IngestSpan(context.Background(), b); err != nil {
+					if err != ErrSolverClosed {
+						t.Errorf("IngestSpan racing Close: %v", err)
+					}
+					if !sv.SameComponent(0, 0) {
+						t.Error("queries broken after closed-service error")
+					}
+					return // closed underneath us: the documented outcome
+				}
+			}
+		}()
+		go func() { // closer, racing the writer
+			defer wg.Done()
+			<-start
+			if trial%2 == 0 {
+				runtime.Gosched()
+			}
+			sv.Close()
+		}()
+		go func() { // second closer: Close must be idempotent under race
+			defer wg.Done()
+			<-start
+			sv.Close()
+		}()
+		close(start)
+		wg.Wait()
+		// Whatever the interleaving, the service is closed now and the
+		// snapshot is a consistent batch boundary.
+		if _, err := sv.IngestSpan(context.Background(), batches[0]); err != ErrSolverClosed {
+			t.Fatalf("IngestSpan after Close: %v", err)
+		}
+		n := sv.NumComponents()
+		if n < 1 || n > g.N {
+			t.Fatalf("inconsistent component count %d", n)
+		}
 	}
 }

@@ -8,15 +8,16 @@ import (
 	"testing"
 
 	"repro/graph"
+	"repro/internal/baseline"
 	"repro/internal/check"
 )
 
 // FuzzSpanPairEquivalence: for an arbitrary multigraph and an
 // arbitrary batch split, the three ways of reaching a labeling — the
-// columnar span replay (AddSpan), the boxed pair replay (AddEdges),
-// and a one-shot native solve — must agree exactly (all three
-// canonicalize to component minima, so equality is elementwise, not
-// merely up-to-relabeling).
+// columnar span replay (Service.IngestSpan), the boxed pair replay
+// (Service.Ingest), and a one-shot native solve — must agree exactly
+// (all three canonicalize to component minima, so equality is
+// elementwise, not merely up-to-relabeling).
 func FuzzSpanPairEquivalence(f *testing.F) {
 	f.Add(uint16(10), uint16(20), int64(1), uint64(1))
 	f.Add(uint16(100), uint16(50), int64(2), uint64(7))
@@ -44,32 +45,33 @@ func FuzzSpanPairEquivalence(f *testing.F) {
 			lo = hi
 		}
 
-		spanInc, err := NewIncremental(g.N)
+		spanSv, err := NewService(g.N, WithBackend(BackendIncremental))
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer spanInc.Close()
-		pairInc, err := NewIncremental(g.N)
+		defer spanSv.Close()
+		pairSv, err := NewService(g.N, WithBackend(BackendIncremental))
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer pairInc.Close()
+		defer pairSv.Close()
 
+		ctx := context.Background()
 		span := g.Span()
 		edges := g.Edges()
 		lo := 0
 		for _, hi := range cuts {
-			if _, err := spanInc.AddSpan(span.Slice(lo, hi)); err != nil {
+			if _, err := spanSv.IngestSpan(ctx, span.Slice(lo, hi)); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := pairInc.AddEdges(edges[lo:hi]); err != nil {
+			if _, err := pairSv.Ingest(ctx, edges[lo:hi]); err != nil {
 				t.Fatal(err)
 			}
 			lo = hi
 		}
 
-		spanLabels := spanInc.LabelsInto(nil)
-		pairLabels := pairInc.Labels()
+		spanLabels := spanSv.LabelsInto(nil)
+		pairLabels := pairSv.Labels()
 		if !slices.Equal(spanLabels, nat.Labels) {
 			t.Fatalf("span labels differ from native: %v vs %v", spanLabels, nat.Labels)
 		}
@@ -80,19 +82,19 @@ func FuzzSpanPairEquivalence(f *testing.F) {
 }
 
 // TestIncrementalSpanConcurrentReaders is the -race stress of the
-// span pipeline: reader goroutines hammer SameComponent and the
-// zero-alloc LabelsInto (each reusing its own buffer) while the
-// writer loops span batches. The race detector is the main
-// assertion; each observed labeling must also be internally
-// consistent (a prefix of the stream, so labels ≤ vertex ids and
-// components only merge).
+// span pipeline on the incremental backend: reader goroutines hammer
+// SameComponent and the zero-alloc LabelsInto (each reusing its own
+// buffer) while the writer loops IngestSpan batches. The race detector
+// is the main assertion; each observed labeling must also be
+// internally consistent (a prefix of the stream, so labels ≤ vertex
+// ids).
 func TestIncrementalSpanConcurrentReaders(t *testing.T) {
 	g := graph.Gnm(4000, 20000, 77)
-	inc, err := NewIncremental(g.N)
+	sv, err := NewService(g.N, WithBackend(BackendIncremental))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer inc.Close()
+	defer sv.Close()
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -107,19 +109,19 @@ func TestIncrementalSpanConcurrentReaders(t *testing.T) {
 					return
 				default:
 				}
-				buf = inc.LabelsInto(buf)
+				buf = sv.LabelsInto(buf)
 				for v, l := range buf {
 					if int(l) > v {
 						t.Errorf("label[%d] = %d exceeds vertex id", v, l)
 						return
 					}
 				}
-				_ = inc.SameComponent((r+i)%g.N, g.N-1-r)
+				_ = sv.SameComponent((r+i)%g.N, g.N-1-r)
 			}
 		}(r)
 	}
 	for _, batch := range g.SpanBatches(50) {
-		if _, err := inc.AddSpan(batch); err != nil {
+		if _, err := sv.IngestSpan(context.Background(), batch); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -130,7 +132,7 @@ func TestIncrementalSpanConcurrentReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(inc.Labels(), nat.Labels) {
+	if !slices.Equal(sv.Labels(), nat.Labels) {
 		t.Fatal("final span-replayed labels differ from native")
 	}
 }
@@ -234,72 +236,48 @@ func TestServiceIngestRejectsOverflowingEndpoint(t *testing.T) {
 	}
 }
 
-// TestIncrementalAddSpanStats: BatchStats bookkeeping on the span
-// path matches the pair path's, and AddSpan on a closed handle
-// errors.
+// TestIncrementalAddSpanStats: the per-batch figures a streaming
+// caller reads off IngestSpan's Result — batch index (Stats.Rounds),
+// components, wall time — track the stream, and IngestSpan on a
+// closed service errors.
 func TestIncrementalAddSpanStats(t *testing.T) {
 	g := graph.Gnm(500, 2000, 5)
-	inc, err := NewIncremental(g.N)
+	sv, err := NewService(g.N, WithBackend(BackendIncremental))
 	if err != nil {
 		t.Fatal(err)
 	}
+	uf := baseline.NewUnionFind(g.N)
+	comps := g.N
 	batches := g.SpanBatches(4)
-	var total int64
 	for i, b := range batches {
-		bs, err := inc.AddSpan(b)
+		res, err := sv.IngestSpan(context.Background(), b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		total += int64(b.Len())
-		if bs.Batch != i+1 || bs.Edges != b.Len() || bs.TotalEdges != total {
-			t.Fatalf("batch %d stats: %+v", i, bs)
+		for j := 0; j < b.Len(); j++ {
+			if uf.Union(b.Edge(j)) {
+				comps--
+			}
+		}
+		if res.Stats.Rounds != i+1 || res.NumComponents != comps || res.Stats.Wall <= 0 {
+			t.Fatalf("batch %d: rounds=%d components=%d (want %d) wall=%v",
+				i, res.Stats.Rounds, res.NumComponents, comps, res.Stats.Wall)
+		}
+		if res.Stats.Backend != BackendIncremental || sv.Snapshot() != res {
+			t.Fatalf("batch %d: backend %v, published snapshot is not the returned Result", i, res.Stats.Backend)
 		}
 	}
-	if inc.EdgeCount() != int64(g.NumEdges()) {
-		t.Fatalf("EdgeCount = %d, want %d", inc.EdgeCount(), g.NumEdges())
-	}
-	inc.Close()
-	if _, err := inc.AddSpan(batches[0]); err == nil {
-		t.Fatal("AddSpan on closed handle accepted")
+	sv.Close()
+	if _, err := sv.IngestSpan(context.Background(), batches[0]); err != ErrSolverClosed {
+		t.Fatalf("IngestSpan on a closed service: %v, want ErrSolverClosed", err)
 	}
 }
 
-// TestLabelsInto: buffer reuse semantics on both handles — a big
-// enough buffer is reused in place, a short one is replaced, nil
-// allocates — and the steady state allocates nothing.
+// TestLabelsInto: buffer reuse semantics — a big enough buffer is
+// reused in place, a short one is replaced, nil allocates — and the
+// steady state allocates nothing.
 func TestLabelsInto(t *testing.T) {
 	g := graph.Gnm(1000, 3000, 9)
-	inc, err := NewIncremental(g.N)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inc.Close()
-	if _, err := inc.AddSpan(g.Span()); err != nil {
-		t.Fatal(err)
-	}
-
-	want := inc.Labels()
-	buf := make([]int32, 0, g.N)
-	got := inc.LabelsInto(buf)
-	if !slices.Equal(got, want) {
-		t.Fatal("LabelsInto differs from Labels")
-	}
-	if &got[0] != &buf[:1][0] {
-		t.Fatal("LabelsInto did not reuse a big-enough buffer")
-	}
-	if short := inc.LabelsInto(make([]int32, 1)); !slices.Equal(short, want) {
-		t.Fatal("LabelsInto with a short buffer differs")
-	}
-	if fromNil := inc.LabelsInto(nil); !slices.Equal(fromNil, want) {
-		t.Fatal("LabelsInto(nil) differs")
-	}
-
-	if !raceEnabled {
-		if avg := testing.AllocsPerRun(10, func() { got = inc.LabelsInto(got) }); avg != 0 {
-			t.Fatalf("steady-state LabelsInto allocates %.1f times, want 0", avg)
-		}
-	}
-
 	sv, err := NewService(g.N, WithBackend(BackendIncremental))
 	if err != nil {
 		t.Fatal(err)
@@ -308,13 +286,26 @@ func TestLabelsInto(t *testing.T) {
 	if _, err := sv.IngestSpan(context.Background(), g.Span()); err != nil {
 		t.Fatal(err)
 	}
-	svBuf := sv.LabelsInto(nil)
-	if !slices.Equal(svBuf, sv.Labels()) {
-		t.Fatal("Service.LabelsInto differs from Service.Labels")
+
+	want := sv.Labels()
+	buf := make([]int32, 0, g.N)
+	got := sv.LabelsInto(buf)
+	if !slices.Equal(got, want) {
+		t.Fatal("LabelsInto differs from Labels")
 	}
+	if &got[0] != &buf[:1][0] {
+		t.Fatal("LabelsInto did not reuse a big-enough buffer")
+	}
+	if short := sv.LabelsInto(make([]int32, 1)); !slices.Equal(short, want) {
+		t.Fatal("LabelsInto with a short buffer differs")
+	}
+	if fromNil := sv.LabelsInto(nil); !slices.Equal(fromNil, want) {
+		t.Fatal("LabelsInto(nil) differs")
+	}
+
 	if !raceEnabled {
-		if avg := testing.AllocsPerRun(10, func() { svBuf = sv.LabelsInto(svBuf) }); avg != 0 {
-			t.Fatalf("steady-state Service.LabelsInto allocates %.1f times, want 0", avg)
+		if avg := testing.AllocsPerRun(10, func() { got = sv.LabelsInto(got) }); avg != 0 {
+			t.Fatalf("steady-state LabelsInto allocates %.1f times, want 0", avg)
 		}
 	}
 }
