@@ -273,13 +273,15 @@ func Run(m *pram.Machine, g *graph.Graph, p Params) Result {
 			}
 		})
 		au, av := st.Arcs.U, st.Arcs.V
-		m.Step(st.Arcs.Len(), func(i int) {
-			v, w := au[i], av[i]
-			if v == w || ongoing[v] == 0 || ongoing[w] == 0 {
-				return
-			}
-			if leader[v] == 0 && leader[w] == 1 && pram.Load32(&par[v]) == v {
-				pram.Store32(&par[v], w)
+		m.StepRange(st.Arcs.Len(), func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				v, w := au[i], av[i]
+				if v == w || ongoing[v] == 0 || ongoing[w] == 0 {
+					continue
+				}
+				if leader[v] == 0 && leader[w] == 1 && pram.Load32(&par[v]) == v {
+					pram.Store32(&par[v], w)
+				}
 			}
 		})
 

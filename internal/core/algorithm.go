@@ -299,18 +299,8 @@ func (s *state) round(round int, res *Result) bool {
 	if s.incident == nil {
 		s.incident = make([]int32, n)
 	}
-	pram.Fill32(s.incident, 0)
-	markIncident := func(st *labels.ArcStore) {
-		u, w := st.U, st.V
-		m.Step(st.Len(), func(i int) {
-			if u[i] != w[i] {
-				pram.Store32(&s.incident[u[i]], 1)
-				pram.Store32(&s.incident[w[i]], 1)
-			}
-		})
-	}
-	markIncident(s.arcs)
-	markIncident(s.added)
+	s.arcs.MarkIncident(m, s.incident)
+	s.added.MarkEnds(m, s.incident)
 
 	// Step (2): random level boost for roots.
 	pram.Fill32(s.boosted, 0)
@@ -352,17 +342,19 @@ func (s *state) round(round int, res *Result) bool {
 	})
 	insertRootNeighbors := func(st *labels.ArcStore) {
 		u, w := st.U, st.V
-		m.Step(st.Len(), func(i int) {
-			a, b := u[i], w[i]
-			if a == b {
-				return
-			}
-			ta := s.tables[a]
-			if ta == nil || s.tables[b] == nil {
-				return // endpoint not a root
-			}
-			if s.budget[a] == s.budget[b] {
-				ta.TryInsert(b)
+		m.StepRange(st.Len(), func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				a, b := u[i], w[i]
+				if a == b {
+					continue
+				}
+				ta := s.tables[a]
+				if ta == nil || s.tables[b] == nil {
+					continue // endpoint not a root
+				}
+				if s.budget[a] == s.budget[b] {
+					ta.TryInsert(b)
+				}
 			}
 		})
 	}
@@ -373,17 +365,19 @@ func (s *state) round(round int, res *Result) bool {
 	pram.Fill32(s.dormant, 0)
 	checkCollisions := func(st *labels.ArcStore) {
 		u, w := st.U, st.V
-		m.Step(st.Len(), func(i int) {
-			a, b := u[i], w[i]
-			if a == b {
-				return
-			}
-			ta := s.tables[a]
-			if ta == nil || s.tables[b] == nil || s.budget[a] != s.budget[b] {
-				return
-			}
-			if ta.Collides(b) {
-				pram.Store32(&s.dormant[a], 1)
+		m.StepRange(st.Len(), func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				a, b := u[i], w[i]
+				if a == b {
+					continue
+				}
+				ta := s.tables[a]
+				if ta == nil || s.tables[b] == nil || s.budget[a] != s.budget[b] {
+					continue
+				}
+				if ta.Collides(b) {
+					pram.Store32(&s.dormant[a], 1)
+				}
 			}
 		})
 	}

@@ -29,30 +29,36 @@ func (s *state) maxlink() {
 
 		// Read phase: seed with v's own parent (v ∈ N(v)), then fold
 		// in w.p for every neighbour w along both arc stores.
-		m.Step(n, func(v int) {
-			p := par[v]
-			best[v] = pram.PackLevelVertex(lvl[p], p)
+		m.StepRange(n, func(lo, hi int) {
+			for v := lo; v < hi; v++ {
+				p := par[v]
+				best[v] = pram.PackLevelVertex(lvl[p], p)
+			}
 		})
 		fold := func(st *labels.ArcStore) {
 			u, w := st.U, st.V
-			m.Step(st.Len(), func(i int) {
-				a, b := u[i], w[i]
-				if a == b {
-					return
+			m.StepRange(st.Len(), func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					a, b := u[i], w[i]
+					if a == b {
+						continue
+					}
+					bp := par[b]
+					pram.MaxCombine64(&best[a], pram.PackLevelVertex(lvl[bp], bp))
 				}
-				bp := par[b]
-				pram.MaxCombine64(&best[a], pram.PackLevelVertex(lvl[bp], bp))
 			})
 		}
 		fold(s.arcs)
 		fold(s.added)
 
 		// Write phase: adopt the argmax parent if strictly higher.
-		m.Step(n, func(v int) {
-			l, u := pram.UnpackLevelVertex(best[v])
-			if l > lvl[v] && u != par[v] {
-				par[v] = u
-				pram.Store64(&s.parChange, 1)
+		m.StepRange(n, func(lo, hi int) {
+			for v := lo; v < hi; v++ {
+				l, u := pram.UnpackLevelVertex(best[v])
+				if l > lvl[v] && u != par[v] {
+					par[v] = u
+					pram.Store64(&s.parChange, 1)
+				}
 			}
 		})
 	}

@@ -49,35 +49,52 @@ func (a *ArcStore) Append(u, v, orig int32) {
 // processor per arc ("each edge corresponds to a distinct processor").
 func (a *ArcStore) Alter(m *pram.Machine, d *Digraph) {
 	u, v, par := a.U, a.V, d.Parent
-	m.Step(len(u), func(i int) {
-		u[i] = par[u[i]]
-		v[i] = par[v[i]]
+	m.StepRange(len(u), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			u[i] = par[u[i]]
+			v[i] = par[v[i]]
+		}
 	})
 }
 
 // HasNonLoop reports (in one PRAM step) whether any arc is a non-loop;
 // the break condition of the Vanilla and Theorem-1 loops ("until no
-// edge exists other than loops").
+// edge exists other than loops"). Every arc's processor is charged; the
+// host stops scanning a range once it has raised the flag, since the
+// rest of that range could only raise it again.
 func (a *ArcStore) HasNonLoop(m *pram.Machine) bool {
 	var flag int64
 	u, v := a.U, a.V
-	m.Step(len(u), func(i int) {
-		if u[i] != v[i] {
-			pram.Store64(&flag, 1)
+	m.StepRange(len(u), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if u[i] != v[i] {
+				pram.Store64(&flag, 1)
+				return
+			}
 		}
 	})
 	return pram.Load64(&flag) == 1
 }
 
-// MarkIncident sets inc[x]=1 for every endpoint of a non-loop arc, in
-// one PRAM step. Lemma B.2 uses this to identify ongoing vertices.
+// MarkIncident sets inc[x]=1 for every endpoint of a non-loop arc and
+// inc[x]=0 for every other vertex, in one PRAM step. Lemma B.2 uses
+// this to identify ongoing vertices.
 func (a *ArcStore) MarkIncident(m *pram.Machine, inc []int32) {
 	pram.Fill32(inc, 0)
+	a.MarkEnds(m, inc)
+}
+
+// MarkEnds is MarkIncident without the clearing: it only raises
+// inc[x] to 1 for the endpoints of this store's non-loop arcs, so
+// several stores can mark one array.
+func (a *ArcStore) MarkEnds(m *pram.Machine, inc []int32) {
 	u, v := a.U, a.V
-	m.Step(len(u), func(i int) {
-		if u[i] != v[i] {
-			pram.Store32(&inc[u[i]], 1)
-			pram.Store32(&inc[v[i]], 1)
+	m.StepRange(len(u), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if u[i] != v[i] {
+				pram.Store32(&inc[u[i]], 1)
+				pram.Store32(&inc[v[i]], 1)
+			}
 		}
 	})
 }

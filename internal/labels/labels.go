@@ -43,41 +43,25 @@ func (d *Digraph) Root(v int32) int32 {
 }
 
 // Shortcut performs one parallel SHORTCUT: for each v, v.p := v.p.p.
-// It reads the old parents atomically and writes the new ones in the
-// same step, which is safe because v.p.p in the old digraph is well
-// defined and per-vertex writes are distinct. Returns the number of
-// parents that changed.
+// The PRAM's read phase snapshots the old parents into the machine's
+// reusable buffer, so v.p.p is taken from the old digraph; the
+// processors read only the snapshot, and only processor v writes
+// Parent[v], so the writes need no atomics. Returns 1 if any parent
+// changed and 0 otherwise (an ARBITRARY-write flag, not a count).
 func (d *Digraph) Shortcut(m *pram.Machine) int {
-	n := len(d.Parent)
-	old := make([]int32, n)
-	copy(old, d.Parent) // the PRAM's read phase: snapshot all parents
+	par := d.Parent
+	old := m.Snapshot32(par)
 	var changed int64
-	m.Step(n, func(v int) {
-		gp := old[old[v]]
-		if gp != old[v] {
+	m.StepRange(len(par), func(lo, hi int) {
+		raised := false
+		for v := lo; v < hi; v++ {
+			if gp := old[old[v]]; gp != old[v] {
+				par[v] = gp
+				raised = true
+			}
+		}
+		if raised {
 			pram.Store64(&changed, 1) // arbitrary write: "some parent changed"
-		}
-		if gp != d.Parent[v] {
-			pram.Store32(&d.Parent[v], gp)
-		}
-	})
-	return int(pram.Load64(&changed))
-}
-
-// ShortcutInPlace performs SHORTCUT without the snapshot: v.p := v.p.p
-// with racy reads. On an ARBITRARY CRCW PRAM reads of a round happen
-// before writes; the racy version can only jump further up the tree,
-// which every algorithm in the paper tolerates. Returns 1 if any parent
-// changed (flag semantics, not an exact count).
-func (d *Digraph) ShortcutInPlace(m *pram.Machine) int {
-	n := len(d.Parent)
-	var changed int64
-	m.Step(n, func(v int) {
-		p := pram.Load32(&d.Parent[v])
-		gp := pram.Load32(&d.Parent[p])
-		if gp != p {
-			pram.Store32(&d.Parent[v], gp)
-			pram.Store64(&changed, 1)
 		}
 	})
 	return int(pram.Load64(&changed))

@@ -18,12 +18,28 @@ func BenchmarkStepSequential(b *testing.B) {
 	}
 }
 
+// BenchmarkStepParallel times the executor itself: every processor
+// writes its own cell, so no cache line is shared between workers and
+// the figure is the per-step fan-out, claim and barrier cost.
 func BenchmarkStepParallel(b *testing.B) {
 	m := New(0)
-	var sink int64
+	cells := make([]int64, 1<<16)
 	for i := 0; i < b.N; i++ {
-		m.Step(1<<16, func(p int) {
-			atomic.AddInt64(&sink, 1)
+		m.Step(len(cells), func(p int) {
+			cells[p] = int64(p)
+		})
+	}
+}
+
+// BenchmarkSharedFlag is the contended case: every processor raises the
+// same flag through Store64, as SHORTCUT's "some parent changed" and
+// HasNonLoop's flag do.
+func BenchmarkSharedFlag(b *testing.B) {
+	m := New(0)
+	var flag int64
+	for i := 0; i < b.N; i++ {
+		m.Step(1<<16, func(int) {
+			Store64(&flag, 1)
 		})
 	}
 }

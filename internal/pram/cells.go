@@ -3,20 +3,36 @@ package pram
 import "sync/atomic"
 
 // Atomic helpers giving common-memory cells ARBITRARY CRCW semantics.
-// Within one Machine.Step, processors writing the same cell race; the
-// host scheduler's last writer wins, which is one legal arbitrary
-// resolution. Reads of cells that may be written in the same step must
-// use Load32/Load64 so the race is well-defined under the Go memory
-// model. Cells only read in a step may be accessed directly.
+// Within one Machine.Step, processors writing the same cell race. A
+// write of the value the cell already holds is skipped: the store would
+// change nothing, and skipping it keeps thousands of processors raising
+// one shared flag from bouncing its cache line between cores. Among the
+// writes that do land, the host's last writer wins. Either way the cell
+// ends holding a value some processor wrote, which is one legal
+// arbitrary resolution (though not a deterministic one: with more than
+// one worker the survivor depends on the host schedule). Reads of cells
+// that may be written in the same step must use Load32/Load64 so the
+// race is well-defined under the Go memory model. Cells only read in a
+// step may be accessed directly.
 
-// Store32 performs a concurrent write of v into cell (arbitrary wins).
-func Store32(cell *int32, v int32) { atomic.StoreInt32(cell, v) }
+// Store32 performs a concurrent write of v into cell (arbitrary wins);
+// it stores only if the cell does not already hold v.
+func Store32(cell *int32, v int32) {
+	if atomic.LoadInt32(cell) != v {
+		atomic.StoreInt32(cell, v)
+	}
+}
 
 // Load32 performs a concurrent read of a cell.
 func Load32(cell *int32) int32 { return atomic.LoadInt32(cell) }
 
-// Store64 performs a concurrent write of v into cell (arbitrary wins).
-func Store64(cell *int64, v int64) { atomic.StoreInt64(cell, v) }
+// Store64 performs a concurrent write of v into cell (arbitrary wins);
+// it stores only if the cell does not already hold v.
+func Store64(cell *int64, v int64) {
+	if atomic.LoadInt64(cell) != v {
+		atomic.StoreInt64(cell, v)
+	}
+}
 
 // Load64 performs a concurrent read of a cell.
 func Load64(cell *int64) int64 { return atomic.LoadInt64(cell) }

@@ -6,12 +6,16 @@
 //
 // The simulator is coarse-grained: Machine.Step(procs, f) runs one PRAM
 // time unit by evaluating f(i) for every processor index i over a fixed
-// pool of worker goroutines, with a barrier at the end of the step.
-// Concurrent writes inside a step must go through the atomic helpers in
-// cells.go; the scheduler then picks the surviving writer, which is a
-// legal ARBITRARY resolution. The machine accounts simulated time
-// (steps), per-step processor usage, and total work, so experiments
-// report model costs rather than host wall clock.
+// pool of worker goroutines, with a barrier at the end of the step;
+// Machine.StepRange is the same step with the processors handed out as
+// contiguous index ranges. Concurrent writes inside a step must go
+// through the atomic helpers in cells.go, which resolve them as
+// follows: a write of the value the cell already holds is skipped, and
+// otherwise the host's last writer wins. That is a legal ARBITRARY
+// resolution, but not a deterministic one once there is more than one
+// worker. The machine accounts simulated time (steps), per-step
+// processor usage, and total work, so experiments report model costs
+// rather than host wall clock.
 package pram
 
 import (
@@ -35,6 +39,9 @@ type Machine struct {
 	// stack-local Shard.
 	shard     pool.Shard
 	shardBusy atomic.Bool
+
+	// snap is Snapshot32's reusable buffer.
+	snap []int32
 
 	steps    atomic.Int64 // simulated PRAM time units
 	work     atomic.Int64 // sum over steps of processors used
@@ -69,6 +76,39 @@ func (m *Machine) Step(procs int, f func(i int)) {
 // charges a known super-constant cost for a black-box primitive, e.g.
 // approximate compaction's O(log* n)).
 func (m *Machine) StepCost(cost, procs int, f func(i int)) {
+	m.charge(cost, procs)
+	m.run(procs, seqProcs, perIndex(f))
+}
+
+// StepRange is Step with the processors handed out in contiguous index
+// ranges: f(lo, hi) runs processors lo..hi-1, and the ranges of one
+// step tile [0, procs) exactly once. It charges exactly what Step
+// charges (one time unit, procs work); the range form only saves the
+// host a closure call per processor in the hot steps.
+func (m *Machine) StepRange(procs int, f func(lo, hi int)) {
+	m.charge(1, procs)
+	m.run(procs, seqProcs, f)
+}
+
+// StepN executes one PRAM time unit whose model cost is chargedProcs
+// processors, while the host realizes it as iters loop iterations
+// (e.g. the paper runs one processor per table-cell pair, but the host
+// iterates per table owner). f(i) is invoked once per i in [0, iters).
+func (m *Machine) StepN(chargedProcs, iters int, f func(i int)) {
+	m.charge(1, chargedProcs)
+	m.run(iters, seqIters, perIndex(f))
+}
+
+// Below these sizes a step runs on the calling goroutine: fanning out
+// costs more than the step. StepN's iterations are per-table-owner and
+// heavier than one processor, so its threshold is lower.
+const (
+	seqProcs = 2048
+	seqIters = 256
+)
+
+// charge accounts one step of cost time units on procs processors.
+func (m *Machine) charge(cost, procs int) {
 	if cost < 0 || procs < 0 {
 		panic(fmt.Sprintf("pram: negative cost %d or procs %d", cost, procs))
 	}
@@ -80,30 +120,43 @@ func (m *Machine) StepCost(cost, procs int, f func(i int)) {
 			break
 		}
 	}
-	if procs == 0 {
-		return
-	}
-	if m.workers == 1 || procs < 2048 {
-		for i := 0; i < procs; i++ {
+}
+
+// perIndex adapts a per-processor body to the range executor.
+func perIndex(f func(i int)) func(lo, hi int) {
+	return func(lo, hi int) {
+		for i := lo; i < hi; i++ {
 			f(i)
 		}
+	}
+}
+
+// run is the one executor behind every step: it evaluates f over
+// [0, total), on the calling goroutine when the machine has one worker
+// or total is below seq, and through runSharded otherwise.
+func (m *Machine) run(total, seq int, f func(lo, hi int)) {
+	if total == 0 {
 		return
 	}
-	m.runSharded(procs, f)
+	if m.workers == 1 || total < seq {
+		f(0, total)
+		return
+	}
+	m.runSharded(total, f)
 }
 
 // runSharded fans f over [0, total) on per-step goroutines, claiming
-// chunks through a locality-aware shard (internal/pool): each worker
-// sweeps a sticky home range of the processor index space first and
-// steals from the others after — the same scheduler the native and
-// incremental engines run on, so the spanning backend's tree-shortcut
-// sweeps get the same range affinity. The worker count is capped at
-// total so a step smaller than the pool never spawns goroutines whose
-// home range would be empty. The machine's reusable shard (cursor
-// slice and all) serves the common non-nested case; a nested step (a
-// step body invoking another Step) finds shardBusy taken and runs on
-// a stack-local Shard instead.
-func (m *Machine) runSharded(total int, f func(i int)) {
+// chunks through a locality-aware shard (internal/pool) and calling f
+// once per claimed chunk: each worker sweeps a sticky home range of the
+// processor index space first and steals from the others after — the
+// same scheduler the native and incremental engines run on, so the
+// spanning backend's tree-shortcut sweeps get the same range affinity.
+// The worker count is capped at total so a step smaller than the pool
+// never spawns goroutines whose home range would be empty. The
+// machine's reusable shard (cursor slice and all) serves the common
+// non-nested case; a nested step (a step body invoking another Step)
+// finds shardBusy taken and runs on a stack-local Shard instead.
+func (m *Machine) runSharded(total int, f func(lo, hi int)) {
 	workers := m.workers
 	if workers > total {
 		workers = total
@@ -115,9 +168,7 @@ func (m *Machine) runSharded(total int, f func(i int)) {
 		sh = &nested
 	}
 	sh.Init(total, 0, workers, true, func(_, lo, hi int) bool {
-		for i := lo; i < hi; i++ {
-			f(i)
-		}
+		f(lo, hi)
 		return true
 	})
 	var wg sync.WaitGroup
@@ -134,29 +185,20 @@ func (m *Machine) runSharded(total int, f func(i int)) {
 	}
 }
 
-// StepN executes one PRAM time unit whose model cost is chargedProcs
-// processors, while the host realizes it as iters loop iterations
-// (e.g. the paper runs one processor per table-cell pair, but the host
-// iterates per table owner). f(i) is invoked once per i in [0, iters).
-func (m *Machine) StepN(chargedProcs, iters int, f func(i int)) {
-	m.steps.Add(1)
-	m.work.Add(int64(chargedProcs))
-	for {
-		old := m.maxProcs.Load()
-		if int64(chargedProcs) <= old || m.maxProcs.CompareAndSwap(old, int64(chargedProcs)) {
-			break
-		}
+// Snapshot32 copies src into the machine's reusable snapshot buffer
+// and returns the copy: the read phase of a step whose processors must
+// all see the cells as they were before any of them writes (SHORTCUT
+// reads the old parents while rewriting them). The copy stays valid
+// until the next Snapshot32 call on this machine; one buffer per run,
+// sized by its largest snapshot, replaces an n-word allocation per
+// call. Host-side, between steps; not safe for concurrent use.
+func (m *Machine) Snapshot32(src []int32) []int32 {
+	if cap(m.snap) < len(src) {
+		m.snap = make([]int32, len(src))
 	}
-	if iters == 0 {
-		return
-	}
-	if m.workers == 1 || iters < 256 {
-		for i := 0; i < iters; i++ {
-			f(i)
-		}
-		return
-	}
-	m.runSharded(iters, f)
+	dst := m.snap[:len(src)]
+	copy(dst, src)
+	return dst
 }
 
 // ChargeSteps adds time units without running processors. Used when an

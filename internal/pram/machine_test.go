@@ -22,6 +22,102 @@ func TestStepRunsEveryProcessorOnce(t *testing.T) {
 	}
 }
 
+func TestStepRangeTilesEveryProcessorOnce(t *testing.T) {
+	for _, workers := range []int{1, 2, 8} {
+		for _, procs := range []int{0, 1, 2047, 2048, 5000, 1 << 16} {
+			m := New(workers)
+			hits := make([]int32, procs)
+			var calls atomic.Int64
+			m.StepRange(procs, func(lo, hi int) {
+				if lo >= hi || lo < 0 || hi > procs {
+					t.Errorf("workers=%d procs=%d: bad range [%d, %d)", workers, procs, lo, hi)
+					return
+				}
+				calls.Add(1)
+				for i := lo; i < hi; i++ {
+					atomic.AddInt32(&hits[i], 1)
+				}
+			})
+			for i, h := range hits {
+				if h != 1 {
+					t.Fatalf("workers=%d procs=%d: processor %d ran %d times", workers, procs, i, h)
+				}
+			}
+			if (workers == 1 || procs < 2048) && procs > 0 && calls.Load() != 1 {
+				t.Errorf("workers=%d procs=%d: a sequential step ran %d ranges, want 1", workers, procs, calls.Load())
+			}
+		}
+	}
+}
+
+func TestStepRangeChargesLikeStep(t *testing.T) {
+	for _, procs := range []int{0, 10, 3000} {
+		a, b := New(2), New(2)
+		a.Step(procs, func(int) {})
+		b.StepRange(procs, func(int, int) {})
+		if a.Stats() != b.Stats() {
+			t.Errorf("procs=%d: StepRange charged %+v, Step %+v", procs, b.Stats(), a.Stats())
+		}
+	}
+}
+
+func TestNestedStepRange(t *testing.T) {
+	// A step body that runs a step of its own takes the nested-shard
+	// fallback; both levels must still cover their index spaces.
+	m := New(2)
+	const outer, inner = 4096, 3000
+	var total atomic.Int64
+	m.StepRange(outer, func(lo, hi int) {
+		if lo == 0 {
+			m.StepRange(inner, func(lo, hi int) { total.Add(int64(hi - lo)) })
+		}
+		total.Add(int64(hi - lo))
+	})
+	if got := total.Load(); got != outer+inner {
+		t.Errorf("nested steps covered %d processors, want %d", got, outer+inner)
+	}
+}
+
+func TestStoreSkipsValueAlreadyHeld(t *testing.T) {
+	var c32 int32 = 7
+	var c64 int64 = 7
+	Store32(&c32, 7)
+	Store64(&c64, 7)
+	if c32 != 7 || c64 != 7 {
+		t.Fatalf("same-value store changed the cell: %d, %d", c32, c64)
+	}
+	Store32(&c32, 9)
+	Store64(&c64, -3)
+	if c32 != 9 || c64 != -3 {
+		t.Fatalf("store lost: %d, %d", c32, c64)
+	}
+	// Many processors raising one flag: the cell ends holding the
+	// value they all wrote.
+	m := New(4)
+	var flag int64
+	m.Step(1<<14, func(int) { Store64(&flag, 1) })
+	if flag != 1 {
+		t.Fatalf("flag = %d, want 1", flag)
+	}
+}
+
+func TestSnapshot32ReusesBuffer(t *testing.T) {
+	m := New(1)
+	src := []int32{3, 1, 4, 1, 5}
+	a := m.Snapshot32(src)
+	src[0] = 9
+	if a[0] != 3 || len(a) != 5 {
+		t.Fatalf("snapshot = %v, want a copy of the old cells", a)
+	}
+	b := m.Snapshot32(src[:3])
+	if &a[0] != &b[0] || len(b) != 3 || b[0] != 9 {
+		t.Fatalf("smaller snapshot did not reuse the buffer: %v", b)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { m.Snapshot32(src) }); allocs != 0 {
+		t.Errorf("Snapshot32 allocated %.0f times on a warm buffer", allocs)
+	}
+}
+
 func TestStepAccounting(t *testing.T) {
 	m := New(1)
 	m.Step(10, func(int) {})

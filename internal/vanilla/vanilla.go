@@ -46,11 +46,13 @@ func (s *State) RunPhase(m *pram.Machine) bool {
 	leader := s.leader
 
 	// RANDOM-VOTE: u.l := 1 with probability 1/2.
-	m.Step(n, func(u int) {
-		if coin.Bernoulli(phase, uint64(u), 0.5) {
-			leader[u] = 1
-		} else {
-			leader[u] = 0
+	m.StepRange(n, func(lo, hi int) {
+		for u := lo; u < hi; u++ {
+			if coin.Bernoulli(phase, uint64(u), 0.5) {
+				leader[u] = 1
+			} else {
+				leader[u] = 0
+			}
 		}
 	})
 
@@ -58,10 +60,12 @@ func (s *State) RunPhase(m *pram.Machine) bool {
 	// Trees are flat at phase start (Lemma B.2), so v and w are roots;
 	// concurrent writes to v.p resolve arbitrarily.
 	au, av, par := s.Arcs.U, s.Arcs.V, s.D.Parent
-	m.Step(s.Arcs.Len(), func(i int) {
-		v, w := au[i], av[i]
-		if v != w && leader[v] == 0 && leader[w] == 1 {
-			pram.Store32(&par[v], w)
+	m.StepRange(s.Arcs.Len(), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			v, w := au[i], av[i]
+			if v != w && leader[v] == 0 && leader[w] == 1 {
+				pram.Store32(&par[v], w)
+			}
 		}
 	})
 
