@@ -272,8 +272,9 @@ func Run(m *pram.Machine, g *graph.Graph, p Params) Result {
 				}
 			}
 		})
+		// Loops never link, so the host sweeps the live arcs only.
 		au, av := st.Arcs.U, st.Arcs.V
-		m.StepRange(st.Arcs.Len(), func(lo, hi int) {
+		m.StepN(st.Arcs.Procs(), st.Arcs.Len(), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				v, w := au[i], av[i]
 				if v == w || ongoing[v] == 0 || ongoing[w] == 0 {

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/graph"
@@ -33,21 +33,106 @@ type state struct {
 	arcs  *labels.ArcStore // altered original edges
 	added *labels.ArcStore // altered added edges (materialized tables)
 
-	level  []int32 // ℓ(v)
-	budget []int64 // b(v): size of the block currently owned by v
+	level []int32 // ℓ(v)
 
+	// The host frontier, both lists ascending. active holds the
+	// vertices with level ≥ 1, fixed once COMPACT has run: levels never
+	// drop and only level-≥1 roots gain levels. MAXLINK can move only
+	// these (a level-0 vertex has no live arc and its parent is already
+	// its best neighbour parent), and every endpoint of a live arc is
+	// one of them. roots is the subset that are still roots, refreshed
+	// once per round after step (1); a vertex never becomes a root
+	// again. Each per-root step runs on roots and charges all n.
+	active []int32
+	roots  []int32
+	// slot[v] is v's index in active (-1 off it). Every per-vertex
+	// array below except incident is indexed by slot and sized to the
+	// frontier, since only active vertices are ever read there.
+	slot []int32
+
+	budget  []int64 // b(v): size of the block currently owned by v
 	budgets *budgetTable
 	fam     hashing.Family
 
-	// Per-round scratch.
+	// Per-round scratch. The per-root arrays are reset over the root
+	// list and read only for this round's roots. tables and next are
+	// the two table generations of step (5), swapped every round.
 	tables     []*hashing.Table
+	next       []*hashing.Table
+	startLevel []int32
 	dormant    []int32
 	boosted    []int32
+	incident   []int32 // by vertex: endpoint of a non-loop edge
 	best       []int64
 	parChange  int64
 	lvlChange  int64
 	overBudget bool
-	incident   []int32 // per-round: endpoint of a non-loop edge
+}
+
+// newState builds the repeat loop's state on the digraph and arcs that
+// PREPARE left. Every ongoing vertex becomes a level-1 root with budget
+// b₁ in one PRAM step over all n vertices (everything else, non-roots
+// and finished roots, stays at level 0, §D.1) and so joins the active
+// frontier. incident is an n-sized scratch array the state takes over.
+func newState(m *pram.Machine, p Params, vst *vanilla.State, ongoing []bool, incident []int32, b1 float64) *state {
+	n := vst.D.N()
+	slot := make([]int32, n)
+	k := 0
+	for v := range slot {
+		slot[v] = -1
+		if ongoing[v] {
+			slot[v] = int32(k)
+			k++
+		}
+	}
+	s := &state{
+		p:          p,
+		n:          n,
+		m:          m,
+		coin:       pram.Coin{Seed: p.Seed ^ 0x51afd7ed558ccd25},
+		d:          vst.D,
+		arcs:       vst.Arcs,
+		added:      &labels.ArcStore{},
+		level:      make([]int32, n),
+		active:     make([]int32, 0, k),
+		slot:       slot,
+		budget:     make([]int64, k),
+		budgets:    newBudgetTable(b1, p.Growth, p.BudgetCapFactor, n),
+		fam:        hashing.Family{Seed: p.Seed ^ 0xb5026f5aa96619e9},
+		tables:     make([]*hashing.Table, k),
+		next:       make([]*hashing.Table, k),
+		startLevel: make([]int32, k),
+		dormant:    make([]int32, k),
+		boosted:    make([]int32, k),
+		incident:   incident,
+		best:       make([]int64, k),
+	}
+	m.Step(n, func(v int) {
+		if ongoing[v] {
+			s.level[v] = 1
+			s.budget[slot[v]] = s.budgets.at(1)
+		}
+	})
+	for v := 0; v < n; v++ {
+		if ongoing[v] {
+			s.active = append(s.active, int32(v))
+		}
+	}
+	s.roots = slices.Clone(s.active)
+	return s
+}
+
+// eachRoot runs one PRAM step that charges a processor per vertex
+// while the host runs f on this round's roots only, in ascending
+// order, handing it each root v and its slot i. Callers pass a body
+// that is a no-op for every other vertex.
+func (s *state) eachRoot(f func(v, i int32)) {
+	roots, slot := s.roots, s.slot
+	s.m.StepN(s.n, len(roots), func(lo, hi int) {
+		for _, v := range roots[lo:hi] {
+			f(v, slot[v])
+		}
+	})
 }
 
 // Run executes Faster Connected Components algorithm on g.
@@ -90,31 +175,14 @@ func Run(m *pram.Machine, g *graph.Graph, p Params) Result {
 		}
 	}
 
-	s := &state{
-		p:       p,
-		n:       n,
-		m:       m,
-		coin:    pram.Coin{Seed: p.Seed ^ 0x51afd7ed558ccd25},
-		d:       vst.D,
-		arcs:    vst.Arcs,
-		added:   &labels.ArcStore{},
-		level:   make([]int32, n),
-		budget:  make([]int64, n),
-		tables:  make([]*hashing.Table, n),
-		dormant: make([]int32, n),
-		boosted: make([]int32, n),
-		best:    make([]int64, n),
-		fam:     hashing.Family{Seed: p.Seed ^ 0xb5026f5aa96619e9},
-	}
-
 	// Ongoing roots start at level 1 with budget b₁; everything else
 	// (non-roots, finished roots) stays at level 0 (§D.1).
 	incident := make([]int32, n)
-	s.arcs.MarkIncident(m, incident)
+	vst.Arcs.MarkIncident(m, incident)
 	ongoing := make([]bool, n)
 	nOngoing := 0
 	m.Step(n, func(v int) {
-		if s.d.Parent[v] == int32(v) && incident[v] == 1 {
+		if vst.D.Parent[v] == int32(v) && incident[v] == 1 {
 			ongoing[v] = true
 		}
 	})
@@ -140,18 +208,10 @@ func Run(m *pram.Machine, g *graph.Graph, p Params) Result {
 	// and climb the ladder; the total initial allocation then stays
 	// far below O(m) after PREPARE shrinks the root set.
 	b1 := math.Max(float64(mEdges)/math.Max(float64(n), 1), p.MinBudget)
-	s.budgets = newBudgetTable(b1, p.Growth, p.BudgetCapFactor, n)
+	s := newState(m, p, vst, ongoing, incident, b1)
 	var initWords int64
-	m.Step(n, func(v int) {
-		if ongoing[v] {
-			s.level[v] = 1
-			s.budget[v] = s.budgets.at(1)
-		}
-	})
-	for v := 0; v < n; v++ {
-		if ongoing[v] {
-			initWords += s.budget[v]
-		}
+	for _, b := range s.budget {
+		initWords += b
 	}
 	m.Alloc(int(initWords))
 	res.CumBlockWords += initWords
@@ -211,12 +271,8 @@ func Run(m *pram.Machine, g *graph.Graph, p Params) Result {
 		out := make([]int32, n)
 		copy(out, s.d.Parent)
 		res.Labels = out
-		for v := 0; v < n; v++ {
-			if s.level[v] > res.MaxLevel {
-				res.MaxLevel = s.level[v]
-			}
-		}
-		res.AddedEdges = s.added.Len() / 2
+		res.MaxLevel = s.maxLevel()
+		res.AddedEdges = s.added.Procs() / 2
 		res.Stats = m.Stats()
 		return res
 	}
@@ -241,12 +297,8 @@ func Run(m *pram.Machine, g *graph.Graph, p Params) Result {
 		out[v] = ccr.Labels[s.d.Parent[v]]
 	})
 	res.Labels = out
-	for v := 0; v < n; v++ {
-		if s.level[v] > res.MaxLevel {
-			res.MaxLevel = s.level[v]
-		}
-	}
-	res.AddedEdges = s.added.Len() / 2
+	res.MaxLevel = s.maxLevel()
+	res.AddedEdges = s.added.Procs() / 2
 	res.Stats = m.Stats()
 	return res
 }
@@ -276,83 +328,92 @@ func (s *state) round(round int, res *Result) bool {
 	s.parChange = 0
 	s.lvlChange = 0
 
+	// Both table generations hold entries only for the previous
+	// round's roots; clear them before the root list shrinks.
+	for _, v := range s.roots {
+		i := s.slot[v]
+		s.tables[i] = nil
+		s.next[i] = nil
+	}
+
 	// Step (1): MAXLINK; ALTER.
 	s.maxlink()
 	s.alterAll()
 
-	roots := 0
+	// The roots with level ≥ 1 after step (1): every per-root step of
+	// this round runs on this list.
+	s.roots = slices.DeleteFunc(s.roots, func(v int32) bool { return s.d.Parent[v] != v })
+	roots := s.roots
+	tr.Roots = len(roots)
 	tr.LevelHist = make(map[int32]int)
 	tr.LevelUpsByLevel = make(map[int32]int)
-	startLevel := make([]int32, n)
-	copy(startLevel, s.level)
-	for v := 0; v < n; v++ {
-		if s.d.Parent[v] == int32(v) && s.level[v] >= 1 {
-			roots++
-			tr.LevelHist[s.level[v]]++
-		}
+	for _, v := range roots {
+		i := s.slot[v]
+		tr.LevelHist[s.level[v]]++
+		s.startLevel[i] = s.level[v]
+		s.boosted[i] = 0
+		s.dormant[i] = 0
 	}
-	tr.Roots = roots
 
 	// Finished roots (no incident non-loop edge: their component is
 	// fully computed, §D.1 "all other vertices are ignored") take no
-	// further part in level increases.
-	if s.incident == nil {
-		s.incident = make([]int32, n)
+	// further part in level increases. Only active vertices end live
+	// arcs, so clearing them clears every mark that is read.
+	for _, v := range s.active {
+		s.incident[v] = 0
 	}
-	s.arcs.MarkIncident(m, s.incident)
+	s.arcs.MarkEnds(m, s.incident)
 	s.added.MarkEnds(m, s.incident)
 
 	// Step (2): random level boost for roots.
-	pram.Fill32(s.boosted, 0)
 	if !s.p.DisableBoost {
 		coin := s.coin
 		logn := math.Log(float64(n) + 2)
-		m.Step(n, func(v int) {
-			if s.level[v] < 1 || s.d.Parent[v] != int32(v) || s.incident[v] == 0 {
+		s.eachRoot(func(v, i int32) {
+			if s.incident[v] == 0 {
 				return
 			}
-			if s.budget[v] >= s.budgets.cap {
+			if s.budget[i] >= s.budgets.cap {
 				return // at maximal level L: the block already holds any component
 			}
-			prob := math.Min(s.p.BoostCap, s.p.BoostC*logn/math.Pow(float64(s.budget[v]), s.p.BoostExp))
+			prob := math.Min(s.p.BoostCap, s.p.BoostC*logn/math.Pow(float64(s.budget[i]), s.p.BoostExp))
 			if coin.Bernoulli(uint64(round)*3+1, uint64(v), prob) {
 				s.level[v]++
-				s.boosted[v] = 1
+				s.boosted[i] = 1
 				pram.Store64(&s.lvlChange, 1)
 			}
 		})
 	}
-	for v := 0; v < n; v++ {
-		if s.boosted[v] == 1 {
+	for _, v := range roots {
+		if s.boosted[s.slot[v]] == 1 {
 			tr.LevelUpsBoost++
 		}
 	}
 
 	// Step (3): per-root tables; hash equal-budget neighbour roots.
+	// Here and in step (4) a loop arc does nothing, so the arc sweeps
+	// run on the live arcs.
 	h := s.fam.At(uint64(round))
-	for v := 0; v < n; v++ {
-		s.tables[v] = nil
-	}
-	m.Step(n, func(v int) {
-		if s.d.Parent[v] == int32(v) && s.level[v] >= 1 {
-			t := hashing.NewTable(h, tableSize(s.budget[v]))
-			t.TryInsert(int32(v)) // v ∈ N(v)
-			s.tables[v] = t
-		}
+	s.eachRoot(func(v, i int32) {
+		t := hashing.NewTable(h, tableSize(s.budget[i]))
+		t.TryInsert(v) // v ∈ N(v)
+		s.tables[i] = t
 	})
+	slot := s.slot
 	insertRootNeighbors := func(st *labels.ArcStore) {
 		u, w := st.U, st.V
-		m.StepRange(st.Len(), func(lo, hi int) {
+		m.StepN(st.Procs(), st.Len(), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				a, b := u[i], w[i]
 				if a == b {
 					continue
 				}
-				ta := s.tables[a]
-				if ta == nil || s.tables[b] == nil {
+				sa, sb := slot[a], slot[b]
+				ta := s.tables[sa]
+				if ta == nil || s.tables[sb] == nil {
 					continue // endpoint not a root
 				}
-				if s.budget[a] == s.budget[b] {
+				if s.budget[sa] == s.budget[sb] {
 					ta.TryInsert(b)
 				}
 			}
@@ -362,45 +423,40 @@ func (s *state) round(round int, res *Result) bool {
 	insertRootNeighbors(s.added)
 
 	// Step (4): collision ⇒ dormant; dormant member ⇒ dormant.
-	pram.Fill32(s.dormant, 0)
 	checkCollisions := func(st *labels.ArcStore) {
 		u, w := st.U, st.V
-		m.StepRange(st.Len(), func(lo, hi int) {
+		m.StepN(st.Procs(), st.Len(), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				a, b := u[i], w[i]
 				if a == b {
 					continue
 				}
-				ta := s.tables[a]
-				if ta == nil || s.tables[b] == nil || s.budget[a] != s.budget[b] {
+				sa, sb := slot[a], slot[b]
+				ta := s.tables[sa]
+				if ta == nil || s.tables[sb] == nil || s.budget[sa] != s.budget[sb] {
 					continue
 				}
 				if ta.Collides(b) {
-					pram.Store32(&s.dormant[a], 1)
+					pram.Store32(&s.dormant[sa], 1)
 				}
 			}
 		})
 	}
 	checkCollisions(s.arcs)
 	checkCollisions(s.added)
-	m.Step(n, func(v int) {
-		t := s.tables[v]
-		if t == nil {
-			return
-		}
-		if t.Collides(int32(v)) {
-			pram.Store32(&s.dormant[v], 1)
+	s.eachRoot(func(v, i int32) {
+		if s.tables[i].Collides(v) {
+			pram.Store32(&s.dormant[i], 1)
 		}
 	})
 	// Dormancy propagation ("if there is a dormant vertex in H(v)").
-	m.Step(n, func(v int) {
-		t := s.tables[v]
-		if t == nil || pram.Load32(&s.dormant[v]) == 1 {
+	s.eachRoot(func(v, i int32) {
+		if pram.Load32(&s.dormant[i]) == 1 {
 			return
 		}
-		for _, w := range t.Occupied() {
-			if pram.Load32(&s.dormant[w]) == 1 {
-				pram.Store32(&s.dormant[v], 1)
+		for _, w := range s.tables[i].Occupied() {
+			if pram.Load32(&s.dormant[slot[w]]) == 1 {
+				pram.Store32(&s.dormant[i], 1)
 				return
 			}
 		}
@@ -408,78 +464,74 @@ func (s *state) round(round int, res *Result) bool {
 
 	// Step (5): one distance-doubling expansion into fresh tables,
 	// keeping the old tables as sources (§3.1 "Hashing").
-	old := s.tables
-	newTables := make([]*hashing.Table, n)
+	old, next := s.tables, s.next
 	var totalBudget int64
-	for v := 0; v < n; v++ {
-		if old[v] != nil {
-			totalBudget += s.budget[v]
-		}
+	for _, v := range roots {
+		totalBudget += s.budget[slot[v]]
 	}
 	// Processor-budget guard: the machine owns Theta(m) processors; a
 	// round demanding more than SpaceCap*m block words is the paper's
 	// bad-probability event (the Lemma 3.10 union bound failed). Abort
 	// the loop; the Theorem-1 stage still computes correct components.
-	if float64(totalBudget) > s.p.SpaceCap*float64(s.arcs.Len()) {
+	if float64(totalBudget) > s.p.SpaceCap*float64(s.arcs.Procs()) {
 		s.overBudget = true
 		return true
 	}
+	// One processor per block word; the host iterates per root.
 	var breakNewEntry int64
-	m.StepN(int(totalBudget), n, func(v int) {
-		ot := old[v]
-		if ot == nil {
-			return
-		}
-		nt := hashing.NewTable(h, ot.Size())
-		for _, w := range ot.Occupied() {
-			nt.TryInsert(w)
-			if ow := old[w]; ow != nil {
-				for _, u := range ow.Occupied() {
-					if !ot.Contains(u) {
-						pram.Store64(&breakNewEntry, 1) // break-condition (ii)
+	m.StepN(int(totalBudget), len(roots), func(lo, hi int) {
+		for _, v := range roots[lo:hi] {
+			ot := old[slot[v]]
+			nt := hashing.NewTable(h, ot.Size())
+			for _, w := range ot.Occupied() {
+				nt.TryInsert(w)
+				if ow := old[slot[w]]; ow != nil {
+					for _, u := range ow.Occupied() {
+						if !ot.Contains(u) {
+							pram.Store64(&breakNewEntry, 1) // break-condition (ii)
+						}
+						nt.TryInsert(u)
 					}
-					nt.TryInsert(u)
 				}
 			}
+			next[slot[v]] = nt
 		}
-		newTables[v] = nt
 	})
 	// Collision check on the new tables: every source value must
 	// survive; otherwise v is dormant.
-	m.StepN(int(totalBudget), n, func(v int) {
-		ot, nt := old[v], newTables[v]
-		if ot == nil || nt == nil {
-			return
-		}
-		for _, w := range ot.Occupied() {
+	lost := func(i int32) bool {
+		nt := next[i]
+		for _, w := range old[i].Occupied() {
 			if nt.Collides(w) {
-				pram.Store32(&s.dormant[v], 1)
-				return
+				return true
 			}
-			if ow := old[w]; ow != nil {
+			if ow := old[slot[w]]; ow != nil {
 				for _, u := range ow.Occupied() {
 					if nt.Collides(u) {
-						pram.Store32(&s.dormant[v], 1)
-						return
+						return true
 					}
 				}
 			}
 		}
+		return false
+	}
+	m.StepN(int(totalBudget), len(roots), func(lo, hi int) {
+		for _, v := range roots[lo:hi] {
+			if i := slot[v]; lost(i) {
+				pram.Store32(&s.dormant[i], 1)
+			}
+		}
 	})
-	s.tables = newTables
+	s.tables, s.next = next, old
 
 	// Materialize the added edges {v,w} for w ∈ H(v) (§2.2: "for each
 	// w ∈ H(u) after the expansion, {u,w} is considered an added edge").
 	before := s.added.Len()
-	for v := 0; v < n; v++ {
-		t := s.tables[v]
-		if t == nil {
-			continue
-		}
-		for _, w := range t.Occupied() {
-			if w != int32(v) {
-				s.added.Append(int32(v), w, -1)
-				s.added.Append(w, int32(v), -1)
+	for _, v := range roots {
+		for _, w := range s.tables[slot[v]].Occupied() {
+			if w != v {
+				s.added.Append(v, w, -1)
+				s.added.Append(w, v, -1)
 			}
 		}
 	}
@@ -494,38 +546,38 @@ func (s *state) round(round int, res *Result) bool {
 	s.dedupAdded()
 
 	// Step (7): dormant roots that did not boost increase level
-	// (unless already at the maximal level L or finished).
-	m.Step(n, func(v int) {
-		if s.d.Parent[v] == int32(v) && s.level[v] >= 1 &&
-			pram.Load32(&s.dormant[v]) == 1 && s.boosted[v] == 0 &&
-			s.budget[v] < s.budgets.cap && s.incident[v] == 1 {
+	// (unless already at the maximal level L or finished). Step (6)
+	// may have linked some of this round's roots, so the body checks.
+	s.eachRoot(func(v, i int32) {
+		if s.d.Parent[v] == v && pram.Load32(&s.dormant[i]) == 1 && s.boosted[i] == 0 &&
+			s.budget[i] < s.budgets.cap && s.incident[v] == 1 {
 			s.level[v]++
 			pram.Store64(&s.lvlChange, 1)
 		}
 	})
-	for v := 0; v < n; v++ {
-		if s.dormant[v] == 1 {
+	for _, v := range roots {
+		if i := slot[v]; s.dormant[i] == 1 {
 			tr.Dormant++
-		}
-		if s.dormant[v] == 1 && s.boosted[v] == 0 && s.d.Parent[v] == int32(v) && s.level[v] >= 1 {
-			tr.LevelUpsDorm++
+			if s.boosted[i] == 0 && s.d.Parent[v] == v {
+				tr.LevelUpsDorm++
+			}
 		}
 	}
 
 	// Step (8): (re)allocate blocks for roots whose level grew.
 	var newWords int64
-	m.Step(n, func(v int) {
-		if s.d.Parent[v] != int32(v) || s.level[v] < 1 {
+	s.eachRoot(func(v, i int32) {
+		if s.d.Parent[v] != v {
 			return
 		}
 		want := s.budgets.at(s.level[v])
-		if want > s.budget[v] {
-			s.budget[v] = want
+		if want > s.budget[i] {
+			s.budget[i] = want
 		}
 	})
-	for v := 0; v < n; v++ {
-		if lvl := s.level[v]; lvl >= 1 && s.d.Parent[v] == int32(v) {
-			if w := s.budgets.at(lvl); w == s.budget[v] && (s.boosted[v] == 1 || s.dormant[v] == 1) {
+	for _, v := range roots {
+		if i := slot[v]; s.d.Parent[v] == v {
+			if w := s.budgets.at(s.level[v]); w == s.budget[i] && (s.boosted[i] == 1 || s.dormant[i] == 1) {
 				newWords += w
 			}
 		}
@@ -537,16 +589,12 @@ func (s *state) round(round int, res *Result) bool {
 		res.PeakBlockWords = newWords
 	}
 
-	maxLevel := int32(0)
-	for v := 0; v < n; v++ {
-		if s.level[v] > maxLevel {
-			maxLevel = s.level[v]
-		}
-		if s.level[v] > startLevel[v] {
-			tr.LevelUpsByLevel[startLevel[v]]++
+	for _, v := range roots {
+		if l := s.startLevel[slot[v]]; s.level[v] > l {
+			tr.LevelUpsByLevel[l]++
 		}
 	}
-	tr.MaxLevel = maxLevel
+	tr.MaxLevel = s.maxLevel()
 	tr.ParentChanges = int(pram.Load64(&s.parChange))
 	res.Trace = append(res.Trace, tr)
 
@@ -561,43 +609,53 @@ func (s *state) round(round int, res *Result) bool {
 		pram.Load64(&breakNewEntry) == 0
 }
 
+// maxLevel returns the largest level; level-0 vertices are off the
+// active list and never raise it.
+func (s *state) maxLevel() int32 {
+	var mx int32
+	for _, v := range s.active {
+		mx = max(mx, s.level[v])
+	}
+	return mx
+}
+
 // alterAll applies ALTER to the original and added edge stores.
 func (s *state) alterAll() {
 	s.arcs.Alter(s.m, s.d)
 	s.added.Alter(s.m, s.d)
 }
 
-// dedupAdded sorts and deduplicates the added-edge store, dropping
-// loops, whenever it exceeds AddedCap·m arcs. Host-side bookkeeping:
-// the paper's tables deduplicate by construction ("hashing naturally
-// removes the duplicate neighbors").
+// dedupAdded rebuilds the added-edge store with each distinct edge once,
+// as an adjacent (u,v),(v,u) pair, whenever the store has held more
+// than AddedCap·m arcs. Host-side bookkeeping: the paper's tables
+// deduplicate by construction ("hashing naturally removes the duplicate
+// neighbors"). The pairing is what remainingGraph's pair walk and the
+// store's loop dropping rely on.
 func (s *state) dedupAdded() {
-	limit := int(s.p.AddedCap * float64(s.arcs.Len()))
+	limit := int(s.p.AddedCap * float64(s.arcs.Procs()))
 	if limit < 1024 {
 		limit = 1024
 	}
-	if s.added.Len() <= limit {
+	if s.added.Procs() <= limit {
 		return
 	}
-	pairs := make([]uint64, 0, s.added.Len())
+	edges := make([]uint64, 0, s.added.Len())
 	for i := 0; i < s.added.Len(); i++ {
 		u, v := s.added.U[i], s.added.V[i]
-		if u == v {
-			continue
+		if u > v {
+			u, v = v, u
 		}
-		pairs = append(pairs, uint64(uint32(u))<<32|uint64(uint32(v)))
+		if u != v {
+			edges = append(edges, uint64(uint32(u))<<32|uint64(uint32(v)))
+		}
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i] < pairs[j] })
-	s.added.U = s.added.U[:0]
-	s.added.V = s.added.V[:0]
-	s.added.Orig = s.added.Orig[:0]
-	var prev uint64 = math.MaxUint64
-	for _, p := range pairs {
-		if p == prev {
-			continue
-		}
-		prev = p
-		s.added.Append(int32(p>>32), int32(uint32(p)), -1)
+	slices.Sort(edges)
+	edges = slices.Compact(edges)
+	s.added = &labels.ArcStore{}
+	for _, e := range edges {
+		u, v := int32(e>>32), int32(uint32(e))
+		s.added.Append(u, v, -1)
+		s.added.Append(v, u, -1)
 	}
 }
 
@@ -616,6 +674,14 @@ func (s *state) checkInvariants() error {
 		if s.level[v] >= s.level[p] {
 			return fmt.Errorf("core: Lemma 3.2 violated: non-root %d has level %d >= parent %d's level %d",
 				v, s.level[v], p, s.level[p])
+		}
+	}
+	// The host frontier: every endpoint of a live arc is active.
+	for _, st := range []*labels.ArcStore{s.arcs, s.added} {
+		for i := range st.U {
+			if u, w := st.U[i], st.V[i]; u != w && (s.level[u] < 1 || s.level[w] < 1) {
+				return fmt.Errorf("core: live arc (%d,%d) has a level-0 endpoint", u, w)
+			}
 		}
 	}
 	return nil

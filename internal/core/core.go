@@ -172,11 +172,14 @@ type Result struct {
 	CumBlockWords int64
 	// PeakBlockWords is the largest single-round allocation.
 	PeakBlockWords int64
-	AddedEdges     int // distinct added edges materialized over the run
-	CompactRounds  int // hashing rounds used by approximate compaction
-	Trace          []RoundTrace
-	Failed         bool  // round cap exhausted (bad-probability event)
-	InvariantErr   error // first Lemma 3.2 violation (CheckInvariants only)
+	// AddedEdges counts the added edges materialized over the run,
+	// repeats included: every round re-appends each table entry. A
+	// forced dedup (AddedCap) resets it to the distinct edges then held.
+	AddedEdges    int
+	CompactRounds int // hashing rounds used by approximate compaction
+	Trace         []RoundTrace
+	Failed        bool  // round cap exhausted (bad-probability event)
+	InvariantErr  error // first Lemma 3.2 violation (CheckInvariants only)
 	// CtxErr is ctx.Err() when Params.Ctx was cancelled mid-run; Labels
 	// is nil in that case.
 	CtxErr error

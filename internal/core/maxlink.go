@@ -16,12 +16,19 @@ import (
 // packed atomic max — and a write phase that re-parents. Links always
 // target a strictly higher level, so Lemma 3.2's invariant
 // ℓ(v) < ℓ(v.p) for non-roots is maintained and no cycle can form.
+//
+// Every vertex step charges all n processors, but the host runs only
+// the active (level ≥ 1) vertices: a level-0 vertex ends no live arc,
+// so its best neighbour parent is its own parent and it never moves.
+// The folds sweep the live arcs; a loop contributes nothing. best is
+// indexed by slot, like the rest of the frontier-sized state.
 func (s *state) maxlink() {
 	m, n := s.m, s.n
 	iters := s.p.MaxLinkIters
 	if iters <= 0 {
 		iters = 2
 	}
+	active, slot := s.active, s.slot
 	for it := 0; it < iters; it++ {
 		best := s.best
 		par := s.d.Parent
@@ -29,22 +36,22 @@ func (s *state) maxlink() {
 
 		// Read phase: seed with v's own parent (v ∈ N(v)), then fold
 		// in w.p for every neighbour w along both arc stores.
-		m.StepRange(n, func(lo, hi int) {
-			for v := lo; v < hi; v++ {
+		m.StepN(n, len(active), func(lo, hi int) {
+			for i, v := range active[lo:hi] {
 				p := par[v]
-				best[v] = pram.PackLevelVertex(lvl[p], p)
+				best[lo+i] = pram.PackLevelVertex(lvl[p], p)
 			}
 		})
 		fold := func(st *labels.ArcStore) {
 			u, w := st.U, st.V
-			m.StepRange(st.Len(), func(lo, hi int) {
+			m.StepN(st.Procs(), st.Len(), func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					a, b := u[i], w[i]
 					if a == b {
 						continue
 					}
 					bp := par[b]
-					pram.MaxCombine64(&best[a], pram.PackLevelVertex(lvl[bp], bp))
+					pram.MaxCombine64(&best[slot[a]], pram.PackLevelVertex(lvl[bp], bp))
 				}
 			})
 		}
@@ -52,9 +59,9 @@ func (s *state) maxlink() {
 		fold(s.added)
 
 		// Write phase: adopt the argmax parent if strictly higher.
-		m.StepRange(n, func(lo, hi int) {
-			for v := lo; v < hi; v++ {
-				l, u := pram.UnpackLevelVertex(best[v])
+		m.StepN(n, len(active), func(lo, hi int) {
+			for i, v := range active[lo:hi] {
+				l, u := pram.UnpackLevelVertex(best[lo+i])
 				if l > lvl[v] && u != par[v] {
 					par[v] = u
 					pram.Store64(&s.parChange, 1)

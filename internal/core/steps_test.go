@@ -5,35 +5,26 @@ import (
 
 	"repro/graph"
 	"repro/internal/hashing"
-	"repro/internal/labels"
 	"repro/internal/pram"
 	"repro/internal/vanilla"
 )
 
 // newTestState builds a minimal state over g with every vertex an
-// ongoing level-1 root, bypassing COMPACT.
+// ongoing level-1 root, bypassing COMPACT. The levels and the frontier
+// come from the constructor Run uses; the boost coin and the table
+// hashes keep the tests' own seeds. With every vertex active, a
+// vertex's slot is the vertex itself, so the tests index the
+// slot-indexed arrays by vertex.
 func newTestState(g *graph.Graph, params Params) *state {
 	p := params.filled()
 	vst := vanilla.NewState(g.N, g.Span(), p.Seed)
-	s := &state{
-		p: p, n: g.N, m: pram.New(1),
-		coin:    pram.Coin{Seed: p.Seed},
-		d:       vst.D,
-		arcs:    vst.Arcs,
-		added:   &labels.ArcStore{},
-		level:   make([]int32, g.N),
-		budget:  make([]int64, g.N),
-		tables:  make([]*hashing.Table, g.N),
-		dormant: make([]int32, g.N),
-		boosted: make([]int32, g.N),
-		best:    make([]int64, g.N),
-		fam:     hashing.Family{Seed: p.Seed ^ 1},
+	ongoing := make([]bool, g.N)
+	for v := range ongoing {
+		ongoing[v] = true
 	}
-	s.budgets = newBudgetTable(16, p.Growth, p.BudgetCapFactor, g.N)
-	for v := 0; v < g.N; v++ {
-		s.level[v] = 1
-		s.budget[v] = s.budgets.at(1)
-	}
+	s := newState(pram.New(1), p, vst, ongoing, make([]int32, g.N), 16)
+	s.coin = pram.Coin{Seed: p.Seed}
+	s.fam = hashing.Family{Seed: p.Seed ^ 1}
 	return s
 }
 
@@ -131,6 +122,43 @@ func TestDedupAddedRemovesDuplicatesAndLoops(t *testing.T) {
 	s.dedupAdded()
 	if s.added.Len() != 2 {
 		t.Fatalf("added arcs after dedup = %d, want 2", s.added.Len())
+	}
+}
+
+func TestDedupAddedKeepsMirrorPairs(t *testing.T) {
+	// A forced dedup must leave every distinct edge as an adjacent
+	// (u,v),(v,u) pair: remainingGraph walks the store two arcs at a
+	// time, so a store sorted by (u,v) would lose {2,3} of a triangle.
+	g := graph.New(4)
+	p := DefaultParams(1)
+	p.AddedCap = 0.0001 // force dedup
+	s := newTestState(g, p)
+	triangle := [][2]int32{{1, 2}, {2, 3}, {1, 3}}
+	for i := 0; i < 400; i++ {
+		for _, e := range triangle {
+			s.added.Append(e[0], e[1], -1)
+			s.added.Append(e[1], e[0], -1)
+		}
+	}
+	s.dedupAdded()
+	if s.added.Len() != 2*len(triangle) {
+		t.Fatalf("added arcs after dedup = %d, want %d", s.added.Len(), 2*len(triangle))
+	}
+	for i := 0; i < s.added.Len(); i += 2 {
+		if s.added.U[i] != s.added.V[i+1] || s.added.V[i] != s.added.U[i+1] {
+			t.Fatalf("arcs %d,%d = (%d,%d),(%d,%d): not a mirror pair", i, i+1,
+				s.added.U[i], s.added.V[i], s.added.U[i+1], s.added.V[i+1])
+		}
+	}
+	rem := s.remainingGraph()
+	got := map[[2]int32]bool{}
+	for i := range rem.U {
+		got[[2]int32{rem.U[i], rem.V[i]}] = true
+	}
+	for _, e := range triangle {
+		if !got[e] || !got[[2]int32{e[1], e[0]}] {
+			t.Fatalf("edge {%d,%d} missing from the remaining graph", e[0], e[1])
+		}
 	}
 }
 

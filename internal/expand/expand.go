@@ -115,30 +115,38 @@ func Run(m *pram.Machine, arcs *labels.ArcStore, ongoing []bool, p Params) *Outc
 	})
 
 	// Step (3): for each arc (v,w): if v live, hash v and w into H(v);
-	// else mark w dormant (half dormant, round 0).
+	// else mark w dormant (half dormant, round 0). The host sweeps the
+	// live arcs only: a loop (v,v) would insert v into H(v), which v's
+	// first non-loop arc inserts before anything else, or mark a v
+	// that is already fully dormant.
 	au, av := arcs.U, arcs.V
 	dormantNow := make([]int32, n) // marks applied after the step
-	m.Step(arcs.Len(), func(i int) {
-		v, w := au[i], av[i]
-		if !ongoing[v] || !ongoing[w] {
-			return
-		}
-		if out.H[v] != nil && !out.FullyDorm[v] {
-			out.H[v].TryInsert(v)
-			out.H[v].TryInsert(w)
-		} else {
-			pram.Store32(&dormantNow[w], 1)
+	m.StepN(arcs.Procs(), arcs.Len(), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			v, w := au[i], av[i]
+			if !ongoing[v] || !ongoing[w] {
+				continue
+			}
+			if out.H[v] != nil && !out.FullyDorm[v] {
+				out.H[v].TryInsert(v)
+				out.H[v].TryInsert(w)
+			} else {
+				pram.Store32(&dormantNow[w], 1)
+			}
 		}
 	})
 
-	// Step (4): collision detection by re-reading (the §3.3 trick).
-	m.Step(arcs.Len(), func(i int) {
-		v, w := au[i], av[i]
-		if !ongoing[v] || !ongoing[w] || out.H[v] == nil {
-			return
-		}
-		if out.H[v].Collides(v) || out.H[v].Collides(w) {
-			pram.Store32(&dormantNow[v], 1)
+	// Step (4): collision detection by re-reading (the §3.3 trick). A
+	// loop would re-check v, which every arc out of v checks.
+	m.StepN(arcs.Procs(), arcs.Len(), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			v, w := au[i], av[i]
+			if !ongoing[v] || !ongoing[w] || out.H[v] == nil {
+				continue
+			}
+			if out.H[v].Collides(v) || out.H[v].Collides(w) {
+				pram.Store32(&dormantNow[v], 1)
+			}
 		}
 	})
 	m.Step(n, func(v int) {
@@ -175,18 +183,20 @@ func Run(m *pram.Machine, arcs *labels.ArcStore, ongoing []bool, p Params) *Outc
 		// the host iterates per vertex. TryInsert is append-only, so
 		// the occupancy prefix recorded above is the round-start
 		// snapshot of every table (the PRAM's read-before-write).
-		m.StepN(chargedProcs, n, func(u int) {
-			if !ongoing[u] || out.H[u] == nil {
-				return
-			}
-			for _, v := range out.H[u].OccupiedPrefix(occAt[u]) {
-				if oldDormant[v] {
-					pram.Store32(&dormantNow[u], 1)
+		m.StepN(chargedProcs, n, func(lo, hi int) {
+			for u := lo; u < hi; u++ {
+				if !ongoing[u] || out.H[u] == nil {
+					continue
 				}
-				if ov := out.H[v]; ov != nil {
-					for _, w := range ov.OccupiedPrefix(occAt[v]) {
-						if out.H[u].TryInsert(w) {
-							pram.Store64(&newEntry, 1)
+				for _, v := range out.H[u].OccupiedPrefix(occAt[u]) {
+					if oldDormant[v] {
+						pram.Store32(&dormantNow[u], 1)
+					}
+					if ov := out.H[v]; ov != nil {
+						for _, w := range ov.OccupiedPrefix(occAt[v]) {
+							if out.H[u].TryInsert(w) {
+								pram.Store64(&newEntry, 1)
+							}
 						}
 					}
 				}
@@ -195,30 +205,26 @@ func Run(m *pram.Machine, arcs *labels.ArcStore, ongoing []bool, p Params) *Outc
 
 		// (5b): collision check — every source value must occupy its
 		// slot in the (now grown) table; losers went to occupied cells.
-		m.StepN(chargedProcs, n, func(u int) {
-			if !ongoing[u] || out.H[u] == nil {
-				return
-			}
-			coll := false
+		collides := func(u int) bool {
 			for _, v := range out.H[u].OccupiedPrefix(occAt[u]) {
 				if out.H[u].Collides(v) {
-					coll = true
-					break
+					return true
 				}
 				if ov := out.H[v]; ov != nil {
 					for _, w := range ov.OccupiedPrefix(occAt[v]) {
 						if out.H[u].Collides(w) {
-							coll = true
-							break
+							return true
 						}
 					}
 				}
-				if coll {
-					break
-				}
 			}
-			if coll {
-				pram.Store32(&dormantNow[u], 1)
+			return false
+		}
+		m.StepN(chargedProcs, n, func(lo, hi int) {
+			for u := lo; u < hi; u++ {
+				if ongoing[u] && out.H[u] != nil && collides(u) {
+					pram.Store32(&dormantNow[u], 1)
+				}
 			}
 		})
 

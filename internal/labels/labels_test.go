@@ -1,6 +1,7 @@
 package labels
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -140,11 +141,95 @@ func TestArcStoreAlter(t *testing.T) {
 	if !found {
 		t.Fatal("alter did not map arc endpoints to parents")
 	}
-	// Orig indices unchanged.
-	for i, o := range a.Orig {
-		if int(o) != i {
-			t.Fatal("orig index corrupted by alter")
+	// The four arcs that became loops are dropped; the live arcs keep
+	// their original indices.
+	if a.Len() != 2 || a.Orig[0] != 2 || a.Orig[1] != 3 {
+		t.Fatalf("live arcs %v orig %v, want the pair descended from arcs 2 and 3", a.U, a.Orig)
+	}
+}
+
+// TestAlterDropsLoopsStably checks the host view after ALTER: exactly
+// the arcs whose image is a loop are dropped, the rest keep their
+// order and their Orig, and mirror pairs stay adjacent.
+func TestAlterDropsLoopsStably(t *testing.T) {
+	f := func(seed int64) bool {
+		g := graph.Gnm(60, 150, seed)
+		g.AddEdge(5, 5) // an input loop is dropped by the first ALTER too
+		a := NewArcStore(g.Span())
+		d := NewSelfLabeled(60)
+		coin := pram.Coin{Seed: uint64(seed)}
+		for v := 1; v < 60; v++ {
+			if coin.Bernoulli(0, uint64(v), 0.5) {
+				d.Parent[v] = int32(coin.Intn(1, uint64(v), v))
+			}
 		}
+		a.Alter(pram.New(1), d)
+		k := 0
+		for i := range g.U {
+			u, v := d.Parent[g.U[i]], d.Parent[g.V[i]]
+			if u == v {
+				continue
+			}
+			if k >= a.Len() || a.Orig[k] != int32(i) || a.U[k] != u || a.V[k] != v {
+				return false
+			}
+			k++
+		}
+		if k != a.Len() || a.Procs() != len(g.U) {
+			return false
+		}
+		for i := 0; i < a.Len(); i += 2 {
+			if a.Orig[i]%2 != 0 || a.Orig[i+1] != a.Orig[i]+1 ||
+				a.U[i] != a.V[i+1] || a.V[i] != a.U[i+1] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestArcStepsChargeDroppedArcs compares a store that dropped its
+// loops with one holding the same arcs that never dropped: Alter,
+// HasNonLoop and MarkEnds must charge the same Stats and compute the
+// same results on both.
+func TestArcStepsChargeDroppedArcs(t *testing.T) {
+	g := graph.Gnm(200, 600, 3)
+	d := NewSelfLabeled(200)
+	for v := 1; v < 200; v += 3 {
+		d.Parent[v] = int32(v - 1)
+	}
+	dropped := NewArcStore(g.Span())
+	dropped.Alter(pram.New(1), d)
+	full := &ArcStore{}
+	for i := range g.U {
+		full.Append(d.Parent[g.U[i]], d.Parent[g.V[i]], int32(i))
+	}
+	if dropped.Len() >= full.Len() || dropped.Procs() != full.Procs() {
+		t.Fatalf("dropped store: %d live of %d charged; full store: %d of %d",
+			dropped.Len(), dropped.Procs(), full.Len(), full.Procs())
+	}
+	d2 := NewSelfLabeled(200)
+	for v := 2; v < 200; v += 5 {
+		d2.Parent[v] = 0
+	}
+	run := func(a *ArcStore) (pram.Stats, bool, []int32) {
+		m := pram.New(1)
+		a.Alter(m, d2)
+		non := a.HasNonLoop(m)
+		inc := make([]int32, 200)
+		a.MarkEnds(m, inc)
+		return m.Stats(), non, inc
+	}
+	sd, nd, id := run(dropped)
+	sf, nf, idf := run(full)
+	if sd != sf {
+		t.Errorf("dropped store charged %+v, never-dropped store %+v", sd, sf)
+	}
+	if nd != nf || !slices.Equal(id, idf) {
+		t.Error("dropped and never-dropped stores disagree on HasNonLoop or MarkEnds")
 	}
 }
 
@@ -197,7 +282,8 @@ func TestAlterPreservesPartitionProperty(t *testing.T) {
 		m := pram.New(1)
 		a.Alter(m, d)
 		for i := 0; i < a.Len(); i++ {
-			if a.U[i] != d.Parent[g.U[i]] || a.V[i] != d.Parent[g.V[i]] {
+			o := a.Orig[i]
+			if a.U[i] != d.Parent[g.U[o]] || a.V[i] != d.Parent[g.V[o]] {
 				return false
 			}
 		}

@@ -16,6 +16,16 @@
 // worker. The machine accounts simulated time (steps), per-step
 // processor usage, and total work, so experiments report model costs
 // rather than host wall clock.
+//
+// What a step charges and what the host executes are separate:
+// Machine.StepN charges its full processor count while the host runs
+// only a frontier of them. The host may skip a processor only when
+// that processor's body is a no-op in the step — a loop arc, a vertex
+// that is not an ongoing root, a vote the reading step draws itself —
+// and each call site says why its skipped processors are no-ops. A
+// frontier is always ascending, so at New(1) the surviving processors
+// run in the same order as the full sweep and every ARBITRARY write
+// resolves as it would there.
 package pram
 
 import (
@@ -91,17 +101,24 @@ func (m *Machine) StepRange(procs int, f func(lo, hi int)) {
 }
 
 // StepN executes one PRAM time unit whose model cost is chargedProcs
-// processors, while the host realizes it as iters loop iterations
-// (e.g. the paper runs one processor per table-cell pair, but the host
-// iterates per table owner). f(i) is invoked once per i in [0, iters).
-func (m *Machine) StepN(chargedProcs, iters int, f func(i int)) {
+// processors, while the host realizes it as iters loop iterations,
+// handed out as contiguous ranges like StepRange: f(lo, hi) runs
+// iterations lo..hi-1, and the ranges tile [0, iters) exactly once.
+// The iterations are the step's host frontier, for instance the live
+// arcs of a store whose loops were dropped, the ongoing roots of a
+// vertex step, or one table owner standing for the paper's processor
+// per table-cell pair. Every processor outside the frontier must be a
+// no-op in this step (see the package doc); iters may be 0 when the
+// host folds the step's work into a later step.
+func (m *Machine) StepN(chargedProcs, iters int, f func(lo, hi int)) {
 	m.charge(1, chargedProcs)
-	m.run(iters, seqIters, perIndex(f))
+	m.run(iters, seqIters, f)
 }
 
 // Below these sizes a step runs on the calling goroutine: fanning out
-// costs more than the step. StepN's iterations are per-table-owner and
-// heavier than one processor, so its threshold is lower.
+// costs more than the step. StepN's iterations are frontier entries or
+// table owners and often heavier than one processor, so its threshold
+// is lower.
 const (
 	seqProcs = 2048
 	seqIters = 256

@@ -138,12 +138,39 @@ func TestStepAccounting(t *testing.T) {
 func TestStepN(t *testing.T) {
 	m := New(4)
 	var count int64
-	m.StepN(1000, 37, func(int) { atomic.AddInt64(&count, 1) })
+	m.StepN(1000, 37, func(lo, hi int) { atomic.AddInt64(&count, int64(hi-lo)) })
 	if count != 37 {
 		t.Errorf("iterations = %d, want 37", count)
 	}
 	s := m.Stats()
 	if s.Work != 1000 || s.Steps != 1 || s.MaxProcs != 1000 {
+		t.Errorf("accounting wrong: %+v", s)
+	}
+}
+
+// TestStepNChargesWithoutHostWork pins the charged-vs-host split: an
+// empty frontier runs no host iteration but charges the step in full,
+// and a frontier above the sequential threshold tiles its iterations
+// exactly once on a sharded machine.
+func TestStepNChargesWithoutHostWork(t *testing.T) {
+	m := New(2)
+	m.StepN(500, 0, func(int, int) { t.Fatal("an empty frontier must not run") })
+	if s := m.Stats(); s.Steps != 1 || s.Work != 500 || s.MaxProcs != 500 {
+		t.Errorf("empty frontier charged %+v, want one step of 500 processors", s)
+	}
+	const iters = 5000
+	seen := make([]int32, iters)
+	m.StepN(10*iters, iters, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			atomic.AddInt32(&seen[i], 1)
+		}
+	})
+	for i, c := range seen {
+		if c != 1 {
+			t.Fatalf("iteration %d ran %d times, want once", i, c)
+		}
+	}
+	if s := m.Stats(); s.Steps != 2 || s.Work != 500+10*iters || s.MaxProcs != 10*iters {
 		t.Errorf("accounting wrong: %+v", s)
 	}
 }

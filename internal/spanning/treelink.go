@@ -68,7 +68,7 @@ func treeLink(in treeLinkInput, alpha, beta, leaderNbr, chosen []int32) treeLink
 	chargedProcs := in.NOngoing * in.TableSize * in.TableSize
 	for j := T; j >= 0; j-- {
 		snap := exp.Snapshots[j]
-		m.StepN(chargedProcs, n, func(u int) {
+		extend := func(u int) {
 			if in.Ongoing[u] == 0 || alpha[u] < 0 || Q[u] == nil {
 				return
 			}
@@ -101,16 +101,24 @@ func treeLink(in treeLinkInput, alpha, beta, leaderNbr, chosen []int32) treeLink
 			}
 			Q[u] = qp
 			alpha[u] += 1 << uint(j)
+		}
+		m.StepN(chargedProcs, n, func(lo, hi int) {
+			for u := lo; u < hi; u++ {
+				extend(u)
+			}
 		})
 	}
 
-	// Step (3): mark leader-neighbours along current arcs.
+	// Step (3): mark leader-neighbours along current arcs. Loops mark
+	// nothing, so the host sweeps the live arcs only.
 	pram.Fill32(leaderNbr, 0)
 	au, av := in.Arcs.U, in.Arcs.V
-	m.Step(in.Arcs.Len(), func(i int) {
-		v, w := au[i], av[i]
-		if v != w && in.Ongoing[v] == 1 && in.Leader[v] == 1 {
-			pram.Store32(&leaderNbr[w], 1)
+	m.StepN(in.Arcs.Procs(), in.Arcs.Len(), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			v, w := au[i], av[i]
+			if v != w && in.Ongoing[v] == 1 && in.Leader[v] == 1 {
+				pram.Store32(&leaderNbr[w], 1)
+			}
 		}
 	})
 
@@ -135,16 +143,20 @@ func treeLink(in treeLinkInput, alpha, beta, leaderNbr, chosen []int32) treeLink
 		}
 	})
 
-	// Step (5): choose a witness arc (v,w) with β(w) = β(v) − 1.
+	// Step (5): choose a witness arc (v,w) with β(w) = β(v) − 1. A loop
+	// is never a witness; the chosen index is into the live view, which
+	// stays fixed until ALTER.
 	pram.Fill32(chosen, -1)
-	m.Step(in.Arcs.Len(), func(i int) {
-		v, w := au[i], av[i]
-		if v == w || in.Ongoing[v] == 0 || in.Ongoing[w] == 0 {
-			return
-		}
-		bv, bw := beta[v], beta[w]
-		if bv >= 1 && bw == bv-1 {
-			pram.Store32(&chosen[v], int32(i))
+	m.StepN(in.Arcs.Procs(), in.Arcs.Len(), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			v, w := au[i], av[i]
+			if v == w || in.Ongoing[v] == 0 || in.Ongoing[w] == 0 {
+				continue
+			}
+			bv, bw := beta[v], beta[w]
+			if bv >= 1 && bw == bv-1 {
+				pram.Store32(&chosen[v], int32(i))
+			}
 		}
 	})
 

@@ -19,8 +19,6 @@ type State struct {
 	Arcs  *labels.ArcStore
 	Coin  pram.Coin
 	Phase int // phases executed so far
-
-	leader []int32 // u.l of the current phase
 }
 
 // NewState initializes the self-labeled digraph and arc store for n
@@ -29,41 +27,42 @@ type State struct {
 // (or any loader/replay span) without boxing.
 func NewState(n int, span graph.EdgeSpan, seed uint64) *State {
 	return &State{
-		D:      labels.NewSelfLabeled(n),
-		Arcs:   labels.NewArcStore(span),
-		Coin:   pram.Coin{Seed: seed},
-		leader: make([]int32, n),
+		D:    labels.NewSelfLabeled(n),
+		Arcs: labels.NewArcStore(span),
+		Coin: pram.Coin{Seed: seed},
 	}
+}
+
+// leader reports u.l, u's RANDOM-VOTE in the given phase: 1 with
+// probability 1/2. The coin is counter-based, so the step that reads a
+// vote draws it there and then, with the value RANDOM-VOTE would have
+// stored. It is c.Bernoulli(phase, u, 0.5) read off the draw's top bit:
+// Float < 1/2 exactly when that bit is 0.
+func leader(c pram.Coin, phase uint64, u int32) bool {
+	return c.U64(phase, uint64(u))>>63 == 0
 }
 
 // RunPhase executes one phase of Vanilla algorithm and reports whether
 // any non-loop edge remains (the repeat-loop condition).
 func (s *State) RunPhase(m *pram.Machine) bool {
-	n := s.D.N()
 	coin := s.Coin
 	phase := uint64(s.Phase)
 	s.Phase++
-	leader := s.leader
 
-	// RANDOM-VOTE: u.l := 1 with probability 1/2.
-	m.StepRange(n, func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			if coin.Bernoulli(phase, uint64(u), 0.5) {
-				leader[u] = 1
-			} else {
-				leader[u] = 0
-			}
-		}
-	})
+	// RANDOM-VOTE: u.l := 1 with probability 1/2. The step charges its
+	// n processors; the host runs none, since LINK draws each vote it
+	// reads (see leader).
+	m.StepN(s.D.N(), 0, nil)
 
 	// LINK: for each graph arc (v,w): if v.l=0 and w.l=1, v.p := w.
 	// Trees are flat at phase start (Lemma B.2), so v and w are roots;
-	// concurrent writes to v.p resolve arbitrarily.
+	// concurrent writes to v.p resolve arbitrarily. Loops never link,
+	// so the host sweeps the live arcs only.
 	au, av, par := s.Arcs.U, s.Arcs.V, s.D.Parent
-	m.StepRange(s.Arcs.Len(), func(lo, hi int) {
+	m.StepN(s.Arcs.Procs(), s.Arcs.Len(), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			v, w := au[i], av[i]
-			if v != w && leader[v] == 0 && leader[w] == 1 {
+			if v != w && !leader(coin, phase, v) && leader(coin, phase, w) {
 				pram.Store32(&par[v], w)
 			}
 		}

@@ -161,3 +161,16 @@ func TestVanillaEmptyAndTinyGraphs(t *testing.T) {
 		t.Fatal("single edge not contracted")
 	}
 }
+
+// TestLeaderIsHalfCoin pins leader's top-bit shortcut to the coin it
+// stands for.
+func TestLeaderIsHalfCoin(t *testing.T) {
+	c := pram.Coin{Seed: 12345}
+	for phase := uint64(0); phase < 4; phase++ {
+		for u := int32(0); u < 5000; u++ {
+			if leader(c, phase, u) != c.Bernoulli(phase, uint64(u), 0.5) {
+				t.Fatalf("phase %d vertex %d: leader disagrees with Bernoulli(1/2)", phase, u)
+			}
+		}
+	}
+}

@@ -32,26 +32,23 @@ func (s *SFState) RunPhase(m *pram.Machine) bool {
 	coin := s.Coin
 	phase := uint64(s.Phase)
 	s.Phase++
-	leader := s.leader
 
-	// RANDOM-VOTE.
-	m.Step(n, func(u int) {
-		if coin.Bernoulli(phase, uint64(u), 0.5) {
-			leader[u] = 1
-		} else {
-			leader[u] = 0
-		}
-	})
+	// RANDOM-VOTE: charged in full; MARK-EDGE draws the votes it reads.
+	m.StepN(n, 0, nil)
 
 	// MARK-EDGE: for each current arc e=(v,w): if v.l=0 and w.l=1 then
-	// v.e := e (arbitrary winner).
+	// v.e := e (arbitrary winner). Loops are never marked, so the host
+	// sweeps the live arcs only; e indexes the live view, which stays
+	// fixed until ALTER.
 	au, av := s.Arcs.U, s.Arcs.V
 	chosen := s.ChosenArc
 	pram.Fill32(chosen, -1)
-	m.Step(s.Arcs.Len(), func(i int) {
-		v, w := au[i], av[i]
-		if v != w && leader[v] == 0 && leader[w] == 1 {
-			pram.Store32(&chosen[v], int32(i))
+	m.StepN(s.Arcs.Procs(), s.Arcs.Len(), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			v, w := au[i], av[i]
+			if v != w && !leader(coin, phase, v) && leader(coin, phase, w) {
+				pram.Store32(&chosen[v], int32(i))
+			}
 		}
 	})
 
