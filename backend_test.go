@@ -359,8 +359,8 @@ func FuzzBackendEquivalence(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer sv.Close()
-		for _, batch := range g.EdgeBatches(int(batchesRaw%29) + 1) {
-			if _, err := sv.Ingest(context.Background(), batch); err != nil {
+		for _, span := range g.SpanBatches(int(batchesRaw%29) + 1) {
+			if _, err := sv.Ingest(context.Background(), span.Pairs()); err != nil {
 				t.Fatal(err)
 			}
 		}

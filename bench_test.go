@@ -80,10 +80,9 @@ func benchGraph() *graph.Graph {
 // BenchmarkComponentsBackends is the benchstat anchor compared by
 // scripts/bench_baseline.sh against the intentional baseline in
 // internal/bench/testdata/baseline.txt: the same workload through the
-// Components entry point on every registered backend. Since the
-// Solver redesign, Components reuses a process-shared engine per
-// (backend, workers) pair, so this measures the steady-state serving
-// cost, not per-call engine construction.
+// Components entry point on every registered backend. Each call is a
+// one-shot Solver, so this measures a whole solve including engine and
+// worker-pool construction; BenchmarkSolverReuse is the steady state.
 func BenchmarkComponentsBackends(b *testing.B) {
 	g := benchGraph()
 	for _, bk := range pramcc.Backends() {
@@ -136,7 +135,10 @@ func BenchmarkSolverReuse(b *testing.B) {
 // maintenance cost next to the one-shot backends above.
 func BenchmarkIncrementalBatches(b *testing.B) {
 	g := benchGraph()
-	batches := g.EdgeBatches(16)
+	var batches [][][2]int
+	for _, span := range g.SpanBatches(16) {
+		batches = append(batches, span.Pairs())
+	}
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -182,9 +184,9 @@ func ingestBenchGraph() *graph.Graph {
 // performs zero allocations, enforced by TestSpanIngestZeroAlloc in
 // internal/incremental; the allocs/op reported here are snapshot
 // publication and service setup only); the pairs side materializes
-// [][2]int batches (EdgeBatches + Ingest, which converts each batch
-// with graph.FromPairs). Both end in the identical union-find; the
-// difference is pure replay-layer overhead.
+// [][2]int batches (SpanBatches + EdgeSpan.Pairs + Ingest, which
+// converts each batch back with graph.FromPairs). Both end in the
+// identical union-find; the difference is pure replay-layer overhead.
 func BenchmarkIngestSpan(b *testing.B) {
 	benchIngestSpan(b)
 }
@@ -225,8 +227,8 @@ func BenchmarkIngestPairs(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sv := newStreamService(b, g.N)
-		for _, batch := range g.EdgeBatches(16) {
-			if _, err := sv.Ingest(ctx, batch); err != nil {
+		for _, span := range g.SpanBatches(16) {
+			if _, err := sv.Ingest(ctx, span.Pairs()); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -191,7 +191,13 @@ func decodeLimited(w http.ResponseWriter, r *http.Request, v any, limit int64) b
 	if r.ContentLength > limit {
 		err = &http.MaxBytesError{Limit: limit}
 	} else {
-		err = json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+		body := http.MaxBytesReader(w, r.Body, limit)
+		if err = json.NewDecoder(body).Decode(v); err == nil {
+			// Decode stops at the end of the first value, so a body
+			// sent without a length could run on past the limit:
+			// read it to the end, and refuse it if it does.
+			_, err = io.Copy(io.Discard, body)
+		}
 	}
 	if err == nil {
 		return true

@@ -195,19 +195,19 @@ func TestServiceConsistentAcrossCancelledSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sv.Close()
-	batches := g.EdgeBatches(4)
-	if _, err := sv.Ingest(context.Background(), batches[0]); err != nil {
+	batches := g.SpanBatches(4)
+	if _, err := sv.Ingest(context.Background(), batches[0].Pairs()); err != nil {
 		t.Fatal(err)
 	}
 	before := sv.Snapshot()
-	if _, err := sv.Ingest(newCancelAfter(1), batches[1]); !errors.Is(err, context.Canceled) {
+	if _, err := sv.Ingest(newCancelAfter(1), batches[1].Pairs()); !errors.Is(err, context.Canceled) {
 		t.Fatal("cancelled Ingest did not report context.Canceled")
 	}
 	if sv.Snapshot() != before {
 		t.Fatal("cancelled Ingest advanced the snapshot")
 	}
 	for _, b := range batches[1:] {
-		if _, err := sv.Ingest(context.Background(), b); err != nil {
+		if _, err := sv.Ingest(context.Background(), b.Pairs()); err != nil {
 			t.Fatal(err)
 		}
 	}

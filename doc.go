@@ -34,9 +34,10 @@
 // and concurrently while Update (full recompute) or Ingest (streaming
 // batches, incremental backend) replaces the snapshot — a cancelled or
 // failed update publishes nothing and queries keep serving the
-// previous labeling. The free functions themselves are thin wrappers
-// over process-shared Solvers keyed by (backend, workers), so even
-// legacy call sites stopped paying per-call engine construction.
+// previous labeling. Components and ConnectedComponents are
+// themselves one Solve on a Solver built for the call and closed
+// before it returns: there is one solve path, and a free-function call
+// leaves no engine or worker pool behind.
 //
 // Migration is mechanical:
 //
@@ -98,8 +99,8 @@
 // between disk and the union-find, and the replay layer performs zero
 // allocations (experiment E14 measures the resulting throughput
 // against the boxed path). The [][2]int methods (Service.Ingest,
-// Tenant.Ingest, graph.EdgeBatches) remain as validating adapters over
-// graph.FromPairs for callers assembling edges ad hoc; Labels copies,
+// Tenant.Ingest) remain as validating adapters over graph.FromPairs
+// for callers assembling edges ad hoc; Labels copies,
 // while LabelsInto refills a caller-owned buffer allocation-free.
 //
 // # Observability

@@ -160,43 +160,10 @@ func (g *Graph) validateFrom(i int) error {
 		i, i+1, g.U[i], g.V[i], g.U[i+1], g.V[i+1])
 }
 
-// Edges returns the undirected edge list (one entry per arc pair),
-// materialized as [][2]int.
-//
-// Deprecated: Edges copies and boxes every edge at 4× the graph's own
-// columnar footprint. Use Span for a zero-copy columnar view; Edges
-// remains as the adapter for callers still on the boxed
-// representation (it is exactly Span().Pairs()).
-func (g *Graph) Edges() [][2]int {
-	return g.Span().Pairs()
-}
-
-// EdgeBatches splits the edge list into k contiguous batches of
-// near-equal size (sizes differ by at most one, earlier batches get
-// the extra edges), preserving insertion order. The batch boundaries
-// are identical to SpanBatches' (both use the same splitting rule).
-// k < 1 is treated as 1; if the graph has fewer than k edges, fewer
-// (possibly zero) batches are returned, none of them empty.
-//
-// Deprecated: EdgeBatches materializes the whole edge list as
-// [][2]int before slicing it. Use SpanBatches, whose batches alias
-// the graph's arc columns with no copy at all; EdgeBatches remains as
-// the adapter for callers replaying through the [][2]int ingest
-// methods.
-func (g *Graph) EdgeBatches(k int) [][][2]int {
-	edges := g.Edges()
-	cuts := batchCuts(len(edges), k)
-	out := make([][][2]int, len(cuts)-1)
-	for i := range out {
-		out[i] = edges[cuts[i]:cuts[i+1]:cuts[i+1]]
-	}
-	return out
-}
-
 // SortedDedupEdges returns the edge list with endpoints normalized
 // (min,max), sorted, and duplicates removed. Useful in tests.
 func (g *Graph) SortedDedupEdges() [][2]int {
-	es := g.Edges()
+	es := g.Span().Pairs()
 	for i := range es {
 		if es[i][0] > es[i][1] {
 			es[i][0], es[i][1] = es[i][1], es[i][0]

@@ -297,55 +297,6 @@ func TestFromEdges(t *testing.T) {
 	}
 }
 
-func TestEdgeBatches(t *testing.T) {
-	g := Gnm(100, 57, 3)
-	for _, k := range []int{1, 2, 5, 7, 57, 100, 0, -3} {
-		batches := g.EdgeBatches(k)
-		var flat [][2]int
-		for i, b := range batches {
-			if len(b) == 0 {
-				t.Fatalf("k=%d: batch %d empty", k, i)
-			}
-			flat = append(flat, b...)
-		}
-		want := g.Edges()
-		if len(flat) != len(want) {
-			t.Fatalf("k=%d: %d edges after concat, want %d", k, len(flat), len(want))
-		}
-		for i := range want {
-			if flat[i] != want[i] {
-				t.Fatalf("k=%d: edge %d = %v, want %v (order not preserved)", k, i, flat[i], want[i])
-			}
-		}
-		wantK := k
-		if wantK < 1 {
-			wantK = 1
-		}
-		if wantK > g.NumEdges() {
-			wantK = g.NumEdges()
-		}
-		if len(batches) != wantK {
-			t.Fatalf("k=%d: got %d batches, want %d", k, len(batches), wantK)
-		}
-		// Near-equal sizes: max differs from min by at most one.
-		min, max := len(batches[0]), len(batches[0])
-		for _, b := range batches {
-			if len(b) < min {
-				min = len(b)
-			}
-			if len(b) > max {
-				max = len(b)
-			}
-		}
-		if max-min > 1 {
-			t.Fatalf("k=%d: batch sizes range %d..%d", k, min, max)
-		}
-	}
-	if got := New(5).EdgeBatches(3); len(got) != 0 {
-		t.Fatalf("edgeless graph: %d batches, want 0", len(got))
-	}
-}
-
 // validateTwoPass is the reference Validate: every arc's range first,
 // then every mirror pair. The one-pass Validate must return its exact
 // error text.

@@ -105,8 +105,7 @@ func (s EdgeSpan) Validate(n int) error {
 // (sizes differ by at most one, earlier batches get the extra items)
 // and returns the k+1 cut points. k < 1 is treated as 1; k is capped
 // at m so no batch is empty (zero batches for an empty range). This
-// is the single splitting rule behind SpanBatches and EdgeBatches, so
-// the two replay paths see identical batch boundaries.
+// is SpanBatches' splitting rule.
 func batchCuts(m, k int) []int {
 	if k < 1 {
 		k = 1
@@ -127,12 +126,12 @@ func batchCuts(m, k int) []int {
 }
 
 // SpanBatches splits the graph's edges into k contiguous spans of
-// near-equal size (same splitting rule as EdgeBatches), preserving
-// insertion order. The spans alias the graph's arc columns directly —
-// no edge is copied — so replaying a graph through the streaming
-// backend in batches costs nothing beyond the slice headers. k < 1 is
-// treated as 1; a graph with fewer than k edges yields fewer
-// (possibly zero) batches, none of them empty.
+// near-equal size (sizes differ by at most one, earlier batches get
+// the extra edges), preserving insertion order. The spans alias the
+// graph's arc columns directly — no edge is copied — so replaying a
+// graph through the streaming backend in batches costs nothing beyond
+// the slice headers. k < 1 is treated as 1; a graph with fewer than k
+// edges yields fewer (possibly zero) batches, none of them empty.
 func (g *Graph) SpanBatches(k int) []EdgeSpan {
 	s := g.Span()
 	cuts := batchCuts(s.Len(), k)

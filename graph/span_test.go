@@ -38,8 +38,9 @@ func TestSpanAliasesGraphColumns(t *testing.T) {
 func TestSpanPairsRoundTrip(t *testing.T) {
 	g := spanTestGraph(t)
 	pairs := g.Span().Pairs()
-	if !reflect.DeepEqual(pairs, g.Edges()) {
-		t.Fatalf("Pairs() = %v, want Edges() = %v", pairs, g.Edges())
+	want := [][2]int{{0, 1}, {2, 3}, {1, 2}, {4, 4}, {5, 0}}
+	if !reflect.DeepEqual(pairs, want) {
+		t.Fatalf("Pairs() = %v, want %v", pairs, want)
 	}
 	back := FromPairs(pairs)
 	if !reflect.DeepEqual(back, g.Span().Slice(0, g.NumEdges())) {
@@ -101,24 +102,32 @@ func TestSpanValidateRejects(t *testing.T) {
 	}
 }
 
-// TestSpanBatchesMatchEdgeBatches pins the shared splitting rule: the
-// two replay representations must cut the edge list at identical
-// boundaries for every k, including the degenerate ones.
-func TestSpanBatchesMatchEdgeBatches(t *testing.T) {
+// TestSpanBatches pins the splitting rule: k is clamped to [1, m],
+// batch sizes differ by at most one, no batch is empty, and the
+// concatenated batches are the edge list in order.
+func TestSpanBatches(t *testing.T) {
 	g := Gnm(50, 137, 3)
-	for _, k := range []int{-1, 0, 1, 2, 3, 7, 136, 137, 138, 1000} {
-		spans := g.SpanBatches(k)
-		pairs := g.EdgeBatches(k)
-		if len(spans) != len(pairs) {
-			t.Fatalf("k=%d: %d span batches vs %d pair batches", k, len(spans), len(pairs))
+	want := g.Span().Pairs()
+	for _, k := range []int{-3, -1, 0, 1, 2, 3, 5, 7, 57, 136, 137, 138, 1000} {
+		batches := g.SpanBatches(k)
+		wantK := min(max(k, 1), g.NumEdges())
+		if len(batches) != wantK {
+			t.Fatalf("k=%d: got %d batches, want %d", k, len(batches), wantK)
 		}
-		for i := range spans {
-			if spans[i].Len() == 0 {
-				t.Fatalf("k=%d: empty span batch %d", k, i)
+		var flat [][2]int
+		lo, hi := batches[0].Len(), batches[0].Len()
+		for i, b := range batches {
+			if b.Len() == 0 {
+				t.Fatalf("k=%d: batch %d empty", k, i)
 			}
-			if !reflect.DeepEqual(spans[i].Pairs(), pairs[i]) {
-				t.Fatalf("k=%d batch %d: span %v vs pairs %v", k, i, spans[i].Pairs(), pairs[i])
-			}
+			lo, hi = min(lo, b.Len()), max(hi, b.Len())
+			flat = append(flat, b.Pairs()...)
+		}
+		if hi-lo > 1 {
+			t.Fatalf("k=%d: batch sizes range %d..%d", k, lo, hi)
+		}
+		if !reflect.DeepEqual(flat, want) {
+			t.Fatalf("k=%d: concatenated batches are not the edge list in order", k)
 		}
 	}
 	if got := New(5).SpanBatches(3); len(got) != 0 {

@@ -63,9 +63,9 @@ func Components(g *graph.Graph) []int32 {
 	return out
 }
 
-// SpanningForestSeq returns the edge indices (arc-pair indices into
-// g.Edges()) of a spanning forest computed sequentially — the oracle
-// for the forest size n − #components.
+// SpanningForestSeq returns the edge indices (arc-pair index i is arcs
+// 2i and 2i+1 of g.U/g.V) of a spanning forest computed sequentially —
+// the oracle for the forest size n − #components.
 func SpanningForestSeq(g *graph.Graph) []int {
 	uf := NewUnionFind(g.N)
 	var out []int

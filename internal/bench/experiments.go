@@ -820,8 +820,8 @@ func sameArcs(a, b *graph.Graph) bool {
 // serving-path hot loop spent its time converting and copying rather
 // than unioning. The claim: replaying a resident graph through the
 // incremental engine via zero-copy spans (SpanBatches + AddSpan)
-// sustains ≥ 1.5× the edges/sec of the boxed pair replay (EdgeBatches
-// + graph.FromPairs + AddSpan — the conversion Service.Ingest performs
+// sustains ≥ 1.5× the edges/sec of the boxed pair replay (SpanBatches
+// + Pairs + graph.FromPairs + AddSpan — the conversion Service.Ingest performs
 // at the API boundary), identical final labels, across batch sizes.
 // Both sides are measured end-to-end as a consumer would run them:
 // batch construction from the resident graph plus ingestion — exactly
@@ -861,13 +861,13 @@ func E14(scale Scale) *Table {
 	}
 	for _, w := range wls {
 		for _, k := range ks {
-			// Boxed replay: materialize the [][2]int batches from the
-			// resident graph, then convert each to a span and ingest it
-			// — what Service.Ingest does with a [][2]int batch.
+			// Boxed replay: materialize each batch of the resident
+			// graph as [][2]int, then convert it to a span and ingest
+			// it — what Service.Ingest does with a [][2]int batch.
 			eng := incremental.New(w.g.N, incremental.Options{Grain: grainOverride})
 			t0 := time.Now()
-			for _, b := range w.g.EdgeBatches(k) {
-				eng.AddSpan(graph.FromPairs(b))
+			for _, b := range w.g.SpanBatches(k) {
+				eng.AddSpan(graph.FromPairs(b.Pairs()))
 			}
 			pairsD := time.Since(t0)
 			pairsLabels := eng.Snapshot().Labels
@@ -891,7 +891,7 @@ func E14(scale Scale) *Table {
 		}
 	}
 	t.Notes = append(t.Notes,
-		"pairs = g.EdgeBatches(K) + graph.FromPairs + Engine.AddSpan: materializes [][2]int batches (16 bytes/edge) and converts each to a fresh span — the path Service.Ingest takes (it adds only a range check on the ints)",
+		"pairs = g.SpanBatches(K) + EdgeSpan.Pairs + graph.FromPairs + Engine.AddSpan: materializes each batch as [][2]int (16 bytes/edge) and converts it to a fresh span — the path Service.Ingest takes (it adds only a range check on the ints)",
 		"span = g.SpanBatches(K) + Engine.AddSpan: zero-copy arc-column slices (8 bytes/edge, no materialization), columnar validation",
 		"both sides time batch construction + ingestion on a fresh engine; the union-find and snapshot publication are identical",
 		"workers = GOMAXPROCS; same labels = exact elementwise equality of the final snapshots; "+grainNote())

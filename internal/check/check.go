@@ -42,10 +42,11 @@ func Components(g *graph.Graph, labels []int32) error {
 	return SamePartition(labels, g.ComponentsBFS())
 }
 
-// Forest validates a spanning forest given as edge indices into
-// g.Edges(): (i) indices are valid and distinct, (ii) the selected
-// edges are acyclic, (iii) their count is n − #components, which
-// together with (ii) implies they span every component.
+// Forest validates a spanning forest given as arc-pair indices (index
+// i is arcs 2i and 2i+1 of g.U/g.V): (i) indices are valid and
+// distinct, (ii) the selected edges are acyclic, (iii) their count is
+// n − #components, which together with (ii) implies they span every
+// component.
 func Forest(g *graph.Graph, edgeIdx []int) error {
 	seen := make(map[int]bool, len(edgeIdx))
 	parent := make([]int32, g.N)

@@ -65,7 +65,7 @@ func TestBatchSplitInvariance(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			want := native.Components(g, native.Options{}).Labels
 			rng := rand.New(rand.NewSource(42))
-			edges := g.Edges()
+			edges := g.Span().Pairs()
 			for trial := 0; trial < 4; trial++ {
 				rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
 				e := New(g.N, Options{Workers: 1 + rng.Intn(8)})

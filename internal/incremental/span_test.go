@@ -13,7 +13,7 @@ import (
 
 // TestAddSpanMatchesFromPairs: replaying the same graph as zero-copy
 // span slices (SpanBatches) and as boxed pair batches converted at the
-// boundary (EdgeBatches + graph.FromPairs, the path pramcc's
+// boundary (SpanBatches + Pairs + graph.FromPairs, the path pramcc's
 // Service.Ingest takes) must produce the exact same labels — and both
 // must match the one-shot native engine — for every structural family
 // and across random batch splits.
@@ -31,8 +31,8 @@ func TestAddSpanMatchesFromPairs(t *testing.T) {
 					}
 				}
 				pairEng := New(g.N, Options{Workers: 1 + rng.Intn(8)})
-				for _, b := range g.EdgeBatches(k) {
-					if _, err := pairEng.AddSpan(graph.FromPairs(b)); err != nil {
+				for _, b := range g.SpanBatches(k) {
+					if _, err := pairEng.AddSpan(graph.FromPairs(b.Pairs())); err != nil {
 						t.Fatal(err)
 					}
 				}

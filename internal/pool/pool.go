@@ -80,9 +80,8 @@ func (p *Pool) Run(f func(worker int)) {
 }
 
 // Close terminates the worker goroutines. The pool must be idle.
-// Close is idempotent: long-lived owners (pramcc.Solver, the shared
-// engines behind the compatibility wrappers) may be closed from
-// multiple cleanup paths.
+// Close is idempotent: an owner (a pramcc.Solver's engine, a loader)
+// may be closed from more than one cleanup path.
 func (p *Pool) Close() {
 	p.closeOnce.Do(func() {
 		for _, ch := range p.jobs {

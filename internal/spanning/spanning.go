@@ -45,7 +45,7 @@ type PhaseTrace struct {
 // Result is the outcome of the algorithm.
 type Result struct {
 	Labels      []int32
-	ForestEdges []int // indices into g.Edges()
+	ForestEdges []int // arc-pair indices: i is arcs 2i, 2i+1 of g.U/g.V
 	Phases      int
 	Prep        int
 	Trace       []PhaseTrace

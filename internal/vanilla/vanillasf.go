@@ -71,8 +71,9 @@ func (s *SFState) RunPhase(m *pram.Machine) bool {
 	return s.Arcs.HasNonLoop(m)
 }
 
-// ForestEdges returns the marked original edges as indices into
-// g.Edges() (arc-pair indices), deduplicated across directions.
+// ForestEdges returns the marked original edges as arc-pair indices
+// (index i is arcs 2i and 2i+1 of g.U/g.V), deduplicated across
+// directions.
 func (s *SFState) ForestEdges() []int {
 	var out []int
 	for a, marked := range s.ForestArc {
@@ -91,7 +92,7 @@ func (s *SFState) ForestEdges() []int {
 // SFResult is the outcome of a complete Vanilla-SF run.
 type SFResult struct {
 	Labels      []int32
-	ForestEdges []int // indices into g.Edges()
+	ForestEdges []int // arc-pair indices: i is arcs 2i, 2i+1 of g.U/g.V
 	Phases      int
 	Stats       pram.Stats
 }

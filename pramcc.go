@@ -57,8 +57,9 @@ func (r *Result) SameComponent(v, w int) bool { return r.Labels[v] == r.Labels[w
 // ForestResult extends Result with a spanning forest.
 type ForestResult struct {
 	Result
-	// EdgeIndices are indices into g.Edges() of the forest edges;
-	// exactly n − NumComponents of them.
+	// EdgeIndices are the forest edges as arc-pair indices into g
+	// (index i is arcs 2i and 2i+1 of g.U/g.V); exactly
+	// n − NumComponents of them.
 	EdgeIndices []int
 	// Edges are the forest edges themselves, as boxed pairs (kept for
 	// compatibility; Span is the columnar form).
@@ -76,22 +77,31 @@ func validate(g *graph.Graph) error {
 	return g.Validate()
 }
 
-// countLabels returns the number of distinct labels. Every backend
-// labels a component by one of its vertices, so labels live in
-// [0, len(labels)) and one indexed pass over a flat seen-array counts
-// them in O(n) — the map that used to live here cost more than a whole
-// native run on large graphs. The map fallback only exists so a future
-// backend with out-of-range labels degrades instead of panicking.
-func countLabels(labels []int32) int {
+// countLabels returns the number of distinct labels, counting in
+// *seen, which it grows to len(labels) and leaves there for the next
+// call (a Solver keeps it, so a steady-state count allocates nothing).
+// Every backend labels a component by one of its vertices, so labels
+// live in [0, len(labels)) and one indexed pass over a flat seen-array
+// counts them in O(n) — the map that used to live here cost more than
+// a whole native run on large graphs. The map fallback only exists so
+// a future backend with out-of-range labels degrades instead of
+// panicking.
+func countLabels(labels []int32, seen *[]bool) int {
 	n := len(labels)
-	seen := make([]bool, n)
+	if cap(*seen) >= n {
+		*seen = (*seen)[:n]
+		clear(*seen)
+	} else {
+		*seen = make([]bool, n)
+	}
+	marks := *seen
 	count := 0
 	for _, l := range labels {
 		if uint(l) >= uint(n) {
 			return countLabelsGeneric(labels)
 		}
-		if !seen[l] {
-			seen[l] = true
+		if !marks[l] {
+			marks[l] = true
 			count++
 		}
 	}
@@ -134,7 +144,7 @@ func newResult(wall time.Duration, labels []int32, stats Stats) *Result {
 	stats.Wall = wall
 	return &Result{
 		Labels:        labels,
-		NumComponents: countLabels(labels),
+		NumComponents: countLabels(labels, new([]bool)),
 		Stats:         stats,
 	}
 }
@@ -156,14 +166,14 @@ func apply(opts []Option) config {
 // field zero. This is the recommended entry point when the goal is the
 // answer rather than a specific theorem's cost profile.
 //
-// Components is a compatibility wrapper over a process-shared Solver
-// for the chosen (backend, workers) pair: the engine and its worker
-// pool are built once and reused across calls, not torn down per call.
-// Callers who want cancellation, deadlines, or zero steady-state
-// allocations should hold their own Solver; callers serving concurrent
-// queries during recomputes should use Service.
+// Components is one Solve on a Solver built for this call and closed
+// before it returns, so each call pays for its own engine and worker
+// pool and the Result owns its labels. Callers who solve repeatedly,
+// or want cancellation and deadlines, should hold their own Solver;
+// callers serving concurrent queries during recomputes should use
+// Service.
 func Components(g *graph.Graph, opts ...Option) (*Result, error) {
-	return sharedSolve(context.Background(), g, apply(opts))
+	return solveOnce(g, apply(opts))
 }
 
 // ConnectedComponents computes the connected components of g with the
@@ -171,12 +181,30 @@ func Components(g *graph.Graph, opts ...Option) (*Result, error) {
 // simulated time with O(m) processors, with good probability. The
 // returned labels are always correct: if the round cap is exhausted
 // (Stats.Failed), the Theorem-1 postprocessing still completes the
-// computation. Like Components, it is a wrapper over the shared
-// simulated-backend Solver.
+// computation. Like Components, it runs a one-shot Solver, here always
+// on the simulated backend.
 func ConnectedComponents(g *graph.Graph, opts ...Option) (*Result, error) {
 	c := apply(opts)
 	c.backend = BackendSimulated
-	return sharedSolve(context.Background(), g, c)
+	return solveOnce(g, c)
+}
+
+// solveOnce runs one Solve on a Solver of its own and closes it. No
+// other Solve can rewrite that Solver's buffers, so the labels are
+// returned without a copy; only the Result header is copied, so the
+// closed engine is not kept reachable through it.
+func solveOnce(g *graph.Graph, c config) (*Result, error) {
+	s, err := newSolverFromConfig(c)
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
+	res, err := s.Solve(context.Background(), g)
+	if err != nil {
+		return nil, err
+	}
+	out := *res
+	return &out, nil
 }
 
 // ConnectedComponentsLogLog computes connected components with the

@@ -37,7 +37,7 @@ func (out *solveOutput) setLabels(src []int32) {
 // visible to callers. close releases any long-lived resources (worker
 // pools); it is idempotent.
 type engine interface {
-	solve(ctx context.Context, g *graph.Graph, c *config, out *solveOutput) error
+	solve(ctx context.Context, g *graph.Graph, out *solveOutput) error
 	close()
 }
 
@@ -66,8 +66,7 @@ type streamEngine interface {
 
 // backendInfo is one registry entry: the Backend value, its canonical
 // flag/JSON name, accepted aliases, and the factory building its
-// engine from the construction-time knobs of a config (workers,
-// grain); per-call parameters travel with each solve instead.
+// engine from a config.
 type backendInfo struct {
 	backend   Backend
 	name      string
@@ -85,7 +84,7 @@ var registry = []backendInfo{
 		name:    "simulated",
 		aliases: []string{"sim"},
 		newEngine: func(c *config) engine {
-			return &simulatedEngine{workers: c.workers}
+			return &simulatedEngine{workers: c.workers, params: coreParams(c)}
 		},
 	},
 	{
@@ -150,10 +149,11 @@ func errUnknownBackend(v interface{}) error {
 // simulation itself.
 type simulatedEngine struct {
 	workers int
+	params  core.Params // everything but Ctx, which each solve sets
 }
 
-func (e *simulatedEngine) solve(ctx context.Context, g *graph.Graph, c *config, out *solveOutput) error {
-	m := pram.New(e.workers)
+// coreParams maps a config's algorithm options onto core.Params.
+func coreParams(c *config) core.Params {
 	p := core.DefaultParams(c.seed)
 	if c.maxRounds > 0 {
 		p.MaxRounds = c.maxRounds
@@ -168,6 +168,12 @@ func (e *simulatedEngine) solve(ctx context.Context, g *graph.Graph, c *config, 
 		p.MaxLinkIters = c.maxLinkIters
 	}
 	p.DisableBoost = c.disableBoost
+	return p
+}
+
+func (e *simulatedEngine) solve(ctx context.Context, g *graph.Graph, out *solveOutput) error {
+	m := pram.New(e.workers)
+	p := e.params
 	p.Ctx = ctx
 	res := core.Run(m, g, p)
 	if res.CtxErr != nil {
@@ -203,7 +209,7 @@ type nativeEngine struct {
 	eng *native.Engine
 }
 
-func (e *nativeEngine) solve(ctx context.Context, g *graph.Graph, c *config, out *solveOutput) error {
+func (e *nativeEngine) solve(ctx context.Context, g *graph.Graph, out *solveOutput) error {
 	if cap(out.labels) >= g.N {
 		out.labels = out.labels[:g.N]
 	} else {
@@ -235,7 +241,7 @@ type incrementalEngine struct {
 	eng *incremental.Engine
 }
 
-func (e *incrementalEngine) solve(ctx context.Context, g *graph.Graph, c *config, out *solveOutput) error {
+func (e *incrementalEngine) solve(ctx context.Context, g *graph.Graph, out *solveOutput) error {
 	e.eng.Reset(g.N)
 	snap, err := e.eng.AddGraphContext(ctx, g)
 	if err != nil {

@@ -33,9 +33,11 @@ func TestNewResultWallExcludesCounting(t *testing.T) {
 
 // TestCountLabelsMatchesReference cross-checks the O(n) slice-indexed
 // count against the map-based reference on random in-range labelings
-// and on the degenerate shapes.
+// and on the degenerate shapes. One seen buffer is carried across all
+// calls, so a reused buffer's stale marks must not leak into a count.
 func TestCountLabelsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	var seen []bool
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + rng.Intn(2000)
 		labels := make([]int32, n)
@@ -43,19 +45,19 @@ func TestCountLabelsMatchesReference(t *testing.T) {
 		for i := range labels {
 			labels[i] = int32(rng.Intn(reps))
 		}
-		if got, want := countLabels(labels), countLabelsGeneric(labels); got != want {
+		if got, want := countLabels(labels, &seen), countLabelsGeneric(labels); got != want {
 			t.Fatalf("n=%d: countLabels=%d, reference=%d", n, got, want)
 		}
 	}
-	if got := countLabels(nil); got != 0 {
+	if got := countLabels(nil, &seen); got != 0 {
 		t.Fatalf("countLabels(nil) = %d", got)
 	}
-	if got := countLabels([]int32{0, 0, 0}); got != 1 {
+	if got := countLabels([]int32{0, 0, 0}, &seen); got != 1 {
 		t.Fatalf("all-same = %d", got)
 	}
 	// Out-of-range labels must not panic: the generic fallback counts
 	// them (no current backend produces these).
-	if got := countLabels([]int32{5, -1, 5}); got != 2 {
+	if got := countLabels([]int32{5, -1, 5}, &seen); got != 2 {
 		t.Fatalf("out-of-range fallback = %d", got)
 	}
 }

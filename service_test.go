@@ -69,8 +69,8 @@ func TestServiceIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sv.Close()
-	for _, batch := range g.EdgeBatches(7) {
-		res, err := sv.Ingest(context.Background(), batch)
+	for _, span := range g.SpanBatches(7) {
+		res, err := sv.Ingest(context.Background(), span.Pairs())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,8 +185,8 @@ func TestServiceConcurrentQueriesDuringWrites(t *testing.T) {
 			}
 		}()
 	}
-	for _, batch := range g.EdgeBatches(20) {
-		if _, err := sv.Ingest(context.Background(), batch); err != nil {
+	for _, span := range g.SpanBatches(20) {
+		if _, err := sv.Ingest(context.Background(), span.Pairs()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -214,9 +214,9 @@ func TestServiceIngestAfterCancelledUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sv.Close()
-	batches := g.EdgeBatches(4)
+	batches := g.SpanBatches(4)
 	for _, b := range batches[:3] {
-		if _, err := sv.Ingest(context.Background(), b); err != nil {
+		if _, err := sv.Ingest(context.Background(), b.Pairs()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -234,7 +234,7 @@ func TestServiceIngestAfterCancelledUpdate(t *testing.T) {
 
 	// The next batch must extend the pre-Update labeling, not a wiped
 	// forest.
-	if _, err := sv.Ingest(context.Background(), batches[3]); err != nil {
+	if _, err := sv.Ingest(context.Background(), batches[3].Pairs()); err != nil {
 		t.Fatal(err)
 	}
 	if sv.N() != g.N {
@@ -302,9 +302,10 @@ func TestIncrementalStreaming(t *testing.T) {
 	if sv.NumComponents() != g.N || sv.N() != g.N {
 		t.Fatalf("fresh service: count=%d n=%d", sv.NumComponents(), sv.N())
 	}
-	batches := g.EdgeBatches(7)
+	batches := g.SpanBatches(7)
 	total := 0
-	for i, batch := range batches {
+	for i, span := range batches {
+		batch := span.Pairs()
 		res, err := sv.Ingest(context.Background(), batch)
 		if err != nil {
 			t.Fatal(err)
@@ -334,7 +335,7 @@ func TestIncrementalMatchesSimulated(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(99))
-	edges := g.Edges()
+	edges := g.Span().Pairs()
 	for trial := 0; trial < 3; trial++ {
 		rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
 		sv, err := NewService(g.N, WithBackend(BackendIncremental))
@@ -420,8 +421,8 @@ func TestIncrementalConcurrentQueries(t *testing.T) {
 			}
 		}()
 	}
-	for i, batch := range g.EdgeBatches(40) {
-		if _, err := sv.Ingest(context.Background(), batch); err != nil {
+	for i, span := range g.SpanBatches(40) {
+		if _, err := sv.Ingest(context.Background(), span.Pairs()); err != nil {
 			t.Fatal(err)
 		}
 		if err := sv.Grow(g.N + i + 1); err != nil {
@@ -433,7 +434,7 @@ func TestIncrementalConcurrentQueries(t *testing.T) {
 	if err := check.SamePartition(sv.Labels()[:g.N], baseline.Components(g)); err != nil {
 		t.Fatal(err)
 	}
-	if want := countLabels(baseline.Components(g)) + 40; sv.N() != g.N+40 || sv.NumComponents() != want {
+	if want := countLabels(baseline.Components(g), new([]bool)) + 40; sv.N() != g.N+40 || sv.NumComponents() != want {
 		t.Fatalf("after grows: N=%d components=%d", sv.N(), sv.NumComponents())
 	}
 }

@@ -80,15 +80,6 @@ func (s *Solver) Solve(ctx context.Context, g *graph.Graph) (*Result, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.solveLocked(ctx, g, &s.cfg, false)
-}
-
-// solveLocked runs one solve with s.mu held. c carries the per-call
-// parameters (the Solver's own config, or a compatibility wrapper's
-// per-call options). When copyOut is set the labels are copied into a
-// fresh Result — the free functions' historical contract — instead of
-// aliasing the reusable buffers.
-func (s *Solver) solveLocked(ctx context.Context, g *graph.Graph, c *config, copyOut bool) (*Result, error) {
 	if s.closed {
 		return nil, ErrSolverClosed
 	}
@@ -100,57 +91,16 @@ func (s *Solver) solveLocked(ctx context.Context, g *graph.Graph, c *config, cop
 		return nil, err
 	}
 	start := time.Now()
-	if err := s.eng.solve(ctx, g, c, &s.out); err != nil {
+	if err := s.eng.solve(ctx, g, &s.out); err != nil {
 		return nil, err
 	}
-	wall := time.Since(start)
 	// Wall is fixed before the O(n) label count below, so the counting
 	// pass is never charged to the run (the E11/E12 discipline).
-	s.out.stats.Wall = wall
-	num := s.countLabels(s.out.labels)
-	if copyOut {
-		labels := make([]int32, len(s.out.labels))
-		copy(labels, s.out.labels)
-		// Cache hygiene for the shared-engine path: the process-wide
-		// solvers behind the free functions live forever, so a one-off
-		// giant graph must not pin its Θ(n) scratch in them for the
-		// rest of the process. Oversized buffers are dropped here and
-		// reallocated right-sized by the next solve; steady-state
-		// same-scale workloads keep full reuse. (A caller-owned Solver
-		// never does this — its buffer lifetime is Close.)
-		if cap(s.out.labels) > maxRetainedScratch && cap(s.out.labels) > 4*g.N {
-			s.out.labels = nil
-			s.seen = nil
-		}
-		return &Result{Labels: labels, NumComponents: num, Stats: s.out.stats}, nil
-	}
+	s.out.stats.Wall = time.Since(start)
 	s.res.Labels = s.out.labels
-	s.res.NumComponents = num
+	s.res.NumComponents = countLabels(s.out.labels, &s.seen)
 	s.res.Stats = s.out.stats
 	return &s.res, nil
-}
-
-// countLabels is the O(n) distinct-label count over a reusable seen
-// buffer — the allocation-free twin of the package-level countLabels.
-func (s *Solver) countLabels(labels []int32) int {
-	n := len(labels)
-	if cap(s.seen) >= n {
-		s.seen = s.seen[:n]
-		clear(s.seen)
-	} else {
-		s.seen = make([]bool, n)
-	}
-	count := 0
-	for _, l := range labels {
-		if uint(l) >= uint(n) {
-			return countLabelsGeneric(labels)
-		}
-		if !s.seen[l] {
-			s.seen[l] = true
-			count++
-		}
-	}
-	return count
 }
 
 // SpanningForest computes a spanning forest of g with the Theorem 2
@@ -229,77 +179,4 @@ func (s *Solver) Close() {
 		s.closed = true
 		s.eng.close()
 	}
-}
-
-// ---- the shared engines behind the compatibility wrappers ----
-
-// engineKey identifies a reusable shared engine: everything an engine's
-// construction depends on. Per-call parameters (seed, round caps, …)
-// travel with each solve instead.
-type engineKey struct {
-	backend Backend
-	workers int
-	grain   int
-}
-
-var (
-	sharedMu      sync.Mutex
-	sharedSolvers = map[engineKey]*Solver{}
-)
-
-// sharedSolverCap bounds the cache of shared engines (and their worker
-// pools). Beyond it — dozens of distinct (backend, workers) pairs, a
-// fuzzing scenario, not a production one — calls fall back to a
-// one-shot engine, which is exactly the pre-Solver behavior.
-const sharedSolverCap = 64
-
-// maxRetainedScratch is the label-buffer capacity (in entries) above
-// which a shared solver releases its scratch after a copy-out solve
-// instead of retaining it indefinitely: 1<<22 entries ≈ 16 MB of
-// labels plus 4 MB of seen bits per cached engine.
-const maxRetainedScratch = 1 << 22
-
-// sharedSolve is the engine room of the free functions: it routes the
-// call through a process-wide Solver for (backend, workers), so
-// steady-state callers of Components never rebuild an engine or a
-// worker pool, and copies the labels out so the returned Result owns
-// its memory (the historical free-function contract). When the shared
-// engine is busy on another goroutine the call falls back to a
-// transient engine rather than serializing — concurrent Components
-// calls stay concurrent.
-func sharedSolve(ctx context.Context, g *graph.Graph, c config) (*Result, error) {
-	if err := validate(g); err != nil {
-		return nil, err
-	}
-	key := engineKey{backend: c.backend, workers: c.workers, grain: c.grain}
-	sharedMu.Lock()
-	s, ok := sharedSolvers[key]
-	if !ok {
-		if _, registered := lookupBackend(c.backend); !registered {
-			sharedMu.Unlock()
-			return nil, errUnknownBackend(int(c.backend))
-		}
-		if len(sharedSolvers) < sharedSolverCap {
-			var err error
-			s, err = newSolverFromConfig(c)
-			if err != nil {
-				sharedMu.Unlock()
-				return nil, err
-			}
-			sharedSolvers[key] = s
-		}
-	}
-	sharedMu.Unlock()
-	if s != nil && s.mu.TryLock() {
-		defer s.mu.Unlock()
-		return s.solveLocked(ctx, g, &c, true)
-	}
-	t, err := newSolverFromConfig(c)
-	if err != nil {
-		return nil, err
-	}
-	defer t.Close()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.solveLocked(ctx, g, &c, true)
 }

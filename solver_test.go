@@ -1,6 +1,7 @@
 package pramcc
 
 import (
+	"bytes"
 	"context"
 	"strings"
 	"sync"
@@ -164,11 +165,9 @@ func TestNewSolverUnregisteredBackend(t *testing.T) {
 	}
 }
 
-// TestComponentsConcurrent: the compatibility wrappers route through
-// process-shared engines; concurrent callers must stay safe (the
-// shared engine is TryLock-guarded, the overflow path gets a transient
-// engine) and every call must return an independent, correct Result.
-// Run under -race in CI.
+// TestComponentsConcurrent: every free-function call runs a one-shot
+// Solver of its own, so concurrent callers share no engine state and
+// each must get an independent, correct Result. Run under -race in CI.
 func TestComponentsConcurrent(t *testing.T) {
 	g := graph.Gnm(3000, 9000, 21)
 	want := baseline.Components(g)
@@ -197,9 +196,8 @@ func TestComponentsConcurrent(t *testing.T) {
 	}
 }
 
-// TestFreeFunctionsStillIndependent: the compatibility wrappers'
-// historical contract — every call returns an independently owned
-// Result — must survive the shared-engine rewiring.
+// TestFreeFunctionsStillIndependent: every free-function call returns
+// an independently owned Result that no later call can rewrite.
 func TestFreeFunctionsStillIndependent(t *testing.T) {
 	g := graph.Gnm(500, 1500, 3)
 	for _, bk := range Backends() {
@@ -215,6 +213,38 @@ func TestFreeFunctionsStillIndependent(t *testing.T) {
 			if r1.Labels[i] != keep[i] {
 				t.Fatalf("%v: a later Components call mutated an earlier result", bk)
 			}
+		}
+	}
+}
+
+// poolWorkers reads the pramcc_pool_workers gauge through WriteMetrics.
+func poolWorkers(t *testing.T) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, "pramcc_pool_workers "); ok {
+			return v
+		}
+	}
+	t.Fatal("pramcc_pool_workers missing from WriteMetrics output")
+	return ""
+}
+
+// TestFreeFunctionsLeaveNoPool: a free-function call builds its engine,
+// solves and closes it, so no worker pool outlives the call. Not
+// parallel: the gauge counts every pool in the process.
+func TestFreeFunctionsLeaveNoPool(t *testing.T) {
+	g := graph.Gnm(500, 1500, 3)
+	for _, bk := range []Backend{BackendNative, BackendIncremental} {
+		before := poolWorkers(t)
+		if _, err := Components(g, WithBackend(bk), WithWorkers(3)); err != nil {
+			t.Fatal(err)
+		}
+		if after := poolWorkers(t); after != before {
+			t.Fatalf("%v: pramcc_pool_workers %s -> %s after one Components call", bk, before, after)
 		}
 	}
 }

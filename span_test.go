@@ -58,7 +58,7 @@ func FuzzSpanPairEquivalence(f *testing.F) {
 
 		ctx := context.Background()
 		span := g.Span()
-		edges := g.Edges()
+		edges := g.Span().Pairs()
 		lo := 0
 		for _, hi := range cuts {
 			if _, err := spanSv.IngestSpan(ctx, span.Slice(lo, hi)); err != nil {
