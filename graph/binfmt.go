@@ -7,6 +7,10 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime"
+	"sync"
+
+	"repro/internal/pool"
 )
 
 // Binary graph format, version 1. All integers are little-endian:
@@ -32,8 +36,14 @@ const (
 	binVersion    = 1
 	binHeaderSize = 24
 	// binChunkEdges is the encode and decode buffer granularity:
-	// 1 MiB of edge records.
+	// 1 MiB of edge records. A file read splits it among its workers,
+	// so their buffers together stay within 1 MiB.
 	binChunkEdges = 1 << 17
+	// binMinReadEdges is the smallest read a file read gives one
+	// worker, 128 KiB of records; with the 1 MiB budget it caps a file
+	// read at 8 workers. Readings so far come from a 2-CPU host, so
+	// the cap is unmeasured beyond 2 workers.
+	binMinReadEdges = 1 << 14
 )
 
 // WriteBinary writes the graph in the binary format above. It is the
@@ -71,15 +81,15 @@ func (g *Graph) WriteBinary(w io.Writer) error {
 // the magic, version, and every edge endpoint, and rejects truncated
 // files and trailing garbage with descriptive errors. It is a thin
 // wrapper over ReadBinarySpan, which decodes straight into the
-// columnar arc representation the Graph adopts without a copy.
+// columnar arc representation the Graph adopts without a copy; a
+// regular file is decoded in parallel, as ReadBinarySpan describes.
 func ReadBinary(r io.Reader) (*Graph, error) {
-	return readBinary(r, remainingSize(r))
+	return readBinary(r, sourceOf(r))
 }
 
-// readBinary is ReadBinary given the byte count r holds, or -1 when
-// that is unknown.
-func readBinary(r io.Reader, size int64) (*Graph, error) {
-	n, span, err := readBinarySpan(r, size)
+// readBinary is ReadBinary given what src knows about r.
+func readBinary(r io.Reader, src binSource) (*Graph, error) {
+	n, span, err := readBinarySpan(r, src)
 	if err != nil {
 		return nil, err
 	}
@@ -97,36 +107,54 @@ func readBinary(r io.Reader, size int64) (*Graph, error) {
 //
 // The two columns are the only allocation that grows with the input.
 // When r is a regular file whose remaining size matches the header,
-// they are allocated up front and the records are decoded into them
-// one fixed-size chunk at a time. Otherwise the records are read in
-// chunks first and the columns allocated once the bytes have arrived,
-// so a corrupt header declaring a huge m cannot force a huge
-// allocation.
+// they are allocated up front and filled in parallel: up to
+// GOMAXPROCS workers (at most 8, and no more than the file has chunks)
+// each pread disjoint ranges of records into a buffer of their own and
+// decode them straight into the columns, and the first bad edge in
+// file order is the one reported. A file of one chunk, or a one-CPU
+// process, gets one worker, which reads the chunks in order on the
+// calling goroutine. Otherwise the records are read in chunks first
+// and the columns allocated once the bytes have arrived, so a corrupt
+// header declaring a huge m cannot force a huge allocation.
 func ReadBinarySpan(r io.Reader) (int, EdgeSpan, error) {
-	return readBinarySpan(r, remainingSize(r))
+	return readBinarySpan(r, sourceOf(r))
 }
 
-// remainingSize returns the number of bytes left in r from its current
-// offset when r is a regular file, and -1 for any other reader.
-func remainingSize(r io.Reader) int64 {
+// binSource is what a binary reader knows about its input besides the
+// io.Reader: the regular file behind it, if any, and how to read that
+// file in parallel.
+type binSource struct {
+	f    *os.File // nil unless the input is a regular file
+	off  int64    // the file offset the input starts at
+	size int64    // bytes left in the file from off; -1 when f is nil
+	// When the file's size matches its header, up to workers workers
+	// pread chunk records at a time.
+	workers, chunk int
+}
+
+// sourceOf describes r: for a regular file, its offset, the bytes left
+// from there and the default parallel read; for any other reader, a
+// size of -1.
+func sourceOf(r io.Reader) binSource {
+	none := binSource{size: -1}
 	f, ok := r.(*os.File)
 	if !ok {
-		return -1
+		return none
 	}
 	st, err := f.Stat()
 	if err != nil || !st.Mode().IsRegular() {
-		return -1
+		return none
 	}
 	off, err := f.Seek(0, io.SeekCurrent)
 	if err != nil {
-		return -1
+		return none
 	}
-	return st.Size() - off
+	w := min(runtime.GOMAXPROCS(0), binChunkEdges/binMinReadEdges)
+	return binSource{f: f, off: off, size: st.Size() - off, workers: w, chunk: binChunkEdges / w}
 }
 
-// readBinarySpan is ReadBinarySpan given the byte count r holds, or -1
-// when that is unknown.
-func readBinarySpan(r io.Reader, size int64) (int, EdgeSpan, error) {
+// readBinarySpan is ReadBinarySpan given what src knows about r.
+func readBinarySpan(r io.Reader, src binSource) (int, EdgeSpan, error) {
 	var hdr [binHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, EdgeSpan{}, fmt.Errorf("graph: binary header: %w", err)
@@ -145,36 +173,68 @@ func readBinarySpan(r io.Reader, size int64) (int, EdgeSpan, error) {
 	if m > math.MaxInt32 {
 		return 0, EdgeSpan{}, fmt.Errorf("graph: edge count %d exceeds int32 range", m)
 	}
-	if size == binHeaderSize+8*int64(m) {
-		span, err := readSizedEdges(r, n, m)
+	if src.size != binHeaderSize+8*int64(m) {
+		span, err := readUnsizedEdges(r, n, m)
 		return int(n), span, err
 	}
-	span, err := readUnsizedEdges(r, n, m)
+	span, err := readFileEdges(src, n, m)
 	return int(n), span, err
 }
 
-// readSizedEdges decodes m records whose arrival the file size has
-// vouched for: the columns are allocated first, and each chunk is
-// decoded into them as soon as it is read.
-func readSizedEdges(r io.Reader, n, m uint64) (EdgeSpan, error) {
+// readFileEdges decodes m records whose arrival the file size has
+// vouched for. The columns are allocated first; then up to src.workers
+// workers, one per chunk at most, claim chunks of src.chunk records on
+// a locality-aware pool, pread each into a buffer of their own and
+// decode it into the columns. Every chunk is read and checked, so the
+// error kept — the one of the first failing chunk — is the one a
+// sequential read would have met first. One byte past the last record
+// is read to reject trailing data (the size may have changed since it
+// was taken), and the file is left positioned after the records.
+func readFileEdges(src binSource, n, m uint64) (EdgeSpan, error) {
 	span := EdgeSpan{U: make([]int32, 2*m), V: make([]int32, 2*m)}
-	buf := make([]byte, 8*min(m, binChunkEdges))
-	for done := uint64(0); done < m; {
-		k := min(m-done, binChunkEdges)
-		got, err := io.ReadFull(r, buf[:8*k])
-		if err != nil {
-			return EdgeSpan{}, edgeArrayError(err, done+uint64(got)/8, m)
+	base := src.off + binHeaderSize
+	chunk := uint64(src.chunk)
+	workers := max(1, min(src.workers, int((m+chunk-1)/chunk)))
+	bufs := make([][]byte, workers)
+	var (
+		mu       sync.Mutex
+		firstAt  int
+		firstErr error
+	)
+	fail := func(at int, err error) {
+		mu.Lock()
+		if firstErr == nil || at < firstAt {
+			firstAt, firstErr = at, err
 		}
-		if err := decodeEdges(span, done, buf[:8*k], n); err != nil {
-			return EdgeSpan{}, err
-		}
-		done += k
+		mu.Unlock()
 	}
+	p := pool.New(workers)
+	p.Sharded(int(m), src.chunk, func(worker, lo, hi int) bool {
+		if bufs[worker] == nil {
+			bufs[worker] = make([]byte, 8*min(chunk, m))
+		}
+		buf := bufs[worker][:8*(hi-lo)]
+		// Chunks are disjoint, so lo orders a chunk's error among them.
+		if got, err := src.f.ReadAt(buf, base+8*int64(lo)); err != nil {
+			fail(lo, edgeArrayError(err, uint64(lo+got/8), m))
+		} else if err := decodeEdges(span, uint64(lo), buf, n); err != nil {
+			fail(lo, err)
+		}
+		return true
+	})
+	p.Close()
+	if firstErr != nil {
+		return EdgeSpan{}, firstErr
+	}
+	end := base + 8*int64(m)
 	var extra [1]byte
-	if got, err := io.ReadFull(r, extra[:]); got > 0 {
+	if got, err := src.f.ReadAt(extra[:], end); got > 0 {
 		return EdgeSpan{}, fmt.Errorf("graph: trailing data after %d binary edges", m)
 	} else if err != io.EOF {
 		return EdgeSpan{}, edgeArrayError(err, m, m)
+	}
+	if _, err := src.f.Seek(end, io.SeekStart); err != nil {
+		return EdgeSpan{}, fmt.Errorf("graph: binary edge array: %w", err)
 	}
 	return span, nil
 }
@@ -252,13 +312,18 @@ func decodeEdges(span EdgeSpan, first uint64, data []byte, n uint64) error {
 // workers). This is what cmd/ccfind and cmd/ccbench use, so both
 // commands accept both formats transparently. A regular file's size
 // is taken before the reader is buffered, so a binary file's columns
-// are allocated once, up front.
+// are allocated once, up front, and filled by parallel reads of the
+// file (see ReadBinarySpan).
 func ReadAuto(r io.Reader) (*Graph, error) {
-	size := remainingSize(r)
+	return readAuto(r, sourceOf(r))
+}
+
+// readAuto is ReadAuto given what src knows about r.
+func readAuto(r io.Reader, src binSource) (*Graph, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	head, err := br.Peek(len(binMagic))
 	if err == nil && string(head) == binMagic {
-		return readBinary(br, size)
+		return readBinary(br, src)
 	}
 	if err != nil && err != io.EOF {
 		return nil, err

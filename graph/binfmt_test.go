@@ -230,3 +230,38 @@ func TestReadBinaryEmptyGraph(t *testing.T) {
 		t.Fatalf("n=%d m=%d, want empty", g2.N, g2.NumEdges())
 	}
 }
+
+// TestReadFileEdgesFileChangedUnderIt: the parallel file read trusts
+// the size taken before it started, so a file that grew or shrank
+// since must still fail as a sequential read would — trailing data
+// through the one-byte read past the last record, a short file as a
+// truncation at its first missing edge.
+func TestReadFileEdgesFileChangedUnderIt(t *testing.T) {
+	data := binBytes(t, Gnm(50, 40, 8))
+	cases := []struct {
+		name    string
+		file    []byte
+		wantErr string
+	}{
+		{"grew", append(bytes.Clone(data), 0), "trailing data after 40 binary edges"},
+		{"shrank", data[:len(data)-8*15-3], "truncated after 24 of 40 edges"},
+	}
+	for _, tc := range cases {
+		path := filepath.Join(t.TempDir(), "g.bin")
+		if err := os.WriteFile(path, tc.file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		src := sourceOf(f)
+		src.size = int64(len(data)) // the size the header vouches for
+		src.workers, src.chunk = 3, 4
+		_, _, err = readBinarySpan(f, src)
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Fatalf("%s: error %v, want %q", tc.name, err, tc.wantErr)
+		}
+	}
+}

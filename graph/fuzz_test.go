@@ -2,6 +2,8 @@ package graph
 
 import (
 	"bytes"
+	"io"
+	"os"
 	"testing"
 )
 
@@ -94,6 +96,71 @@ func FuzzReadBinary(f *testing.F) {
 		}
 		if !bytes.Equal(buf.Bytes(), data) {
 			t.Fatalf("accepted input is not canonical: %d bytes in, %d bytes out", len(data), buf.Len())
+		}
+	})
+}
+
+// FuzzReadBinaryFile: reading a binary graph from a file — at offset 0
+// and after a prefix, through ReadAuto's default plan and through a
+// parallel read of two-edge chunks on three workers — accepts exactly
+// what ReadBinary accepts from memory, with identical columns, or
+// fails with the same error text: truncation, trailing data, the first
+// out-of-range edge. A successful read leaves the file at its end.
+func FuzzReadBinaryFile(f *testing.F) {
+	var seed bytes.Buffer
+	Gnm(20, 60, 1).WriteBinary(&seed)
+	valid := seed.Bytes()
+	f.Add(valid)
+	f.Add(valid[:len(valid)-3])                     // truncated
+	f.Add(append(valid[:len(valid):len(valid)], 0)) // trailing byte
+	bad := bytes.Clone(valid)
+	bad[binHeaderSize+8*7] = 99 // edges 7 and 41 out of range
+	bad[binHeaderSize+8*41+4] = 99
+	f.Add(bad)
+	f.Add([]byte("PCCG"))
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if !bytes.HasPrefix(data, []byte(binMagic)) {
+			return // ReadAuto hands these to the text parser
+		}
+		want, wantErr := ReadBinary(bytes.NewReader(data))
+		for _, prefix := range []string{"", "prefix bytes"} {
+			file, err := os.CreateTemp(dir, "g-*.bin")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer os.Remove(file.Name())
+			defer file.Close()
+			if _, err := file.WriteString(prefix); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := file.Write(data); err != nil {
+				t.Fatal(err)
+			}
+			reads := map[string]func() (*Graph, error){
+				"ReadAuto": func() (*Graph, error) { return ReadAuto(file) },
+				"parallel": func() (*Graph, error) {
+					src := sourceOf(file)
+					src.workers, src.chunk = 3, 2
+					return readAuto(file, src)
+				},
+			}
+			for name, read := range reads {
+				if _, err := file.Seek(int64(len(prefix)), io.SeekStart); err != nil {
+					t.Fatal(err)
+				}
+				got, err := read()
+				if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+					t.Fatalf("%s with %d-byte prefix: error %v, want %v", name, len(prefix), err, wantErr)
+				}
+				if err != nil {
+					continue
+				}
+				sameGraph(t, want, got)
+				if off, _ := file.Seek(0, io.SeekCurrent); off != int64(len(prefix)+len(data)) {
+					t.Fatalf("%s with %d-byte prefix: file left at %d, want its end %d", name, len(prefix), off, len(prefix)+len(data))
+				}
+			}
 		}
 	})
 }

@@ -21,12 +21,20 @@
 // internal/pool: each worker sweeps a sticky contiguous home range of
 // the edge (and vertex) space first and steals from other ranges only
 // after exhausting it, so the same label cache lines keep landing in
-// the same core across the rounds of a solve. The first link sweep
-// links each edge to the root (the incremental engine's union
-// discipline, with path splitting), which connects the whole label
-// forest in one pass regardless of diameter, so the rounds that follow
-// are cheap verification sweeps; the convergence test — a full round
-// with no change — is unchanged and still ranges over every edge.
+// the same core across the rounds of a solve. The first round links
+// each edge to the root (the incremental engine's union discipline,
+// with path splitting), which connects the whole label forest in one
+// pass regardless of diameter, so the rounds that follow are cheap
+// verification sweeps. On graphs with m ≥ 2.5n the first round goes
+// sample → shortcut → finish (the Afforest/ConnectIt recipe): it
+// root-links every s-th edge, s = ⌊m/(5n/4)⌋, so about 1.25n edges
+// build most of the forest, shortcuts it flat, then sweeps every edge,
+// skipping those whose endpoints already carry one label (two reads,
+// no CAS — the bulk of a sample's giant component) and root-linking
+// the rest, before the round's shortcut. Below that density round 1
+// is the single root-link sweep over every edge. Either way the
+// convergence test — a full round of one-hop links with no change — is
+// unchanged and still ranges over every edge.
 // Every link sweep reads edge i as the mirror pair (g.U[2i], g.U[2i+1]):
 // the graph's own U column already is the interleaved [u v] record
 // layout, so no sweep touches V and the engine keeps no copy of the
@@ -91,10 +99,23 @@ type Result struct {
 
 // phase selects the chunk body of the current sweep.
 const (
-	phaseRootLink int32 = iota // link every edge's roots (the first sweep)
-	phaseLink                  // one-hop CAS-min over every edge
+	phaseRootLink   int32 = iota // link the roots of every stride-th edge
+	phaseFinishLink              // link the roots of edges whose labels differ
+	phaseLink                    // one-hop CAS-min over every edge
 	phaseShortcut
 )
+
+// sampleStride returns the stride s of round 1's sample, ⌊m/(5n/4)⌋,
+// so the sample holds about 1.25·n edges. The sample pays off only
+// when it leaves most edges to the skip test, so callers sample only
+// at s ≥ 2, that is m ≥ 2.5·n (forcing s = 2 was no faster at m/n = 2
+// and slower at m/n = 1); the constant is from the stride sweep in
+// EXPERIMENTS.md appendix A3.
+//
+//pramcc:zeroalloc
+func sampleStride(n, m int) int {
+	return int(4 * int64(m) / (5 * int64(n)))
+}
 
 // Engine is a reusable shared-memory solver. It owns a worker pool
 // spawned once at construction; Run may be called any number of times
@@ -112,6 +133,7 @@ type Engine struct {
 	g      *graph.Graph
 	labels []int32
 	phase  int32
+	stride int // phaseRootLink's edge stride: 1, or round 1's sample stride
 
 	// chunk is the sweep body bound once at construction so Run does
 	// not create a closure (and therefore does not allocate) per call.
@@ -183,6 +205,10 @@ func (e *Engine) Run(ctx context.Context, g *graph.Graph, labels []int32) (int, 
 	if e.noRootLink {
 		linkPhase = phaseLink
 	}
+	e.stride = sampleStride(g.N, numEdges)
+	if e.stride < 2 {
+		e.stride = 1
+	}
 
 	// Event emission is decided once per run: the envelope (and its
 	// measures map) is built only when an operator attached a sink, so
@@ -203,7 +229,16 @@ func (e *Engine) Run(ctx context.Context, g *graph.Graph, labels []int32) (int, 
 		if emit {
 			roundStart = time.Now()
 		}
-		linked := e.sweep(linkPhase, numEdges)
+		var linked bool
+		if linkPhase == phaseRootLink && e.stride > 1 {
+			// Round 1 on a dense graph: sample, shortcut, finish. The
+			// verification round still sees every edge.
+			linked = e.sweep(phaseRootLink, (numEdges+e.stride-1)/e.stride)
+			e.sweep(phaseShortcut, g.N)
+			linked = e.sweep(phaseFinishLink, numEdges) || linked
+		} else {
+			linked = e.sweep(linkPhase, numEdges)
+		}
 		linkPhase = phaseLink
 		cut := e.sweep(phaseShortcut, g.N)
 		if emit {
@@ -258,6 +293,8 @@ func (e *Engine) chunkBody(_, lo, hi int) bool {
 	switch e.phase {
 	case phaseRootLink:
 		local = e.rootLinkEdges(lo, hi)
+	case phaseFinishLink:
+		local = e.finishLinkEdges(lo, hi)
 	case phaseLink:
 		local = e.link(lo, hi)
 	default:
@@ -297,22 +334,45 @@ func (e *Engine) link(lo, hi int) bool {
 	return local
 }
 
-// rootLinkEdges is the first link sweep: it links each edge of
-// [lo, hi), read as link reads it, all the way — the larger root is
-// CAS-linked under the smaller, retrying from the fresh roots on
-// contention, so both endpoints share a root when the call moves on
-// (the incremental engine's union discipline). One such sweep connects
-// the whole label forest regardless of diameter, so the rounds that
-// follow are cheap all-labels-equal verification sweeps instead of
-// further rounds of propagation.
+// rootLinkEdges is the first link sweep: for each j in [lo, hi) it
+// links edge j·stride, read as link reads it, all the way — the larger
+// root is CAS-linked under the smaller, retrying from the fresh roots
+// on contention, so both endpoints share a root when the call moves on
+// (the incremental engine's union discipline). With stride 1 it covers
+// every edge, and one such sweep connects the whole label forest
+// regardless of diameter, so the rounds that follow are cheap
+// all-labels-equal verification sweeps instead of further rounds of
+// propagation; with a larger stride it links round 1's sample.
 //
 //pramcc:zeroalloc
 func (e *Engine) rootLinkEdges(lo, hi int) bool {
+	arcs, labels, stride := e.g.U, e.labels, e.stride
+	local := false
+	for j := lo; j < hi; j++ {
+		i := 2 * j * stride
+		u, v := arcs[i], arcs[i+1]
+		if u == v {
+			continue
+		}
+		local = rootLink(labels, u, v) || local
+	}
+	return local
+}
+
+// finishLinkEdges is the rest of a sampled first round: every edge of
+// [lo, hi) whose endpoints carry different labels is root-linked, and
+// the others are skipped. The skip is sound because equal labels mean
+// u and v have the same parent, so they already share a tree; after
+// the sample's shortcut that covers most edges of its giant component,
+// which then cost two reads and no CAS.
+//
+//pramcc:zeroalloc
+func (e *Engine) finishLinkEdges(lo, hi int) bool {
 	arcs, labels := e.g.U, e.labels
 	local := false
 	for i := lo; i < hi; i++ {
 		u, v := arcs[2*i], arcs[2*i+1]
-		if u == v {
+		if atomic.LoadInt32(&labels[u]) == atomic.LoadInt32(&labels[v]) {
 			continue
 		}
 		local = rootLink(labels, u, v) || local

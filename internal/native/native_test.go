@@ -231,3 +231,56 @@ func TestEngineFirstRunZeroAlloc(t *testing.T) {
 	}
 	requireOracle(t, g, labels)
 }
+
+// TestSampledFirstRound: the sample → shortcut → finish first round
+// and the single root-link sweep below its cutoff both yield exactly
+// the BFS oracle's minimum-id labels, on every worker count and grain.
+// The graphs straddle the cutoff m ≥ 2.5n (stride ≥ 2), put self-loops,
+// multi-edges and isolated vertices into a sampled graph, and include
+// an ordered circulant, whose stride-s sample hits the same few
+// offsets of every vertex, next to its permuted copy.
+func TestSampledFirstRound(t *testing.T) {
+	const n = 1000
+	messy := graph.WithIsolated(graph.Gnm(n, n, 21), 50)
+	for i := 0; i < n; i++ {
+		messy.AddEdge(i, i)         // self-loop
+		messy.AddEdge(i, (i*7+3)%n) // and the same edge twice
+		messy.AddEdge(i, (i*7+3)%n)
+	}
+	cases := []struct {
+		name   string
+		g      *graph.Graph
+		sample bool
+	}{
+		{"below-cutoff", graph.Gnm(n, 5*n/2-1, 22), false},
+		{"at-cutoff", graph.Gnm(n, 5*n/2, 22), true},
+		{"loops-multi-isolated", messy, true},
+		{"circulant", graph.Circulant(2000, 10), true},
+		{"circulant-permuted", graph.Permuted(graph.Circulant(2000, 10), 23), true},
+		{"rmat", graph.RMAT(1<<11, 1<<14, 24), true},
+		{"star", graph.Star(500), false},
+		{"empty", graph.New(0), false},
+	}
+	for _, tc := range cases {
+		g := tc.g
+		if s := sampleStride(max(g.N, 1), g.NumEdges()); (s >= 2) != tc.sample {
+			t.Fatalf("%s: n=%d m=%d gives stride %d, want sampled=%v", tc.name, g.N, g.NumEdges(), s, tc.sample)
+		}
+		want := g.ComponentsBFS()
+		for _, workers := range []int{1, 2, 4} {
+			for _, grain := range []int{0, 1, 7} {
+				res := Components(g, Options{Workers: workers, Grain: grain})
+				for v, l := range res.Labels {
+					if l != want[v] {
+						t.Fatalf("%s workers=%d grain=%d: label[%d] = %d, BFS %d",
+							tc.name, workers, grain, v, l, want[v])
+					}
+				}
+			}
+		}
+	}
+	g := graph.Gnm(50000, 500000, 25)
+	if res := Components(g, Options{}); res.Rounds != 2 {
+		t.Fatalf("Gnm(5e4, 5e5) took %d rounds, want 2 (sampled round + verification)", res.Rounds)
+	}
+}
