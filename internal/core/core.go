@@ -206,7 +206,7 @@ func newBudgetTable(b1 float64, growth, capf float64, n int) *budgetTable {
 	}
 	for {
 		v := int64(cur)
-		if v >= capV {
+		if cur >= math.MaxInt64 || v >= capV { // int64(cur) overflows past 2⁶³
 			t.b = append(t.b, capV)
 			break
 		}

@@ -219,6 +219,11 @@ func TestBudgetTableProperty(t *testing.T) {
 		}
 		return tableSize(bt.cap) >= 2*n
 	}
+	// A ladder whose next rung passes 2⁶³ before the cap (b₁ = 5,
+	// γ = 1.84, n = 47109) once wrapped to a negative budget.
+	if !f(0xb3, 0xb805, 0xc9) {
+		t.Fatal("overflowing ladder not capped")
+	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}

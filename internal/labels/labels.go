@@ -46,21 +46,27 @@ func (d *Digraph) Root(v int32) int32 {
 // The PRAM's read phase snapshots the old parents into the machine's
 // reusable buffer, so v.p.p is taken from the old digraph; the
 // processors read only the snapshot, and only processor v writes
-// Parent[v], so the writes need no atomics. Returns 1 if any parent
-// changed and 0 otherwise (an ARBITRARY-write flag, not a count).
+// Parent[v], so the writes need no atomics. Every processor writes,
+// even when v.p.p is v.p already: whether a vertex is two hops from
+// its root is unpredictable in id order, and a plain store of an
+// unchanged value is cheaper than the branch it replaces. Each range
+// ORs gp ^ v.p over its vertices and raises the flag once if the OR is
+// non-zero. Returns 1 if any parent changed and 0 otherwise (an
+// ARBITRARY-write flag, not a count).
 func (d *Digraph) Shortcut(m *pram.Machine) int {
 	par := d.Parent
 	old := m.Snapshot32(par)
 	var changed int64
 	m.StepRange(len(par), func(lo, hi int) {
-		raised := false
-		for v := lo; v < hi; v++ {
-			if gp := old[old[v]]; gp != old[v] {
-				par[v] = gp
-				raised = true
-			}
+		src, dst := old[lo:hi], par[lo:hi]
+		dst = dst[:len(src)]
+		var diff int32
+		for v, p := range src {
+			gp := old[p]
+			dst[v] = gp
+			diff |= gp ^ p
 		}
-		if raised {
+		if diff != 0 {
 			pram.Store64(&changed, 1) // arbitrary write: "some parent changed"
 		}
 	})

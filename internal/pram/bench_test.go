@@ -18,16 +18,13 @@ func BenchmarkStepSequential(b *testing.B) {
 	}
 }
 
-// BenchmarkStepParallel times the executor itself: every processor
-// writes its own cell, so no cache line is shared between workers and
-// the figure is the per-step fan-out, claim and barrier cost.
+// BenchmarkStepParallel times the executor itself: the range body does
+// nothing, so the figure is the per-step fan-out, chunk claim and
+// barrier cost a parallel step pays before any processor's work.
 func BenchmarkStepParallel(b *testing.B) {
 	m := New(0)
-	cells := make([]int64, 1<<16)
 	for i := 0; i < b.N; i++ {
-		m.Step(len(cells), func(p int) {
-			cells[p] = int64(p)
-		})
+		m.StepRange(1<<16, func(lo, hi int) {})
 	}
 }
 

@@ -4,16 +4,19 @@ import "sync/atomic"
 
 // Atomic helpers giving common-memory cells ARBITRARY CRCW semantics.
 // Within one Machine.Step, processors writing the same cell race. A
-// write of the value the cell already holds is skipped: the store would
-// change nothing, and skipping it keeps thousands of processors raising
-// one shared flag from bouncing its cache line between cores. Among the
-// writes that do land, the host's last writer wins. Either way the cell
-// ends holding a value some processor wrote, which is one legal
-// arbitrary resolution (though not a deterministic one: with more than
-// one worker the survivor depends on the host schedule). Reads of cells
-// that may be written in the same step must use Load32/Load64 so the
-// race is well-defined under the Go memory model. Cells only read in a
-// step may be accessed directly.
+// helper's write of the value the cell already holds is skipped: the
+// store would change nothing, and skipping it keeps thousands of
+// processors raising one shared flag from bouncing its cache line
+// between cores. Among the writes that do land, the host's last
+// writer wins. Either way the cell ends holding a value some
+// processor wrote, which is one legal arbitrary resolution (though
+// not a deterministic one: with more than one worker the survivor
+// depends on the host schedule). Reads of cells that may be written
+// in the same step must use Load32/Load64 so the race is well-defined
+// under the Go memory model. Cells only read in a step may be
+// accessed directly, and so may a cell only one processor writes in a
+// step (SHORTCUT's Parent[v]): such a write is a plain store and is
+// not skipped when the value is unchanged.
 
 // Store32 performs a concurrent write of v into cell (arbitrary wins);
 // it stores only if the cell does not already hold v.

@@ -4,18 +4,21 @@
 // may read or write the same common-memory cell concurrently; when
 // several write the same cell in one step, an arbitrary one succeeds.
 //
-// The simulator is coarse-grained: Machine.Step(procs, f) runs one PRAM
-// time unit by evaluating f(i) for every processor index i over a fixed
-// pool of worker goroutines, with a barrier at the end of the step;
-// Machine.StepRange is the same step with the processors handed out as
-// contiguous index ranges. Concurrent writes inside a step must go
-// through the atomic helpers in cells.go, which resolve them as
-// follows: a write of the value the cell already holds is skipped, and
-// otherwise the host's last writer wins. That is a legal ARBITRARY
-// resolution, but not a deterministic one once there is more than one
-// worker. The machine accounts simulated time (steps), per-step
-// processor usage, and total work, so experiments report model costs
-// rather than host wall clock.
+// The simulator is coarse-grained: Machine.Step(procs, f) runs one
+// PRAM time unit by evaluating f(i) for every processor index i over
+// a fixed pool of worker goroutines, with a barrier at the end of the
+// step; Machine.StepRange is the same step with the processors handed
+// out as contiguous index ranges. Concurrent writes inside a step
+// must go through the atomic helpers in cells.go, which resolve them
+// as follows: a write of the value the cell already holds is skipped,
+// and otherwise the host's last writer wins. That is a legal
+// ARBITRARY resolution, but not a deterministic one once there is
+// more than one worker. The skip belongs to those concurrent-write
+// helpers only: a cell with one writer per step, such as SHORTCUT's
+// Parent[v], is written with a plain store, unchanged value or not.
+// The machine accounts simulated time (steps), per-step processor
+// usage, and total work, so experiments report model costs rather
+// than host wall clock.
 //
 // What a step charges and what the host executes are separate:
 // Machine.StepN charges its full processor count while the host runs

@@ -24,7 +24,8 @@ type State struct {
 // NewState initializes the self-labeled digraph and arc store for n
 // vertices and the columnar arc span — the same SoA view the native
 // and incremental engines ingest, so simulator callers pass g.Span()
-// (or any loader/replay span) without boxing.
+// (or any loader/replay span) without boxing. The span's arcs must come
+// in mirror pairs, as a Graph's do: LINK sweeps them pairwise.
 func NewState(n int, span graph.EdgeSpan, seed uint64) *State {
 	return &State{
 		D:    labels.NewSelfLabeled(n),
@@ -54,25 +55,42 @@ func (s *State) RunPhase(m *pram.Machine) bool {
 	// reads (see leader).
 	m.StepN(s.D.N(), 0, nil)
 
-	// LINK: for each graph arc (v,w): if v.l=0 and w.l=1, v.p := w.
-	// Trees are flat at phase start (Lemma B.2), so v and w are roots;
-	// concurrent writes to v.p resolve arbitrarily. Loops never link,
-	// so the host sweeps the live arcs only.
-	au, av, par := s.Arcs.U, s.Arcs.V, s.D.Parent
-	m.StepN(s.Arcs.Procs(), s.Arcs.Len(), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v, w := au[i], av[i]
-			if v != w && !leader(coin, phase, v) && leader(coin, phase, w) {
-				pram.Store32(&par[v], w)
-			}
-		}
-	})
+	s.link(m, coin, phase)
 
 	// SHORTCUT; ALTER.
 	s.D.Shortcut(m)
 	s.Arcs.Alter(m, s.D)
 
 	return s.Arcs.HasNonLoop(m)
+}
+
+// link is LINK: for each graph arc (v,w): if v.l=0 and w.l=1, v.p := w.
+// Trees are flat at phase start (Lemma B.2), so v and w are roots;
+// concurrent writes to v.p resolve arbitrarily. Loops never link, so
+// the host sweeps the live arcs only, and it sweeps them as mirror
+// pairs: arcs 2k and 2k+1 are (v,w) and (w,v), since the input arcs
+// come in mirror pairs and ALTER's loop drop keeps them adjacent. A
+// pair's two processors read the same two votes, so the host draws
+// each once and runs arc 2k before arc 2k+1 (at most one of them
+// writes). The step still charges one processor per arc.
+func (s *State) link(m *pram.Machine, coin pram.Coin, phase uint64) {
+	au, av, par := s.Arcs.U, s.Arcs.V, s.D.Parent
+	m.StepN(s.Arcs.Procs(), s.Arcs.Len()/2, func(lo, hi int) {
+		u, v := au[2*lo:2*hi], av[2*lo:2*hi]
+		v = v[:len(u)]
+		for i := 0; i < len(u); i += 2 {
+			a, b := u[i], v[i]
+			if a == b {
+				continue
+			}
+			la, lb := leader(coin, phase, a), leader(coin, phase, b)
+			if !la && lb {
+				pram.Store32(&par[a], b) // arc (a,b)
+			} else if la && !lb {
+				pram.Store32(&par[b], a) // its mirror (b,a)
+			}
+		}
+	})
 }
 
 // Result is the outcome of a complete run.

@@ -174,3 +174,58 @@ func TestLeaderIsHalfCoin(t *testing.T) {
 		}
 	}
 }
+
+// TestVanillaArcsStayMirrorPairs checks the invariant LINK's pair sweep
+// rests on: through every phase of a run, the live view holds whole
+// mirror pairs, arc 2k+1 being arc 2k reversed, and an input pair keeps
+// its two original arcs adjacent.
+func TestVanillaArcsStayMirrorPairs(t *testing.T) {
+	multi := graph.New(6)
+	multi.AddEdge(0, 1)
+	multi.AddEdge(0, 1)
+	multi.AddEdge(1, 0)
+	multi.AddEdge(2, 3)
+	loops := graph.Path(40)
+	loops.AddEdge(5, 5)
+	loops.AddEdge(0, 0)
+	loops.AddEdge(39, 39)
+	cases := map[string]*graph.Graph{
+		"gnm":      graph.Gnm(2000, 3000, 4),
+		"path":     graph.Permuted(graph.Path(1500), 2),
+		"loops":    loops,
+		"multi":    multi,
+		"isolated": graph.WithIsolated(graph.DisjointUnion(graph.Clique(8), graph.Cycle(30)), 25),
+		"no-edges": graph.New(50),
+	}
+	for name, g := range cases {
+		for seed := uint64(1); seed <= 3; seed++ {
+			s := NewState(g.N, g.Span(), seed)
+			m := pram.New(1)
+			for more := true; ; more = s.RunPhase(m) {
+				a := s.Arcs
+				if a.Len()%2 != 0 {
+					t.Fatalf("%s/seed%d phase %d: odd live view of %d arcs", name, seed, s.Phase, a.Len())
+				}
+				for k := 0; k+1 < a.Len(); k += 2 {
+					if a.U[k+1] != a.V[k] || a.V[k+1] != a.U[k] {
+						t.Fatalf("%s/seed%d phase %d: arcs %d,%d = (%d,%d),(%d,%d) are not mirrors",
+							name, seed, s.Phase, k, k+1, a.U[k], a.V[k], a.U[k+1], a.V[k+1])
+					}
+					if a.Orig[k]%2 != 0 || a.Orig[k+1] != a.Orig[k]+1 {
+						t.Fatalf("%s/seed%d phase %d: arcs %d,%d descend from input arcs %d,%d",
+							name, seed, s.Phase, k, k+1, a.Orig[k], a.Orig[k+1])
+					}
+				}
+				if !more {
+					break
+				}
+				if s.Phase == defaultPhaseCap(g.N) {
+					t.Fatalf("%s/seed%d: arcs still live after %d phases", name, seed, s.Phase)
+				}
+			}
+			if err := check.Components(g, s.D.RootsOf()); err != nil {
+				t.Fatalf("%s/seed%d: %v", name, seed, err)
+			}
+		}
+	}
+}
