@@ -285,7 +285,7 @@ func BenchmarkShiloachVishkin(b *testing.B) {
 	g := benchGraph()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		baseline.ShiloachVishkin(pram.New(0), g)
+		baseline.ShiloachVishkin(pram.New(), g)
 	}
 }
 
@@ -304,27 +304,8 @@ func BenchmarkCoreHighDiameter(b *testing.B) {
 	b.ResetTimer()
 	var rounds int
 	for i := 0; i < b.N; i++ {
-		res := core.Run(pram.New(0), g, core.DefaultParams(uint64(i+1)))
+		res := core.Run(pram.New(), g, core.DefaultParams(uint64(i+1)))
 		rounds = res.Rounds
 	}
 	b.ReportMetric(float64(rounds), "rounds")
-}
-
-// BenchmarkWorkersScaling reports wall-clock effect of the host worker
-// pool (the PRAM cost model is unaffected).
-func BenchmarkWorkersScaling(b *testing.B) {
-	g := graph.Gnm(200000, 800000, 7)
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(workersName(w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := pramcc.ConnectedComponents(g, pramcc.WithSeed(3), pramcc.WithWorkers(w)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func workersName(w int) string {
-	return "workers-" + string(rune('0'+w))
 }

@@ -26,7 +26,7 @@ func run(args []string, in io.Reader, out io.Writer) error {
 			" (the non-simulated engines are seedless and not -algo selectable)")
 	forest := fs.Bool("forest", false, "also compute a spanning forest (Thm 2)")
 	batches := fs.Int("batches", 0, "replay the edges in K batches through the streaming incremental backend, reporting per-batch latency (0 = one-shot run)")
-	workers := fs.Int("workers", 0, "worker goroutines for the run — one-shot and -batches alike (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "worker goroutines for the native and incremental engines, one-shot and -batches alike (0 = GOMAXPROCS); the simulator runs on one thread and ignores it")
 	grain := fs.Int("grain", 0, "scheduler claim grain for the native and incremental engines (0 = adaptive sizing)")
 	seed := fs.Uint64("seed", 1, "random seed")
 	verbose := fs.Bool("v", false, "print per-vertex labels")
@@ -104,22 +104,19 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		return nil
 	}
 
-	// The simulator schedules through the same shard machinery but
-	// always sizes its grain adaptively; reject an explicitly-set
+	// The simulator has no scheduler grain; reject an explicitly-set
 	// -grain rather than silently ignore it.
 	var conflict error
 	fs.Visit(func(f *flag.Flag) {
 		if f.Name == "grain" {
-			conflict = fmt.Errorf("-grain is not supported with the simulated backend (the simulator always sizes its scheduler grain adaptively)")
+			conflict = fmt.Errorf("-grain is not supported with the simulated backend (the simulator runs each step on one thread and has no scheduler grain)")
 		}
 	})
 	if conflict != nil {
 		return conflict
 	}
 
-	// -workers used to be consulted only by -batches; the one-shot
-	// path silently ignored it. Thread it through every algorithm.
-	common := []pramcc.Option{pramcc.WithSeed(*seed), pramcc.WithWorkers(*workers)}
+	common := []pramcc.Option{pramcc.WithSeed(*seed)}
 	var res *pramcc.Result
 	switch *algo {
 	case "fast":

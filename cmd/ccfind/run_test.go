@@ -69,29 +69,30 @@ func TestRunFromFile(t *testing.T) {
 	}
 }
 
-// TestRunWorkersThreadedThroughOneShot: -workers used to be consulted
-// only by -batches; the one-shot -algo path must honor it too, visible
-// as workers=N in the summary line (Stats.Workers is the pool size the
-// run actually used).
+// TestRunWorkersThreadedThroughOneShot: the one-shot native run honors
+// -workers, visible as workers=N in the summary line (Stats.Workers is
+// the pool size the run actually used). The simulated algorithms and
+// -forest accept the flag and report the simulator's one thread.
 func TestRunWorkersThreadedThroughOneShot(t *testing.T) {
 	g := graph.DisjointUnion(graph.Path(10), graph.Clique(5))
 	in := edgeListString(t, g)
-	for _, algo := range []string{"fast", "loglog", "vanilla"} {
-		var out bytes.Buffer
-		if err := run([]string{"-algo", algo, "-workers", "3"}, strings.NewReader(in), &out); err != nil {
-			t.Fatalf("%s: %v", algo, err)
-		}
-		if !strings.Contains(out.String(), "workers=3") {
-			t.Fatalf("%s: -workers 3 not honored by one-shot run: %s", algo, out.String())
-		}
-	}
-	// -forest shares the option set.
 	var out bytes.Buffer
-	if err := run([]string{"-forest", "-workers", "2"}, strings.NewReader(in), &out); err != nil {
+	if err := run([]string{"-backend", "native", "-workers", "3"}, strings.NewReader(in), &out); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "workers=2") {
-		t.Fatalf("-forest run ignored -workers: %s", out.String())
+	if !strings.Contains(out.String(), "workers=3") {
+		t.Fatalf("-workers 3 not honored by the one-shot native run: %s", out.String())
+	}
+	for _, args := range [][]string{
+		{"-algo", "fast"}, {"-algo", "loglog"}, {"-algo", "vanilla"}, {"-forest"},
+	} {
+		out.Reset()
+		if err := run(append(args, "-workers", "3"), strings.NewReader(in), &out); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		if !strings.Contains(out.String(), "workers=1") {
+			t.Fatalf("%v: simulated run did not report one thread: %s", args, out.String())
+		}
 	}
 }
 

@@ -60,9 +60,11 @@
 // encoding.TextMarshaler/TextUnmarshaler so it drops straight into
 // flag.TextVar and JSON output. BackendSimulated (the default) is the
 // step-synchronous ARBITRARY CRCW PRAM simulator the four
-// algorithm-specific entry points above always use: every model step
-// is a barrier and every model cost is accounted, which is the point —
-// and which makes it orders of magnitude slower than the hardware.
+// algorithm-specific entry points above always use: it runs every
+// model step on one host thread, in processor order, and accounts
+// every model cost, which is the point — a seeded run is bit-identical
+// on every host — and which makes it orders of magnitude slower than
+// the hardware.
 // BackendNative (internal/native) is a shared-memory engine —
 // goroutines with atomic CAS-min on the label array, edge ranges
 // sharded over a reusable worker pool — that computes the identical

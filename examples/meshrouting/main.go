@@ -52,7 +52,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		lp := baseline.LabelPropagation(pram.New(0), g)
+		lp := baseline.LabelPropagation(pram.New(), g)
 
 		fmt.Printf("%8d %10d %10d %14d %18d\n",
 			side, d, res.NumComponents, res.Stats.Rounds, lp.Rounds)

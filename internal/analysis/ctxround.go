@@ -240,8 +240,7 @@ func casRetryLoop(loop *ast.ForStmt) bool {
 			name = fun.Sel.Name
 		}
 		if name == "CompareAndSwap" || name == "CompareAndSwapInt32" ||
-			name == "CompareAndSwapInt64" || name == "CompareAndSwapUint64" ||
-			name == "CAS32" || name == "CAS64" {
+			name == "CompareAndSwapInt64" || name == "CompareAndSwapUint64" {
 			found = true
 		}
 		return !found

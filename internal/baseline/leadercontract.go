@@ -3,7 +3,6 @@ package baseline
 import (
 	"math"
 	"sort"
-	"sync/atomic"
 
 	"repro/graph"
 	"repro/internal/pram"
@@ -43,7 +42,7 @@ func LeaderContraction(m *pram.Machine, g *graph.Graph) ParallelResult {
 		pram.Fill64(deg, 0)
 		m.Step(len(au), func(i int) {
 			if au[i] != av[i] {
-				addCombine(&deg[au[i]], 1)
+				deg[au[i]]++ // a sum-combining write (COMBINING CRCW / MPC aggregation)
 			}
 		})
 		// Leader sampling with per-vertex probability Θ(log n / deg),
@@ -68,7 +67,7 @@ func LeaderContraction(m *pram.Machine, g *graph.Graph) ParallelResult {
 				return
 			}
 			if snap[x] == x { // x still a root
-				pram.Store32(&p[x], y)
+				p[x] = y
 			}
 		})
 		// Shortcut until flat (leaders are roots, so height ≤ 2).
@@ -81,8 +80,8 @@ func LeaderContraction(m *pram.Machine, g *graph.Graph) ParallelResult {
 		// MPC (the paper replaces that with hashing); the host sort
 		// here stands in for that primitive at its O(1)-round cost.
 		m.Step(len(au), func(i int) {
-			au[i] = pram.Load32(&p[au[i]])
-			av[i] = pram.Load32(&p[av[i]])
+			au[i] = p[au[i]]
+			av[i] = p[av[i]]
 		})
 		m.ChargeSteps(1)
 		au, av = dedupArcs(au, av)
@@ -90,10 +89,10 @@ func LeaderContraction(m *pram.Machine, g *graph.Graph) ParallelResult {
 		var active int64
 		m.Step(len(au), func(i int) {
 			if au[i] != av[i] {
-				pram.Store64(&active, 1)
+				active = 1
 			}
 		})
-		if pram.Load64(&active) == 0 {
+		if active == 0 {
 			break
 		}
 		if rounds > 64*bitsLen(n)+64 {
@@ -115,10 +114,6 @@ func LeaderContraction(m *pram.Machine, g *graph.Graph) ParallelResult {
 	}
 	return ParallelResult{Labels: p, Rounds: rounds, Stats: m.Stats()}
 }
-
-// addCombine realizes a sum-combining concurrent write (COMBINING
-// CRCW / MPC aggregation primitive) with an atomic add.
-func addCombine(cell *int64, v int64) { atomic.AddInt64(cell, v) }
 
 // dedupArcs removes duplicate and self-loop arcs in place.
 func dedupArcs(au, av []int32) ([]int32, []int32) {

@@ -19,7 +19,7 @@ func TestLeaderContractionCorrect(t *testing.T) {
 	}
 	for name, g := range cases {
 		t.Run(name, func(t *testing.T) {
-			res := LeaderContraction(pram.New(1), g)
+			res := LeaderContraction(pram.New(), g)
 			if err := check.Components(g, res.Labels); err != nil {
 				t.Fatalf("rounds=%d: %v", res.Rounds, err)
 			}
@@ -33,8 +33,8 @@ func TestLeaderContractionFasterOnDense(t *testing.T) {
 	densRounds, pathRounds := 0, 0
 	for seed := int64(1); seed <= 3; seed++ {
 		dense := graph.Gnm(2000, 64000, seed)
-		densRounds += LeaderContraction(pram.New(1), dense).Rounds
-		pathRounds += LeaderContraction(pram.New(1), graph.Path(2000)).Rounds
+		densRounds += LeaderContraction(pram.New(), dense).Rounds
+		pathRounds += LeaderContraction(pram.New(), graph.Path(2000)).Rounds
 	}
 	if densRounds >= pathRounds {
 		t.Fatalf("dense %d rounds vs path %d rounds: degree-aware sampling not helping", densRounds, pathRounds)
@@ -46,7 +46,7 @@ func TestLeaderContractionHeavyTail(t *testing.T) {
 	// attract many links; correctness must hold regardless.
 	for seed := int64(1); seed <= 5; seed++ {
 		g := graph.ChungLu(1000, 5000, 2.2, seed)
-		res := LeaderContraction(pram.New(1), g)
+		res := LeaderContraction(pram.New(), g)
 		if err := check.Components(g, res.Labels); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -67,7 +67,7 @@ func TestAllBaselinesOnExtraFamilies(t *testing.T) {
 	for gn, g := range gs {
 		for an, algo := range algos {
 			t.Run(fmt.Sprintf("%s/%s", an, gn), func(t *testing.T) {
-				res := algo(pram.New(1), g)
+				res := algo(pram.New(), g)
 				if err := check.Components(g, res.Labels); err != nil {
 					t.Fatal(err)
 				}

@@ -111,7 +111,7 @@ func LiuTarjan(m *pram.Machine, g *graph.Graph, variant LTVariant) ParallelResul
 				}
 				px, py := snap[x], snap[y]
 				if py < px {
-					pram.Store32(&p[px], py)
+					p[px] = py
 				}
 			})
 		case LinkDirect:
@@ -122,7 +122,7 @@ func LiuTarjan(m *pram.Machine, g *graph.Graph, variant LTVariant) ParallelResul
 				}
 				if snap[x] == x { // x is a root
 					if py := snap[y]; py < x {
-						pram.Store32(&p[x], py)
+						p[x] = py
 					}
 				}
 			})
@@ -158,11 +158,11 @@ func LiuTarjan(m *pram.Machine, g *graph.Graph, variant LTVariant) ParallelResul
 				m.Step(n, func(i int) {
 					gp := snap[snap[i]]
 					if gp != snap[i] {
-						pram.Store64(&moved, 1)
+						moved = 1
 					}
 					p[i] = gp
 				})
-				if pram.Load64(&moved) == 0 {
+				if moved == 0 {
 					break
 				}
 			}
@@ -171,8 +171,8 @@ func LiuTarjan(m *pram.Machine, g *graph.Graph, variant LTVariant) ParallelResul
 		// ---- alter ----
 		if variant.Alter {
 			m.Step(len(au), func(i int) {
-				au[i] = pram.Load32(&p[au[i]])
-				av[i] = pram.Load32(&p[av[i]])
+				au[i] = p[au[i]]
+				av[i] = p[av[i]]
 			})
 		}
 
@@ -180,15 +180,15 @@ func LiuTarjan(m *pram.Machine, g *graph.Graph, variant LTVariant) ParallelResul
 		var active int64
 		m.Step(n, func(i int) {
 			if p[p[i]] != p[i] {
-				pram.Store64(&active, 1)
+				active = 1
 			}
 		})
 		m.Step(len(au), func(i int) {
 			if p[au[i]] != p[av[i]] {
-				pram.Store64(&active, 1)
+				active = 1
 			}
 		})
-		if pram.Load64(&active) == 0 {
+		if active == 0 {
 			break
 		}
 		if rounds > 8*n+64 {

@@ -23,7 +23,7 @@ func TestLiuTarjanFamilyCorrect(t *testing.T) {
 	for _, v := range LTVariants() {
 		for gname, g := range gs {
 			t.Run(fmt.Sprintf("%s/%s", v.Name, gname), func(t *testing.T) {
-				res := LiuTarjan(pram.New(1), g, v)
+				res := LiuTarjan(pram.New(), g, v)
 				if err := check.Components(g, res.Labels); err != nil {
 					t.Fatalf("rounds=%d: %v", res.Rounds, err)
 				}
@@ -48,8 +48,8 @@ func TestLiuTarjanAlterAccelerates(t *testing.T) {
 	// links plus shortcut already give pointer-doubling behaviour, so
 	// both are O(log n)-ish; alter only helps).
 	g := graph.Path(256)
-	e := LiuTarjan(pram.New(1), g, LTVariant{"E", LinkExtended, ShortcutOne, false})
-	ea := LiuTarjan(pram.New(1), g, LTVariant{"EA", LinkExtended, ShortcutOne, true})
+	e := LiuTarjan(pram.New(), g, LTVariant{"E", LinkExtended, ShortcutOne, false})
+	ea := LiuTarjan(pram.New(), g, LTVariant{"EA", LinkExtended, ShortcutOne, true})
 	if ea.Rounds > e.Rounds {
 		t.Fatalf("alter must not slow a path down: EA=%d E=%d", ea.Rounds, e.Rounds)
 	}
@@ -63,8 +63,8 @@ func TestLiuTarjanFullShortcutFewerRounds(t *testing.T) {
 	// shortcuts for the same link rule (they do strictly more work per
 	// round).
 	g := graph.Gnm(2000, 6000, 3)
-	pa := LiuTarjan(pram.New(1), g, LTVariant{"PA", LinkParent, ShortcutOne, true})
-	pfa := LiuTarjan(pram.New(1), g, LTVariant{"PFA", LinkParent, ShortcutFull, true})
+	pa := LiuTarjan(pram.New(), g, LTVariant{"PA", LinkParent, ShortcutOne, true})
+	pfa := LiuTarjan(pram.New(), g, LTVariant{"PFA", LinkParent, ShortcutFull, true})
 	if pfa.Rounds > pa.Rounds+2 {
 		t.Fatalf("full shortcut took more rounds: PFA=%d PA=%d", pfa.Rounds, pa.Rounds)
 	}
@@ -72,8 +72,8 @@ func TestLiuTarjanFullShortcutFewerRounds(t *testing.T) {
 
 func TestLiuTarjanDeterministic(t *testing.T) {
 	g := graph.Gnm(500, 1500, 5)
-	a := LiuTarjan(pram.New(1), g, LTVariants()[1])
-	b := LiuTarjan(pram.New(1), g, LTVariants()[1])
+	a := LiuTarjan(pram.New(), g, LTVariants()[1])
+	b := LiuTarjan(pram.New(), g, LTVariants()[1])
 	if a.Rounds != b.Rounds {
 		t.Fatal("deterministic variant diverged")
 	}
@@ -84,10 +84,12 @@ func TestLiuTarjanDeterministic(t *testing.T) {
 	}
 }
 
+// TestLiuTarjanParallelWorkers checks two variants on a graph larger
+// than the other cases' (the name predates the one-thread simulator).
 func TestLiuTarjanParallelWorkers(t *testing.T) {
 	g := graph.Gnm(5000, 20000, 7)
 	for _, v := range []LTVariant{LTVariants()[1], LTVariants()[7]} {
-		res := LiuTarjan(pram.New(8), g, v)
+		res := LiuTarjan(pram.New(), g, v)
 		if err := check.Components(g, res.Labels); err != nil {
 			t.Fatalf("%s: %v", v.Name, err)
 		}
@@ -99,7 +101,7 @@ func TestLiuTarjanAcyclicAlways(t *testing.T) {
 	// parents have no nontrivial cycles (strictly-decreasing pointers).
 	g := graph.ChungLu(600, 2400, 2.3, 11)
 	for _, v := range LTVariants() {
-		res := LiuTarjan(pram.New(1), g, v)
+		res := LiuTarjan(pram.New(), g, v)
 		seen := make([]int8, g.N)
 		for s := 0; s < g.N; s++ {
 			x := int32(s)

@@ -54,8 +54,8 @@ func ShiloachVishkin(m *pram.Machine, g *graph.Graph) ParallelResult {
 			}
 			dy := snap[y]
 			if dy < dx {
-				pram.Store32(&d[dx], dy)
-				pram.Store32(&gotHook[dy], 1)
+				d[dx] = dy
+				gotHook[dy] = 1
 			}
 		})
 
@@ -69,7 +69,7 @@ func ShiloachVishkin(m *pram.Machine, g *graph.Graph) ParallelResult {
 			}
 			dy := snap[y]
 			if dy < dx {
-				pram.Store32(&d[dx], dy)
+				d[dx] = dy
 			}
 		})
 
@@ -83,15 +83,15 @@ func ShiloachVishkin(m *pram.Machine, g *graph.Graph) ParallelResult {
 		var active int64
 		m.Step(n, func(i int) {
 			if d[d[i]] != d[i] {
-				pram.Store64(&active, 1)
+				active = 1
 			}
 		})
 		m.Step(len(u), func(i int) {
 			if d[u[i]] != d[v[i]] {
-				pram.Store64(&active, 1)
+				active = 1
 			}
 		})
-		if pram.Load64(&active) == 0 {
+		if active == 0 {
 			break
 		}
 	}
@@ -135,8 +135,8 @@ func AwerbuchShiloach(m *pram.Machine, g *graph.Graph) ParallelResult {
 			}
 			px, py := snap[x], snap[y]
 			if py < px {
-				pram.Store32(&p[px], py)
-				pram.Store32(&gotHook[py], 1)
+				p[px] = py
+				gotHook[py] = 1
 			}
 		})
 		// Hook stagnant flat trees with the acyclicity guard.
@@ -152,7 +152,7 @@ func AwerbuchShiloach(m *pram.Machine, g *graph.Graph) ParallelResult {
 			}
 			py := snap[y]
 			if py < px {
-				pram.Store32(&p[px], py)
+				p[px] = py
 			}
 		})
 		// Shortcut.
@@ -164,15 +164,15 @@ func AwerbuchShiloach(m *pram.Machine, g *graph.Graph) ParallelResult {
 		var active int64
 		m.Step(n, func(i int) {
 			if p[p[i]] != p[i] {
-				pram.Store64(&active, 1)
+				active = 1
 			}
 		})
 		m.Step(len(u), func(i int) {
 			if p[u[i]] != p[v[i]] {
-				pram.Store64(&active, 1)
+				active = 1
 			}
 		})
-		if pram.Load64(&active) == 0 {
+		if active == 0 {
 			break
 		}
 	}

@@ -2,7 +2,6 @@ package baseline
 
 import (
 	"math/bits"
-	"sync/atomic"
 
 	"repro/graph"
 	"repro/internal/pram"
@@ -41,16 +40,16 @@ func LiuTarjanMinLink(m *pram.Machine, g *graph.Graph) ParallelResult {
 			if x == y {
 				return
 			}
-			py := int64(pram.Load32(&p[y]))
+			py := int64(p[y])
 			minCombine(&best[x], py)
 		})
 		// Parent link: v.p := min(v.p, best).
 		var changed int64
 		m.Step(n, func(i int) {
-			b := int32(pram.Load64(&best[i]))
+			b := int32(best[i])
 			if b < p[i] {
 				p[i] = b
-				pram.Store64(&changed, 1)
+				changed = 1
 			}
 		})
 		// Shortcut (snapshot semantics: reads precede writes).
@@ -58,7 +57,7 @@ func LiuTarjanMinLink(m *pram.Machine, g *graph.Graph) ParallelResult {
 		m.Step(n, func(i int) {
 			gp := snap[snap[i]]
 			if gp != snap[i] {
-				pram.Store64(&changed, 1)
+				changed = 1
 			}
 			p[i] = gp
 		})
@@ -67,25 +66,19 @@ func LiuTarjanMinLink(m *pram.Machine, g *graph.Graph) ParallelResult {
 			au[i] = p[au[i]]
 			av[i] = p[av[i]]
 		})
-		if pram.Load64(&changed) == 0 {
+		if changed == 0 {
 			break
 		}
 	}
 	return ParallelResult{Labels: p, Rounds: rounds, Stats: m.Stats()}
 }
 
-// minCombine atomically lowers *cell to v. It stands in for the
-// COMBINING-CRCW min write that [LT19] assume; the PRAM cost charged is
-// the single concurrent write of that model.
+// minCombine lowers *cell to v. It stands in for the COMBINING-CRCW
+// min write that [LT19] assume; the PRAM cost charged is the single
+// concurrent write of that model.
 func minCombine(cell *int64, v int64) {
-	for {
-		old := pram.Load64(cell)
-		if v >= old {
-			return
-		}
-		if atomic.CompareAndSwapInt64(cell, old, v) {
-			return
-		}
+	if v < *cell {
+		*cell = v
 	}
 }
 
@@ -115,10 +108,10 @@ func LabelPropagation(m *pram.Machine, g *graph.Graph) ParallelResult {
 			nv := int32(next[i])
 			if nv != label[i] {
 				label[i] = nv
-				pram.Store64(&changed, 1)
+				changed = 1
 			}
 		})
-		if pram.Load64(&changed) == 0 {
+		if changed == 0 {
 			break
 		}
 	}

@@ -27,7 +27,7 @@ func TestSmokeBaselines(t *testing.T) {
 	for gname, g := range cases {
 		for aname, algo := range algos {
 			t.Run(fmt.Sprintf("%s/%s", aname, gname), func(t *testing.T) {
-				res := algo(pram.New(0), g)
+				res := algo(pram.New(), g)
 				if err := check.Components(g, res.Labels); err != nil {
 					t.Fatalf("rounds=%d: %v", res.Rounds, err)
 				}

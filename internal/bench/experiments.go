@@ -149,11 +149,11 @@ func E1(scale Scale) *Table {
 		if nb <= 64 {
 			d = g.DiameterEstimate()
 		}
-		c := core.Run(pram.New(0), g, core.DefaultParams(11))
-		b := ccbase.Run(pram.New(0), g, ccbase.DefaultParams(11))
-		v := vanilla.Run(pram.New(0), g, 11, 0)
-		sv := baseline.ShiloachVishkin(pram.New(0), g)
-		lp := baseline.LabelPropagation(pram.New(0), g)
+		c := core.Run(pram.New(), g, core.DefaultParams(11))
+		b := ccbase.Run(pram.New(), g, ccbase.DefaultParams(11))
+		v := vanilla.Run(pram.New(), g, 11, 0)
+		sv := baseline.ShiloachVishkin(pram.New(), g)
+		lp := baseline.LabelPropagation(pram.New(), g)
 		t.Add(d, g.N, float64(g.NumEdges())/float64(g.N),
 			c.Rounds, sumExpandRounds(b.Trace), b.Phases, v.Phases, sv.Rounds, lp.Rounds)
 	}
@@ -179,8 +179,8 @@ func E2(scale Scale) *Table {
 	}
 	for _, dens := range []int{2, 4, 8, 32, 128} {
 		g := graph.Gnm(n, n*dens, int64(dens))
-		c := core.Run(pram.New(0), g, core.DefaultParams(13))
-		b := ccbase.Run(pram.New(0), g, ccbase.DefaultParams(13))
+		c := core.Run(pram.New(), g, core.DefaultParams(13))
+		b := ccbase.Run(pram.New(), g, ccbase.DefaultParams(13))
 		t.Add(n, dens, c.Prep, c.Rounds, c.MaxLevel, b.Phases, sumExpandRounds(b.Trace))
 	}
 	return t
@@ -202,10 +202,10 @@ func E3(scale Scale) *Table {
 	}
 	for _, n := range sizes {
 		g := graph.Gnm(n, 4*n, int64(n))
-		c := core.Run(pram.New(0), g, core.DefaultParams(17))
-		b := ccbase.Run(pram.New(0), g, ccbase.DefaultParams(17))
-		v := vanilla.Run(pram.New(0), g, 17, 0)
-		sv := baseline.ShiloachVishkin(pram.New(0), g)
+		c := core.Run(pram.New(), g, core.DefaultParams(17))
+		b := ccbase.Run(pram.New(), g, ccbase.DefaultParams(17))
+		v := vanilla.Run(pram.New(), g, 17, 0)
+		sv := baseline.ShiloachVishkin(pram.New(), g)
 		t.Add(n, fmt.Sprintf("%d+%d", c.Prep, c.Rounds), b.Phases,
 			sumExpandRounds(b.Trace), v.Phases, sv.Rounds)
 	}
@@ -240,7 +240,7 @@ func E4(scale Scale) *Table {
 		}
 	}
 	for _, w := range wls {
-		c := core.Run(pram.New(0), w.g, core.DefaultParams(23))
+		c := core.Run(pram.New(), w.g, core.DefaultParams(23))
 		mm := w.g.NumEdges()
 		t.Add(w.name, w.g.N, mm, c.CumBlockWords,
 			float64(c.CumBlockWords)/float64(mm), c.PeakBlockWords, c.AddedEdges)
@@ -273,7 +273,7 @@ func E5(scale Scale) *Table {
 	}
 	for _, w := range wls {
 		p := core.DefaultParams(29)
-		c := core.Run(pram.New(0), w.g, p)
+		c := core.Run(pram.New(), w.g, p)
 		// L = number of levels until the budget cap is reached:
 		// smallest ℓ with b1^(γ^(ℓ-1)) ≥ cap.
 		L := levelsToCap(w.g, p)
@@ -320,7 +320,7 @@ func E6(scale Scale) *Table {
 	for seed := uint64(1); seed <= 5; seed++ {
 		g := graph.Gnm(n, 16*n, int64(seed)) // m/n = 16 skips PREPARE
 		p := core.DefaultParams(seed)
-		c := core.Run(pram.New(0), g, p)
+		c := core.Run(pram.New(), g, p)
 		for _, tr := range c.Trace {
 			for lvl, cnt := range tr.LevelHist {
 				rootRounds[lvl] += cnt
@@ -385,14 +385,14 @@ func E7(scale Scale) *Table {
 	for _, g := range gs {
 		for s := 0; s < seeds; s++ {
 			seed := uint64(s + 1)
-			c := core.Run(pram.New(0), g, core.DefaultParams(seed))
+			c := core.Run(pram.New(), g, core.DefaultParams(seed))
 			rec("Thm3 fast CC", check.Components(g, c.Labels) == nil, c.Failed)
-			b := ccbase.Run(pram.New(0), g, ccbase.DefaultParams(seed))
+			b := ccbase.Run(pram.New(), g, ccbase.DefaultParams(seed))
 			rec("Thm1 loglog CC", check.Components(g, b.Labels) == nil, b.Failed)
-			f := spanning.Run(pram.New(0), g, spanning.DefaultParams(seed))
+			f := spanning.Run(pram.New(), g, spanning.DefaultParams(seed))
 			okf := check.Components(g, f.Labels) == nil && check.Forest(g, f.ForestEdges) == nil
 			rec("Thm2 spanning forest", okf, f.Failed)
-			v := vanilla.Run(pram.New(0), g, seed, 0)
+			v := vanilla.Run(pram.New(), g, seed, 0)
 			rec("Vanilla", check.Components(g, v.Labels) == nil, false)
 		}
 	}
@@ -434,7 +434,7 @@ func E8(scale Scale) *Table {
 		{"multi-comp", graph.DisjointUnion(graph.Path(500), graph.Gnm(5000, 20000, 7), graph.Star(300))},
 	}
 	for _, w := range wls {
-		f := spanning.Run(pram.New(0), w.g, spanning.DefaultParams(31))
+		f := spanning.Run(pram.New(), w.g, spanning.DefaultParams(31))
 		sum := 0
 		for _, tr := range f.Trace {
 			sum += tr.ExpandRounds
@@ -468,14 +468,14 @@ func E9(scale Scale) *Table {
 	}
 	for _, w := range wls {
 		d := w.g.DiameterEstimate()
-		c := core.Run(pram.New(0), w.g, core.DefaultParams(37))
-		sv := baseline.ShiloachVishkin(pram.New(0), w.g)
-		as := baseline.AwerbuchShiloach(pram.New(0), w.g)
-		pa := baseline.LiuTarjan(pram.New(0), w.g, baseline.LTVariant{Name: "PA", Link: baseline.LinkParent, Alter: true})
-		ea := baseline.LiuTarjanMinLink(pram.New(0), w.g)
-		lc := baseline.LeaderContraction(pram.New(0), w.g)
-		lp := baseline.LabelPropagation(pram.New(0), w.g)
-		ms := baseline.MatrixSquaring(pram.New(0), w.g)
+		c := core.Run(pram.New(), w.g, core.DefaultParams(37))
+		sv := baseline.ShiloachVishkin(pram.New(), w.g)
+		as := baseline.AwerbuchShiloach(pram.New(), w.g)
+		pa := baseline.LiuTarjan(pram.New(), w.g, baseline.LTVariant{Name: "PA", Link: baseline.LinkParent, Alter: true})
+		ea := baseline.LiuTarjanMinLink(pram.New(), w.g)
+		lc := baseline.LeaderContraction(pram.New(), w.g)
+		lp := baseline.LabelPropagation(pram.New(), w.g)
+		ms := baseline.MatrixSquaring(pram.New(), w.g)
 		msWork := int64(ms.Rounds) * int64(w.g.N) * int64(w.g.N) * int64(w.g.N) / 64
 		t.Add(w.name, w.g.N, d, fmt.Sprintf("%d+%d", c.Prep, c.Rounds), sv.Rounds,
 			as.Rounds, pa.Rounds, ea.Rounds, lc.Rounds, lp.Rounds, ms.Rounds, msWork)
@@ -502,7 +502,7 @@ func E10(scale Scale) *Table {
 	run := func(name string, mod func(*core.Params)) {
 		p := core.DefaultParams(43)
 		mod(&p)
-		c := core.Run(pram.New(0), g, p)
+		c := core.Run(pram.New(), g, p)
 		t.Add(name, c.Rounds, c.MaxLevel, float64(c.CumBlockWords)/mm, c.Failed,
 			check.Components(g, c.Labels) == nil)
 	}
@@ -517,7 +517,7 @@ func E10(scale Scale) *Table {
 	for _, mode := range []ccbase.Mode{ccbase.ModeArbitrary, ccbase.ModeCombining} {
 		p := ccbase.DefaultParams(43)
 		p.Mode = mode
-		b := ccbase.Run(pram.New(0), g, p)
+		b := ccbase.Run(pram.New(), g, p)
 		name := "T1 ARBITRARY (ñ rule)"
 		if mode == ccbase.ModeCombining {
 			name = "T1 COMBINING (exact n′)"
@@ -606,7 +606,7 @@ func E11(scale Scale) *Table {
 	}
 	t.Notes = append(t.Notes,
 		"columns enumerate the pramcc backend registry (simulated = Theorem-3 EXPAND-MAXLINK on the step-barrier PRAM simulator; native = CAS-min engine; incremental = union-find fed one batch)",
-		"unionfind = sequential single-core anchor; workers = GOMAXPROCS; "+grainNote()+"; wall clock is host-dependent, track trends not absolutes")
+		"unionfind = sequential single-core anchor; workers = GOMAXPROCS on native and incremental, one thread on the simulator; "+grainNote()+"; wall clock is host-dependent, track trends not absolutes")
 	return t
 }
 

@@ -266,7 +266,7 @@ func Run(m *pram.Machine, g *graph.Graph, p Params) Result {
 			if t := exp.H[v]; t != nil {
 				for _, w := range t.Occupied() {
 					if w != int32(v) && leader[w] == 1 && ongoing[w] == 1 {
-						pram.Store32(&par[v], w)
+						par[v] = w
 						return
 					}
 				}
@@ -280,8 +280,8 @@ func Run(m *pram.Machine, g *graph.Graph, p Params) Result {
 				if v == w || ongoing[v] == 0 || ongoing[w] == 0 {
 					continue
 				}
-				if leader[v] == 0 && leader[w] == 1 && pram.Load32(&par[v]) == v {
-					pram.Store32(&par[v], w)
+				if leader[v] == 0 && leader[w] == 1 && par[v] == v {
+					par[v] = w
 				}
 			}
 		})

@@ -27,7 +27,7 @@ func TestCorrectnessAcrossWorkloadsAndModes(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/mode%d/seed%d", name, mode, seed), func(t *testing.T) {
 					p := DefaultParams(seed)
 					p.Mode = mode
-					res := Run(pram.New(1), g, p)
+					res := Run(pram.New(), g, p)
 					if res.Failed {
 						t.Fatalf("phase cap exhausted after %d phases", res.Phases)
 					}
@@ -42,7 +42,7 @@ func TestCorrectnessAcrossWorkloadsAndModes(t *testing.T) {
 
 func TestPhasesDecreaseWithDensity(t *testing.T) {
 	if testing.Short() {
-		t.Skip("multi-seed density sweep (~11s) skipped in -short; CI's scheduled full run covers it")
+		t.Skip("multi-seed density sweep (~18s) skipped in -short; CI's scheduled full run covers it")
 	}
 	// The log log_{m/n} n term: aggregate over seeds, denser graphs
 	// should not need more phases than much sparser ones.
@@ -51,7 +51,7 @@ func TestPhasesDecreaseWithDensity(t *testing.T) {
 		sum := 0
 		for seed := uint64(1); seed <= 3; seed++ {
 			g := graph.Gnm(n, n*mult, int64(seed))
-			res := Run(pram.New(0), g, DefaultParams(seed))
+			res := Run(pram.New(), g, DefaultParams(seed))
 			sum += res.Phases
 		}
 		return sum
@@ -64,7 +64,7 @@ func TestPhasesDecreaseWithDensity(t *testing.T) {
 
 func TestOngoingShrinksMonotonically(t *testing.T) {
 	g := graph.Gnm(10000, 80000, 7)
-	res := Run(pram.New(1), g, DefaultParams(5))
+	res := Run(pram.New(), g, DefaultParams(5))
 	prev := 1 << 30
 	for i, tr := range res.Trace {
 		if tr.Ongoing > prev {
@@ -81,7 +81,7 @@ func TestExpandRoundsBoundedByLogDiameter(t *testing.T) {
 	// which still respects O(log d) asymptotically).
 	g := graph.CliqueBeads(graph.CliqueBeadsSpec{Beads: 64, Size: 12, IntraDeg: 10, Bridges: 2, Seed: 1})
 	d := 2 * 64
-	res := Run(pram.New(1), g, DefaultParams(2))
+	res := Run(pram.New(), g, DefaultParams(2))
 	bound := 3*log2(d) + 8
 	for i, tr := range res.Trace {
 		if tr.ExpandRounds > bound {
@@ -102,7 +102,7 @@ func TestCombiningUsesExactCount(t *testing.T) {
 	g := graph.Gnm(5000, 20000, 3)
 	p := DefaultParams(4)
 	p.Mode = ModeCombining
-	res := Run(pram.New(1), g, p)
+	res := Run(pram.New(), g, p)
 	for i, tr := range res.Trace {
 		if tr.Estimate != tr.Ongoing {
 			t.Fatalf("phase %d: combining mode must use exact count (%d vs %d)",
@@ -114,8 +114,8 @@ func TestCombiningUsesExactCount(t *testing.T) {
 func TestPrepareOnlyOnSparse(t *testing.T) {
 	sparse := graph.Gnm(2000, 4000, 1)
 	dense := graph.Gnm(2000, 40000, 1)
-	rs := Run(pram.New(1), sparse, DefaultParams(1))
-	rd := Run(pram.New(1), dense, DefaultParams(1))
+	rs := Run(pram.New(), sparse, DefaultParams(1))
+	rd := Run(pram.New(), dense, DefaultParams(1))
 	if rs.Prep == 0 {
 		t.Error("PREPARE must run on m/n = 2")
 	}
@@ -124,13 +124,13 @@ func TestPrepareOnlyOnSparse(t *testing.T) {
 	}
 }
 
+// TestParallelWorkers checks a solve on a graph larger than the other
+// cases' (the name predates the one-thread simulator).
 func TestParallelWorkers(t *testing.T) {
 	g := graph.Gnm(20000, 80000, 6)
-	for _, w := range []int{2, 8} {
-		res := Run(pram.New(w), g, DefaultParams(2))
-		if err := check.Components(g, res.Labels); err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
+	res := Run(pram.New(), g, DefaultParams(2))
+	if err := check.Components(g, res.Labels); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -149,7 +149,7 @@ func TestEdgeCases(t *testing.T) {
 	}
 	for name, g := range cases {
 		t.Run(name, func(t *testing.T) {
-			res := Run(pram.New(1), g, DefaultParams(1))
+			res := Run(pram.New(), g, DefaultParams(1))
 			if err := check.Components(g, res.Labels); err != nil {
 				t.Fatal(err)
 			}
@@ -161,7 +161,7 @@ func TestManySeedsNoFailures(t *testing.T) {
 	g := graph.Gnm(2000, 10000, 5)
 	failures := 0
 	for seed := uint64(1); seed <= 20; seed++ {
-		res := Run(pram.New(1), g, DefaultParams(seed))
+		res := Run(pram.New(), g, DefaultParams(seed))
 		if res.Failed {
 			failures++
 		}

@@ -11,10 +11,10 @@ import (
 	"repro/internal/pram"
 )
 
-// goldenGraphs are the inputs the one-worker model-cost hashes are
-// recorded on: a long permuted path (PREPARE runs, high diameter), a
-// sparse and a dense random graph, and a multi-component graph with
-// isolated vertices and self-loops.
+// goldenGraphs are the inputs the model-cost hashes are recorded on:
+// a long permuted path (PREPARE runs, high diameter), a sparse and a
+// dense random graph, and a multi-component graph with isolated
+// vertices and self-loops.
 var goldenGraphs = []struct {
 	name string
 	g    func(seed int64) *graph.Graph
@@ -31,11 +31,12 @@ var goldenGraphs = []struct {
 	}},
 }
 
-// TestGoldenModelCosts pins a one-worker Theorem-1 solve in both
-// execution modes: at pram.New(1) every ARBITRARY write resolves the
-// same way on every run, so the labels, Stats, phase counts and each
-// phase's trace row hash to the recorded values. A host-side speedup
-// must leave every hash unchanged.
+// TestGoldenModelCosts pins a Theorem-1 solve in both execution
+// modes: the machine runs every step in processor order, so every
+// ARBITRARY write resolves the same way on every run and host, and
+// the labels, Stats, phase counts and each phase's trace row hash to
+// the recorded values. A host-side speedup must leave every hash
+// unchanged.
 func TestGoldenModelCosts(t *testing.T) {
 	want := map[string]uint64{
 		"mode0/path/seed1":       0xb60bfac44053e4ec,
@@ -71,7 +72,7 @@ func TestGoldenModelCosts(t *testing.T) {
 					g := tc.g(int64(seed))
 					p := DefaultParams(seed)
 					p.Mode = mode
-					res := Run(pram.New(1), g, p)
+					res := Run(pram.New(), g, p)
 					if err := check.Components(g, res.Labels); err != nil {
 						t.Fatalf("labels wrong: %v", err)
 					}

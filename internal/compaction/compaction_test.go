@@ -9,7 +9,7 @@ import (
 )
 
 func TestCompactBasic(t *testing.T) {
-	m := pram.New(1)
+	m := pram.New()
 	dist := make([]bool, 100)
 	for i := 0; i < 100; i += 3 {
 		dist[i] = true
@@ -40,7 +40,7 @@ func TestCompactBasic(t *testing.T) {
 }
 
 func TestCompactEmpty(t *testing.T) {
-	m := pram.New(1)
+	m := pram.New()
 	res := Compact(m, hashing.Family{Seed: 2}, make([]bool, 10), false)
 	if res.Failed || res.Rounds != 0 {
 		t.Fatalf("empty compaction: %+v", res)
@@ -48,7 +48,7 @@ func TestCompactEmpty(t *testing.T) {
 }
 
 func TestCompactAllDistinguished(t *testing.T) {
-	m := pram.New(1)
+	m := pram.New()
 	dist := make([]bool, 64)
 	for i := range dist {
 		dist[i] = true
@@ -71,7 +71,7 @@ func TestCompactProperty(t *testing.T) {
 		if len(mask) == 0 {
 			return true
 		}
-		m := pram.New(1)
+		m := pram.New()
 		res := Compact(m, hashing.Family{Seed: seed}, mask, false)
 		if res.Failed {
 			return false // would be a 1/poly event; treat as failure at this size
@@ -100,7 +100,7 @@ func TestCompactRoundsLogarithmic(t *testing.T) {
 	// The simple retry realization places a constant fraction per
 	// round, so the host retry count is O(log k). (The charged PRAM
 	// cost is Lemma D.2's, independent of the host loop.)
-	m := pram.New(1)
+	m := pram.New()
 	dist := make([]bool, 100000)
 	for i := range dist {
 		dist[i] = i%2 == 0
@@ -115,7 +115,7 @@ func TestCompactRoundsLogarithmic(t *testing.T) {
 }
 
 func TestCompactChargesTime(t *testing.T) {
-	m := pram.New(1)
+	m := pram.New()
 	dist := []bool{true, false, true}
 	Compact(m, hashing.Family{Seed: 9}, dist, false)
 	if m.Stats().Steps == 0 {

@@ -380,7 +380,7 @@ func (s *state) round(round int, res *Result) bool {
 			if coin.Bernoulli(uint64(round)*3+1, uint64(v), prob) {
 				s.level[v]++
 				s.boosted[i] = 1
-				pram.Store64(&s.lvlChange, 1)
+				s.lvlChange = 1
 			}
 		})
 	}
@@ -437,7 +437,7 @@ func (s *state) round(round int, res *Result) bool {
 					continue
 				}
 				if ta.Collides(b) {
-					pram.Store32(&s.dormant[sa], 1)
+					s.dormant[sa] = 1
 				}
 			}
 		})
@@ -446,17 +446,17 @@ func (s *state) round(round int, res *Result) bool {
 	checkCollisions(s.added)
 	s.eachRoot(func(v, i int32) {
 		if s.tables[i].Collides(v) {
-			pram.Store32(&s.dormant[i], 1)
+			s.dormant[i] = 1
 		}
 	})
 	// Dormancy propagation ("if there is a dormant vertex in H(v)").
 	s.eachRoot(func(v, i int32) {
-		if pram.Load32(&s.dormant[i]) == 1 {
+		if s.dormant[i] == 1 {
 			return
 		}
 		for _, w := range s.tables[i].Occupied() {
-			if pram.Load32(&s.dormant[slot[w]]) == 1 {
-				pram.Store32(&s.dormant[i], 1)
+			if s.dormant[slot[w]] == 1 {
+				s.dormant[i] = 1
 				return
 			}
 		}
@@ -488,7 +488,7 @@ func (s *state) round(round int, res *Result) bool {
 				if ow := old[slot[w]]; ow != nil {
 					for _, u := range ow.Occupied() {
 						if !ot.Contains(u) {
-							pram.Store64(&breakNewEntry, 1) // break-condition (ii)
+							breakNewEntry = 1 // break-condition (ii)
 						}
 						nt.TryInsert(u)
 					}
@@ -518,7 +518,7 @@ func (s *state) round(round int, res *Result) bool {
 	m.StepN(int(totalBudget), len(roots), func(lo, hi int) {
 		for _, v := range roots[lo:hi] {
 			if i := slot[v]; lost(i) {
-				pram.Store32(&s.dormant[i], 1)
+				s.dormant[i] = 1
 			}
 		}
 	})
@@ -549,10 +549,10 @@ func (s *state) round(round int, res *Result) bool {
 	// (unless already at the maximal level L or finished). Step (6)
 	// may have linked some of this round's roots, so the body checks.
 	s.eachRoot(func(v, i int32) {
-		if s.d.Parent[v] == v && pram.Load32(&s.dormant[i]) == 1 && s.boosted[i] == 0 &&
+		if s.d.Parent[v] == v && s.dormant[i] == 1 && s.boosted[i] == 0 &&
 			s.budget[i] < s.budgets.cap && s.incident[v] == 1 {
 			s.level[v]++
-			pram.Store64(&s.lvlChange, 1)
+			s.lvlChange = 1
 		}
 	})
 	for _, v := range roots {
@@ -595,7 +595,7 @@ func (s *state) round(round int, res *Result) bool {
 		}
 	}
 	tr.MaxLevel = s.maxLevel()
-	tr.ParentChanges = int(pram.Load64(&s.parChange))
+	tr.ParentChanges = int(s.parChange)
 	res.Trace = append(res.Trace, tr)
 
 	if s.p.CheckInvariants && res.InvariantErr == nil {
@@ -604,9 +604,9 @@ func (s *state) round(round int, res *Result) bool {
 
 	// Break condition (§3.3): (i) no parent or level changed this
 	// round, (ii) step (5) added nothing new to any table.
-	return pram.Load64(&s.parChange) == 0 &&
-		pram.Load64(&s.lvlChange) == 0 &&
-		pram.Load64(&breakNewEntry) == 0
+	return s.parChange == 0 &&
+		s.lvlChange == 0 &&
+		breakNewEntry == 0
 }
 
 // maxLevel returns the largest level; level-0 vertices are off the

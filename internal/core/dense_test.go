@@ -12,7 +12,7 @@ import (
 func TestDenseGnmConverges(t *testing.T) {
 	g := graph.Gnm(20000, 20000*32, 5)
 	start := time.Now()
-	res := Run(pram.New(0), g, DefaultParams(3))
+	res := Run(pram.New(), g, DefaultParams(3))
 	el := time.Since(start)
 	t.Logf("rounds=%d maxLevel=%d failed=%v cum/m=%.2f elapsed=%v",
 		res.Rounds, res.MaxLevel, res.Failed, float64(res.CumBlockWords)/float64(g.NumEdges()), el)

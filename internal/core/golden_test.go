@@ -12,13 +12,14 @@ import (
 	"repro/internal/pram"
 )
 
-// TestGoldenModelCosts pins the simulator's model costs. At pram.New(1)
-// the schedule is sequential, so every ARBITRARY write resolves the same
-// way on every run and a seeded solve is fully determined: its labels,
-// Stats (steps, work, max processors, space), round counts and every
-// Trace row hash to the recorded values. A host-side speedup of the
-// simulator must leave all of them unchanged; a change that moves one of
-// these hashes changes the algorithm or its charging, not just its speed.
+// TestGoldenModelCosts pins the simulator's model costs. The machine
+// runs every step in processor order, so every ARBITRARY write
+// resolves the same way on every run and host, and a seeded solve is
+// fully determined: its labels, Stats (steps, work, max processors,
+// space), round counts and every Trace row hash to the recorded
+// values. A host-side speedup of the simulator must leave all of them
+// unchanged; a change that moves one of these hashes changes the
+// algorithm or its charging, not just its speed.
 func TestGoldenModelCosts(t *testing.T) {
 	graphs := []struct {
 		name string
@@ -44,7 +45,7 @@ func TestGoldenModelCosts(t *testing.T) {
 			name := fmt.Sprintf("%s/seed%d", tc.name, seed)
 			t.Run(name, func(t *testing.T) {
 				g := tc.g(int64(seed))
-				res := Run(pram.New(1), g, DefaultParams(seed))
+				res := Run(pram.New(), g, DefaultParams(seed))
 				if err := check.Components(g, res.Labels); err != nil {
 					t.Fatalf("labels wrong: %v", err)
 				}

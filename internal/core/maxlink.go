@@ -13,9 +13,10 @@ import (
 // Each iteration is two PRAM sub-steps: a read phase that combines
 // (level, vertex) maxima per vertex — O(1) time on an ARBITRARY CRCW
 // PRAM via the per-level array trick of §3.3, realized here as a
-// packed atomic max — and a write phase that re-parents. Links always
-// target a strictly higher level, so Lemma 3.2's invariant
-// ℓ(v) < ℓ(v.p) for non-roots is maintained and no cycle can form.
+// packed max (pram.MaxCombine64) — and a write phase that re-parents.
+// Links always target a strictly higher level, so Lemma 3.2's
+// invariant ℓ(v) < ℓ(v.p) for non-roots is maintained and no cycle can
+// form.
 //
 // Every vertex step charges all n processors, but the host runs only
 // the active (level ≥ 1) vertices: a level-0 vertex ends no live arc,
@@ -64,7 +65,7 @@ func (s *state) maxlink() {
 				l, u := pram.UnpackLevelVertex(best[lo+i])
 				if l > lvl[v] && u != par[v] {
 					par[v] = u
-					pram.Store64(&s.parChange, 1)
+					s.parChange = 1
 				}
 			}
 		})

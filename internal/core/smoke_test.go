@@ -26,7 +26,7 @@ func TestSmokeSmallGraphs(t *testing.T) {
 	for _, tc := range cases {
 		for seed := uint64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", tc.name, seed), func(t *testing.T) {
-				m := pram.New(0)
+				m := pram.New()
 				res := Run(m, tc.g, DefaultParams(seed))
 				if err := check.Components(tc.g, res.Labels); err != nil {
 					t.Fatalf("labels wrong (rounds=%d failed=%v): %v", res.Rounds, res.Failed, err)

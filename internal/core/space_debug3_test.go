@@ -16,10 +16,10 @@ func TestDebugGrowthSweep(t *testing.T) {
 	for _, gamma := range []float64{1.1, 1.15, 1.2, 1.25} {
 		p := DefaultParams(23)
 		p.Growth = gamma
-		res := Run(pram.New(0), g, p)
+		res := Run(pram.New(), g, p)
 		p2 := DefaultParams(23)
 		p2.Growth = gamma
-		res2 := Run(pram.New(0), g2, p2)
+		res2 := Run(pram.New(), g2, p2)
 		t.Logf("gamma=%.2f: beads2048 rounds=%d maxlvl=%d cum/m=%.2f failed=%v | beads128 rounds=%d cum/m=%.2f",
 			gamma, res.Rounds, res.MaxLevel, float64(res.CumBlockWords)/float64(g.NumEdges()), res.Failed,
 			res2.Rounds, float64(res2.CumBlockWords)/float64(g2.NumEdges()))

@@ -22,7 +22,7 @@ func newTestState(g *graph.Graph, params Params) *state {
 	for v := range ongoing {
 		ongoing[v] = true
 	}
-	s := newState(pram.New(1), p, vst, ongoing, make([]int32, g.N), 16)
+	s := newState(pram.New(), p, vst, ongoing, make([]int32, g.N), 16)
 	s.coin = pram.Coin{Seed: p.Seed}
 	s.fam = hashing.Family{Seed: p.Seed ^ 1}
 	return s

@@ -90,12 +90,12 @@ func Run(m *pram.Machine, arcs *labels.ArcStore, ongoing []bool, p Params) *Outc
 	pram.Fill32(claim, -1)
 	m.Step(n, func(v int) {
 		if ongoing[v] {
-			pram.Store32(&claim[hB.Slot(uint64(v), blocks)], int32(v))
+			claim[hB.Slot(uint64(v), blocks)] = int32(v)
 		}
 	})
 	m.Step(n, func(v int) {
-		if ongoing[v] && pram.Load32(&claim[hB.Slot(uint64(v), blocks)]) != int32(v) {
-			pram.Store32(&conflict[hB.Slot(uint64(v), blocks)], 1)
+		if ongoing[v] && claim[hB.Slot(uint64(v), blocks)] != int32(v) {
+			conflict[hB.Slot(uint64(v), blocks)] = 1
 		}
 	})
 	m.Step(n, func(v int) {
@@ -103,7 +103,7 @@ func Run(m *pram.Machine, arcs *labels.ArcStore, ongoing []bool, p Params) *Outc
 			return
 		}
 		s := hB.Slot(uint64(v), blocks)
-		if pram.Load32(&claim[s]) == int32(v) && pram.Load32(&conflict[s]) == 0 {
+		if claim[s] == int32(v) && conflict[s] == 0 {
 			out.H[v] = hashing.NewTable(hV, tableSize)
 			m.Alloc(tableSize)
 		} else {
@@ -131,7 +131,7 @@ func Run(m *pram.Machine, arcs *labels.ArcStore, ongoing []bool, p Params) *Outc
 				out.H[v].TryInsert(v)
 				out.H[v].TryInsert(w)
 			} else {
-				pram.Store32(&dormantNow[w], 1)
+				dormantNow[w] = 1
 			}
 		}
 	})
@@ -145,7 +145,7 @@ func Run(m *pram.Machine, arcs *labels.ArcStore, ongoing []bool, p Params) *Outc
 				continue
 			}
 			if out.H[v].Collides(v) || out.H[v].Collides(w) {
-				pram.Store32(&dormantNow[v], 1)
+				dormantNow[v] = 1
 			}
 		}
 	})
@@ -190,12 +190,12 @@ func Run(m *pram.Machine, arcs *labels.ArcStore, ongoing []bool, p Params) *Outc
 				}
 				for _, v := range out.H[u].OccupiedPrefix(occAt[u]) {
 					if oldDormant[v] {
-						pram.Store32(&dormantNow[u], 1)
+						dormantNow[u] = 1
 					}
 					if ov := out.H[v]; ov != nil {
 						for _, w := range ov.OccupiedPrefix(occAt[v]) {
 							if out.H[u].TryInsert(w) {
-								pram.Store64(&newEntry, 1)
+								newEntry = 1
 							}
 						}
 					}
@@ -223,7 +223,7 @@ func Run(m *pram.Machine, arcs *labels.ArcStore, ongoing []bool, p Params) *Outc
 		m.StepN(chargedProcs, n, func(lo, hi int) {
 			for u := lo; u < hi; u++ {
 				if ongoing[u] && out.H[u] != nil && collides(u) {
-					pram.Store32(&dormantNow[u], 1)
+					dormantNow[u] = 1
 				}
 			}
 		})
@@ -233,7 +233,7 @@ func Run(m *pram.Machine, arcs *labels.ArcStore, ongoing []bool, p Params) *Outc
 				out.Dormant[v] = true
 				out.Live[v] = false
 				out.DormRound[v] = int32(r)
-				pram.Store64(&newDormant, 1)
+				newDormant = 1
 			}
 		})
 
@@ -241,7 +241,7 @@ func Run(m *pram.Machine, arcs *labels.ArcStore, ongoing []bool, p Params) *Outc
 		if p.Snapshot {
 			out.Snapshots = append(out.Snapshots, snapshotTables(out.H, ongoing))
 		}
-		if pram.Load64(&newEntry) == 0 && pram.Load64(&newDormant) == 0 {
+		if newEntry == 0 && newDormant == 0 {
 			return out
 		}
 	}

@@ -15,7 +15,7 @@ func runExpand(t *testing.T, g *graph.Graph, p Params) *Outcome {
 	for v := range ongoing {
 		ongoing[v] = true
 	}
-	return Run(pram.New(1), arcs, ongoing, p)
+	return Run(pram.New(), arcs, ongoing, p)
 }
 
 func bigParams(seed uint64) Params {
@@ -109,7 +109,7 @@ func TestExpandFullyDormant(t *testing.T) {
 	for v := range ongoing {
 		ongoing[v] = true
 	}
-	out := Run(pram.New(1), arcs, ongoing, Params{BlockSlack: 0.02, TableSize: 8, MaxRounds: 8, Seed: 2})
+	out := Run(pram.New(), arcs, ongoing, Params{BlockSlack: 0.02, TableSize: 8, MaxRounds: 8, Seed: 2})
 	fully := 0
 	for v := 0; v < g.N; v++ {
 		if out.FullyDorm[v] {
@@ -131,7 +131,7 @@ func TestExpandRespectsOngoingMask(t *testing.T) {
 	g := graph.Path(10)
 	arcs := labels.NewArcStore(g.Span())
 	ongoing := make([]bool, g.N) // nobody participates
-	out := Run(pram.New(1), arcs, ongoing, bigParams(4))
+	out := Run(pram.New(), arcs, ongoing, bigParams(4))
 	for v := 0; v < g.N; v++ {
 		if out.H[v] != nil || out.Live[v] {
 			t.Fatal("non-ongoing vertex got state")
@@ -149,7 +149,7 @@ func TestExpandSnapshotsMonotone(t *testing.T) {
 	}
 	p := bigParams(5)
 	p.Snapshot = true
-	out := Run(pram.New(1), arcs, ongoing, p)
+	out := Run(pram.New(), arcs, ongoing, p)
 	if len(out.Snapshots) != out.Rounds+1 {
 		t.Fatalf("snapshots = %d, rounds = %d", len(out.Snapshots), out.Rounds)
 	}
@@ -178,7 +178,7 @@ func TestExpandBallInvariant(t *testing.T) {
 	}
 	p := bigParams(11)
 	p.Snapshot = true
-	out := Run(pram.New(1), arcs, ongoing, p)
+	out := Run(pram.New(), arcs, ongoing, p)
 	for j := 0; j < len(out.Snapshots); j++ {
 		for v := 0; v < g.N; v++ {
 			if out.DormRound[v] >= 0 && int(out.DormRound[v]) <= j {
@@ -214,7 +214,7 @@ func TestExpandChargesCosts(t *testing.T) {
 	for v := range ongoing {
 		ongoing[v] = true
 	}
-	m := pram.New(1)
+	m := pram.New()
 	Run(m, arcs, ongoing, bigParams(6))
 	s := m.Stats()
 	if s.Steps == 0 || s.Work == 0 || s.MaxSpace == 0 {

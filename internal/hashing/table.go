@@ -1,26 +1,22 @@
 package hashing
 
-import "sync/atomic"
-
 // Table is the paper's fixed-size hash table H(v): K cells, each
 // holding a vertex id or Empty. Writing vertex w stores w into slot
 // h(w); a collision exists when, after all concurrent writes of a step,
 // some written vertex re-reads a different value from its slot (§3.3's
 // re-read trick). Insert and collision detection are therefore two
-// separate passes, exactly as on the PRAM.
-//
-// All mutating methods use atomic stores so tables can be filled by
-// concurrent PRAM processors with ARBITRARY write resolution.
+// separate passes, exactly as on the PRAM. The simulator runs a step's
+// processors in index order on one host thread, so concurrent PRAM
+// writes into a table are plain stores resolved by that order.
 type Table struct {
 	h     Pairwise
 	cells []int32
 
 	// occ is an append-only list of values that won their cell via
 	// TryInsert, so iteration costs O(#entries) instead of O(size) —
-	// the PRAM walks cells in parallel, the host must not. occCount is
-	// advanced atomically by concurrent writers; entries written via
-	// plain Insert (overwrite) are NOT tracked here, so algorithms
-	// that iterate tables must insert through TryInsert.
+	// the PRAM walks cells in parallel, the host must not. Entries
+	// written via plain Insert (overwrite) are NOT tracked here, so
+	// algorithms that iterate tables must insert through TryInsert.
 	occ      []int32
 	occCount int32
 }
@@ -47,9 +43,9 @@ func (t *Table) Size() int { return len(t.cells) }
 // Hash returns the slot of vertex w.
 func (t *Table) Hash(w int32) int { return t.h.Slot(uint64(w), len(t.cells)) }
 
-// Insert writes w into its slot (concurrent-safe, arbitrary wins).
+// Insert writes w into its slot (overwrite: the last writer wins).
 func (t *Table) Insert(w int32) {
-	atomic.StoreInt32(&t.cells[t.Hash(w)], w)
+	t.cells[t.Hash(w)] = w
 }
 
 // TryInsert writes w into its slot only if the slot is empty or
@@ -59,68 +55,53 @@ func (t *Table) Insert(w int32) {
 // added = true when the slot went empty→w this call.
 func (t *Table) TryInsert(w int32) (added bool) {
 	cell := &t.cells[t.Hash(w)]
-	for {
-		cur := atomic.LoadInt32(cell)
-		if cur == w {
-			return false
-		}
-		if cur != Empty {
-			return false // collision: loser keeps Collides(w) == true
-		}
-		if atomic.CompareAndSwapInt32(cell, Empty, w) {
-			t.recordOcc(w)
-			return true
-		}
+	if *cell != Empty {
+		// w is already there, or a collision: the loser keeps
+		// Collides(w) == true.
+		return false
 	}
-}
-
-// recordOcc appends a winning value to the occupancy list. Concurrent
-// winners reserve distinct slots with an atomic counter; each cell has
-// at most one winner, so the preallocated k slots never overflow. The
-// list is read only after the enclosing PRAM step's barrier.
-func (t *Table) recordOcc(w int32) {
-	idx := atomic.AddInt32(&t.occCount, 1) - 1
-	atomic.StoreInt32(&t.occ[idx], w)
+	*cell = w
+	// Each cell has at most one winner, so the k preallocated
+	// occupancy slots never overflow.
+	t.occ[t.occCount] = w
+	t.occCount++
+	return true
 }
 
 // Occupied returns the values inserted via TryInsert, in insertion
-// order. The returned slice aliases internal storage: read-only, and
-// only valid between PRAM steps (no concurrent writers).
+// order. The returned slice aliases internal storage: read-only.
 func (t *Table) Occupied() []int32 {
-	return t.occ[:atomic.LoadInt32(&t.occCount)]
+	return t.occ[:t.occCount]
 }
 
 // OccCount returns the current occupancy-list length. Because
 // TryInsert is append-only, OccupiedPrefix(OccCount()) taken before a
 // step is an O(1) snapshot of the table's contents at that instant.
-func (t *Table) OccCount() int32 { return atomic.LoadInt32(&t.occCount) }
+func (t *Table) OccCount() int32 { return t.occCount }
 
 // OccupiedPrefix returns the first k inserted values (read-only view).
 func (t *Table) OccupiedPrefix(k int32) []int32 {
-	if n := atomic.LoadInt32(&t.occCount); k > n {
-		k = n
-	}
-	return t.occ[:k]
+	return t.occ[:min(k, t.occCount)]
 }
 
 // Collides re-reads w's slot and reports whether a different vertex
 // occupies it — the paper's collision check.
 func (t *Table) Collides(w int32) bool {
-	return atomic.LoadInt32(&t.cells[t.Hash(w)]) != w
+	return t.cells[t.Hash(w)] != w
 }
 
 // Contains reports whether w currently occupies its slot.
 func (t *Table) Contains(w int32) bool {
-	return atomic.LoadInt32(&t.cells[t.Hash(w)]) == w
+	return t.cells[t.Hash(w)] == w
 }
 
 // At returns the contents of slot i (Empty if unoccupied).
-func (t *Table) At(i int) int32 { return atomic.LoadInt32(&t.cells[i]) }
+func (t *Table) At(i int) int32 { return t.cells[i] }
 
 // Entries appends all occupied values to dst and returns it.
 func (t *Table) Entries(dst []int32) []int32 {
-	for i := range t.cells {
-		if v := atomic.LoadInt32(&t.cells[i]); v != Empty {
+	for _, v := range t.cells {
+		if v != Empty {
 			dst = append(dst, v)
 		}
 	}
@@ -130,8 +111,8 @@ func (t *Table) Entries(dst []int32) []int32 {
 // Len returns the number of occupied cells (linear scan).
 func (t *Table) Len() int {
 	n := 0
-	for i := range t.cells {
-		if atomic.LoadInt32(&t.cells[i]) != Empty {
+	for _, v := range t.cells {
+		if v != Empty {
 			n++
 		}
 	}
@@ -148,13 +129,9 @@ func (t *Table) Clear() {
 
 // Clone returns a snapshot copy of the table (same hash function).
 func (t *Table) Clone() *Table {
-	c := &Table{h: t.h, cells: make([]int32, len(t.cells)), occ: make([]int32, len(t.occ))}
-	for i := range t.cells {
-		c.cells[i] = atomic.LoadInt32(&t.cells[i])
-	}
-	n := atomic.LoadInt32(&t.occCount)
-	copy(c.occ[:n], t.occ[:n])
-	c.occCount = n
+	c := &Table{h: t.h, cells: make([]int32, len(t.cells)), occ: make([]int32, len(t.occ)), occCount: t.occCount}
+	copy(c.cells, t.cells)
+	copy(c.occ, t.occ[:t.occCount])
 	return c
 }
 
@@ -163,13 +140,12 @@ func (t *Table) Clone() *Table {
 // occupancy list is updated in lockstep; note slots keep the original
 // hash positions, so Contains/Collides are meaningless after Map.
 func (t *Table) Map(f func(int32) int32) {
-	for i := range t.cells {
-		if v := atomic.LoadInt32(&t.cells[i]); v != Empty {
-			atomic.StoreInt32(&t.cells[i], f(v))
+	for i, v := range t.cells {
+		if v != Empty {
+			t.cells[i] = f(v)
 		}
 	}
-	n := atomic.LoadInt32(&t.occCount)
-	for i := int32(0); i < n; i++ {
-		t.occ[i] = f(t.occ[i])
+	for i, v := range t.occ[:t.occCount] {
+		t.occ[i] = f(v)
 	}
 }

@@ -106,12 +106,12 @@ func (a *ArcStore) HasNonLoop(m *pram.Machine) bool {
 	m.StepN(a.procs, len(u), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if u[i] != v[i] {
-				pram.Store64(&flag, 1)
+				flag = 1
 				return
 			}
 		}
 	})
-	return pram.Load64(&flag) == 1
+	return flag == 1
 }
 
 // MarkIncident sets inc[x]=1 for every endpoint of a non-loop arc and
@@ -131,8 +131,8 @@ func (a *ArcStore) MarkEnds(m *pram.Machine, inc []int32) {
 	m.StepN(a.procs, len(u), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if u[i] != v[i] {
-				pram.Store32(&inc[u[i]], 1)
-				pram.Store32(&inc[v[i]], 1)
+				inc[u[i]] = 1
+				inc[v[i]] = 1
 			}
 		}
 	})

@@ -36,18 +36,16 @@ func twoHopForest(n int, seed int64) []int32 {
 func BenchmarkShortcut(b *testing.B) {
 	for _, n := range []int{1 << 16, 1 << 20} {
 		forest := twoHopForest(n, 1)
-		for _, w := range []int{1, 0} {
-			b.Run(fmt.Sprintf("n=%d/workers=%d", n, w), func(b *testing.B) {
-				m := pram.New(w)
-				d := &Digraph{Parent: make([]int32, n)}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					copy(d.Parent, forest)
-					if d.Shortcut(m) != 1 {
-						b.Fatal("Shortcut changed no parent")
-					}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			m := pram.New()
+			d := &Digraph{Parent: make([]int32, n)}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(d.Parent, forest)
+				if d.Shortcut(m) != 1 {
+					b.Fatal("Shortcut changed no parent")
 				}
-			})
-		}
+			}
+		})
 	}
 }

@@ -46,7 +46,7 @@ func (d *Digraph) Root(v int32) int32 {
 // The PRAM's read phase snapshots the old parents into the machine's
 // reusable buffer, so v.p.p is taken from the old digraph; the
 // processors read only the snapshot, and only processor v writes
-// Parent[v], so the writes need no atomics. Every processor writes,
+// Parent[v]. Every processor writes,
 // even when v.p.p is v.p already: whether a vertex is two hops from
 // its root is unpredictable in id order, and a plain store of an
 // unchanged value is cheaper than the branch it replaces. Each range
@@ -67,10 +67,10 @@ func (d *Digraph) Shortcut(m *pram.Machine) int {
 			diff |= gp ^ p
 		}
 		if diff != 0 {
-			pram.Store64(&changed, 1) // arbitrary write: "some parent changed"
+			changed = 1 // arbitrary write: "some parent changed"
 		}
 	})
-	return int(pram.Load64(&changed))
+	return int(changed)
 }
 
 // Flatten repeatedly shortcuts until every tree is flat, charging one

@@ -30,7 +30,7 @@ func TestSelfLabeled(t *testing.T) {
 }
 
 func TestShortcutHalvesDepth(t *testing.T) {
-	m := pram.New(1)
+	m := pram.New()
 	d := chain(17) // height 16
 	iters := 0
 	for !d.IsFlat() {
@@ -52,7 +52,7 @@ func TestShortcutHalvesDepth(t *testing.T) {
 }
 
 func TestShortcutReturnsChangeFlag(t *testing.T) {
-	m := pram.New(1)
+	m := pram.New()
 	d := chain(5)
 	if d.Shortcut(m) == 0 {
 		t.Fatal("shortcut on a chain must report changes")
@@ -64,7 +64,7 @@ func TestShortcutReturnsChangeFlag(t *testing.T) {
 }
 
 func TestFlattenIterationsLogarithmic(t *testing.T) {
-	m := pram.New(1)
+	m := pram.New()
 	d := chain(1 << 12)
 	iters := d.Flatten(m)
 	if iters > 14 {
@@ -129,7 +129,7 @@ func TestArcStoreAlter(t *testing.T) {
 	d := NewSelfLabeled(4)
 	d.Parent[1] = 0
 	d.Parent[3] = 2
-	m := pram.New(1)
+	m := pram.New()
 	a.Alter(m, d)
 	// Arc (1,2) must become (0,2).
 	found := false
@@ -163,7 +163,7 @@ func TestAlterDropsLoopsStably(t *testing.T) {
 				d.Parent[v] = int32(coin.Intn(1, uint64(v), v))
 			}
 		}
-		a.Alter(pram.New(1), d)
+		a.Alter(pram.New(), d)
 		k := 0
 		for i := range g.U {
 			u, v := d.Parent[g.U[i]], d.Parent[g.V[i]]
@@ -202,7 +202,7 @@ func TestArcStepsChargeDroppedArcs(t *testing.T) {
 		d.Parent[v] = int32(v - 1)
 	}
 	dropped := NewArcStore(g.Span())
-	dropped.Alter(pram.New(1), d)
+	dropped.Alter(pram.New(), d)
 	full := &ArcStore{}
 	for i := range g.U {
 		full.Append(d.Parent[g.U[i]], d.Parent[g.V[i]], int32(i))
@@ -216,7 +216,7 @@ func TestArcStepsChargeDroppedArcs(t *testing.T) {
 		d2.Parent[v] = 0
 	}
 	run := func(a *ArcStore) (pram.Stats, bool, []int32) {
-		m := pram.New(1)
+		m := pram.New()
 		a.Alter(m, d2)
 		non := a.HasNonLoop(m)
 		inc := make([]int32, 200)
@@ -236,7 +236,7 @@ func TestArcStepsChargeDroppedArcs(t *testing.T) {
 func TestArcStoreHasNonLoop(t *testing.T) {
 	g := graph.Path(3)
 	a := NewArcStore(g.Span())
-	m := pram.New(1)
+	m := pram.New()
 	if !a.HasNonLoop(m) {
 		t.Fatal("path arcs are non-loops")
 	}
@@ -254,7 +254,7 @@ func TestMarkIncident(t *testing.T) {
 	g.AddEdge(0, 1)
 	g.AddEdge(2, 2) // self-loop must not mark
 	a := NewArcStore(g.Span())
-	m := pram.New(1)
+	m := pram.New()
 	inc := make([]int32, 4)
 	a.MarkIncident(m, inc)
 	want := []int32{1, 1, 0, 0}
@@ -279,7 +279,7 @@ func TestAlterPreservesPartitionProperty(t *testing.T) {
 				d.Parent[v] = int32(coin.Intn(1, uint64(v), v))
 			}
 		}
-		m := pram.New(1)
+		m := pram.New()
 		a.Alter(m, d)
 		for i := 0; i < a.Len(); i++ {
 			o := a.Orig[i]

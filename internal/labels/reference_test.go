@@ -8,10 +8,8 @@ import (
 	"repro/internal/pram"
 )
 
-// shardedN is large enough that every step below exceeds the
-// machine's 2048-processor sequential threshold, so on pram.New(2) the
-// range bodies run as concurrently claimed chunks.
-const shardedN = 1 << 13
+// refN is the vertex count of the reference checks below.
+const refN = 1 << 13
 
 // randomForest returns a digraph whose parents point to smaller ids
 // (so it is acyclic), with deep chains for SHORTCUT to compress.
@@ -30,14 +28,14 @@ func randomForest(n int, seed uint64) *Digraph {
 	return d
 }
 
-// TestShardedRangeSteps checks the range-bodied steps on a two-worker
-// machine against sequential references computed on the host.
-func TestShardedRangeSteps(t *testing.T) {
-	m := pram.New(2)
-	g := graph.Gnm(shardedN, 2*shardedN, 5)
+// TestRangeStepsMatchReferences checks the range-bodied steps against
+// per-element references computed on the host.
+func TestRangeStepsMatchReferences(t *testing.T) {
+	m := pram.New()
+	g := graph.Gnm(refN, 2*refN, 5)
 
 	t.Run("Shortcut", func(t *testing.T) {
-		d := randomForest(shardedN, 3)
+		d := randomForest(refN, 3)
 		for pass := 0; ; pass++ {
 			old := slices.Clone(d.Parent)
 			want := make([]int32, len(old))
@@ -64,7 +62,7 @@ func TestShardedRangeSteps(t *testing.T) {
 	})
 
 	t.Run("Alter", func(t *testing.T) {
-		d := randomForest(shardedN, 4)
+		d := randomForest(refN, 4)
 		a := NewArcStore(g.Span())
 		a.Alter(m, d)
 		k := 0 // the live arcs are the non-loop images, in input order
@@ -85,14 +83,14 @@ func TestShardedRangeSteps(t *testing.T) {
 
 	t.Run("HasNonLoop", func(t *testing.T) {
 		a := &ArcStore{}
-		for i := 0; i < shardedN; i++ {
+		for i := 0; i < refN; i++ {
 			a.Append(int32(i), int32(i), -1)
 		}
 		if a.HasNonLoop(m) {
 			t.Fatal("all-loop store reported a non-loop")
 		}
-		for _, at := range []int{0, shardedN / 2, shardedN - 1} {
-			a.V[at] = int32((at + 1) % shardedN)
+		for _, at := range []int{0, refN / 2, refN - 1} {
+			a.V[at] = int32((at + 1) % refN)
 			if !a.HasNonLoop(m) {
 				t.Fatalf("non-loop at arc %d missed", at)
 			}
@@ -101,14 +99,14 @@ func TestShardedRangeSteps(t *testing.T) {
 	})
 
 	t.Run("MarkIncident", func(t *testing.T) {
-		d := randomForest(shardedN, 6)
+		d := randomForest(refN, 6)
 		a := NewArcStore(g.Span())
 		a.Alter(m, d)
 		added := &ArcStore{}
-		for v := 0; v+3 < shardedN; v += 7 {
+		for v := 0; v+3 < refN; v += 7 {
 			added.Append(int32(v), int32(v+3), -1)
 		}
-		want := make([]int32, shardedN)
+		want := make([]int32, refN)
 		for _, st := range []*ArcStore{a, added} {
 			for i := range st.U {
 				if st.U[i] != st.V[i] {
@@ -116,7 +114,7 @@ func TestShardedRangeSteps(t *testing.T) {
 				}
 			}
 		}
-		inc := make([]int32, shardedN)
+		inc := make([]int32, refN)
 		pram.Fill32(inc, 1) // MarkIncident must clear stale marks
 		a.MarkIncident(m, inc)
 		added.MarkEnds(m, inc)

@@ -27,9 +27,9 @@ var (
 
 // Pool is a reusable fixed-size worker pool. The workers are spawned
 // once and fed one job per round via per-worker channels, instead of
-// spawning a fresh goroutine set for every parallel step the way the
-// PRAM simulator does. Run broadcasts the job to all workers and
-// blocks until every worker has returned.
+// spawning a fresh goroutine set for every parallel step. Run
+// broadcasts the job to all workers and blocks until every worker has
+// returned.
 type Pool struct {
 	jobs      []chan func(worker int)
 	wg        sync.WaitGroup

@@ -24,8 +24,8 @@
 //
 // A Shard is plain value state (no goroutines, no channels): Init it,
 // then have each participating worker call Work. Pool.Sharded wires
-// this to the pool's broadcast barrier; the PRAM simulator drives a
-// stack-local Shard from its own per-step goroutines.
+// this to the pool's broadcast barrier. The PRAM simulator does not
+// use it: it runs every step on one host thread.
 package pool
 
 import (

@@ -1,58 +1,85 @@
 package pram
 
 import (
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
 
+// TestStepRunsEveryProcessorOnce pins the schedule every ARBITRARY
+// resolution rests on: each processor runs exactly once, in ascending
+// index order.
 func TestStepRunsEveryProcessorOnce(t *testing.T) {
-	for _, workers := range []int{1, 2, 8} {
-		m := New(workers)
-		const procs = 5000
-		hits := make([]int32, procs)
-		m.Step(procs, func(i int) {
-			atomic.AddInt32(&hits[i], 1)
-		})
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("workers=%d: processor %d ran %d times", workers, i, h)
+	for _, procs := range []int{0, 1, 5000} {
+		var order []int
+		New().Step(procs, func(i int) { order = append(order, i) })
+		if len(order) != procs {
+			t.Fatalf("procs=%d: Step ran %d processors", procs, len(order))
+		}
+		for i, p := range order {
+			if p != i {
+				t.Fatalf("procs=%d: position %d ran processor %d", procs, i, p)
 			}
 		}
 	}
 }
 
+// TestStepRangeTilesEveryProcessorOnce checks that a range step hands
+// its body one range covering every processor, and none when there are
+// no processors.
 func TestStepRangeTilesEveryProcessorOnce(t *testing.T) {
-	for _, workers := range []int{1, 2, 8} {
-		for _, procs := range []int{0, 1, 2047, 2048, 5000, 1 << 16} {
-			m := New(workers)
-			hits := make([]int32, procs)
-			var calls atomic.Int64
-			m.StepRange(procs, func(lo, hi int) {
-				if lo >= hi || lo < 0 || hi > procs {
-					t.Errorf("workers=%d procs=%d: bad range [%d, %d)", workers, procs, lo, hi)
-					return
-				}
-				calls.Add(1)
-				for i := lo; i < hi; i++ {
-					atomic.AddInt32(&hits[i], 1)
-				}
-			})
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("workers=%d procs=%d: processor %d ran %d times", workers, procs, i, h)
-				}
+	for _, procs := range []int{0, 1, 5000} {
+		calls := 0
+		New().StepRange(procs, func(lo, hi int) {
+			calls++
+			if lo != 0 || hi != procs {
+				t.Errorf("procs=%d: range [%d, %d), want [0, %d)", procs, lo, hi, procs)
 			}
-			if (workers == 1 || procs < 2048) && procs > 0 && calls.Load() != 1 {
-				t.Errorf("workers=%d procs=%d: a sequential step ran %d ranges, want 1", workers, procs, calls.Load())
-			}
+		})
+		if want := min(procs, 1); calls != want {
+			t.Errorf("procs=%d: StepRange made %d calls, want %d", procs, calls, want)
 		}
+	}
+}
+
+func TestNestedStepRange(t *testing.T) {
+	// A step body may run a step of its own; both levels must still
+	// cover their index spaces and be charged.
+	m := New()
+	const outer, inner = 4096, 3000
+	total := 0
+	m.StepRange(outer, func(lo, hi int) {
+		m.StepRange(inner, func(lo, hi int) { total += hi - lo })
+		total += hi - lo
+	})
+	if total != outer+inner {
+		t.Errorf("nested steps covered %d processors, want %d", total, outer+inner)
+	}
+	if s := m.Stats(); s.Steps != 2 || s.Work != outer+inner {
+		t.Errorf("nested steps charged %+v, want 2 steps of %d work", s, outer+inner)
+	}
+}
+
+// TestConflictingWritesResolveByProcessorOrder pins the two resolution
+// rules the package doc states: an unconditional store leaves the
+// highest-index writer's value, a guarded check-then-store the
+// lowest-index one's.
+func TestConflictingWritesResolveByProcessorOrder(t *testing.T) {
+	m := New()
+	var plain, guarded int32 = -1, -1
+	m.Step(100, func(i int) {
+		plain = int32(i)
+		if guarded == -1 {
+			guarded = int32(i)
+		}
+	})
+	if plain != 99 || guarded != 0 {
+		t.Errorf("plain = %d, guarded = %d; want 99 and 0", plain, guarded)
 	}
 }
 
 func TestStepRangeChargesLikeStep(t *testing.T) {
 	for _, procs := range []int{0, 10, 3000} {
-		a, b := New(2), New(2)
+		a, b := New(), New()
 		a.Step(procs, func(int) {})
 		b.StepRange(procs, func(int, int) {})
 		if a.Stats() != b.Stats() {
@@ -61,48 +88,8 @@ func TestStepRangeChargesLikeStep(t *testing.T) {
 	}
 }
 
-func TestNestedStepRange(t *testing.T) {
-	// A step body that runs a step of its own takes the nested-shard
-	// fallback; both levels must still cover their index spaces.
-	m := New(2)
-	const outer, inner = 4096, 3000
-	var total atomic.Int64
-	m.StepRange(outer, func(lo, hi int) {
-		if lo == 0 {
-			m.StepRange(inner, func(lo, hi int) { total.Add(int64(hi - lo)) })
-		}
-		total.Add(int64(hi - lo))
-	})
-	if got := total.Load(); got != outer+inner {
-		t.Errorf("nested steps covered %d processors, want %d", got, outer+inner)
-	}
-}
-
-func TestStoreSkipsValueAlreadyHeld(t *testing.T) {
-	var c32 int32 = 7
-	var c64 int64 = 7
-	Store32(&c32, 7)
-	Store64(&c64, 7)
-	if c32 != 7 || c64 != 7 {
-		t.Fatalf("same-value store changed the cell: %d, %d", c32, c64)
-	}
-	Store32(&c32, 9)
-	Store64(&c64, -3)
-	if c32 != 9 || c64 != -3 {
-		t.Fatalf("store lost: %d, %d", c32, c64)
-	}
-	// Many processors raising one flag: the cell ends holding the
-	// value they all wrote.
-	m := New(4)
-	var flag int64
-	m.Step(1<<14, func(int) { Store64(&flag, 1) })
-	if flag != 1 {
-		t.Fatalf("flag = %d, want 1", flag)
-	}
-}
-
 func TestSnapshot32ReusesBuffer(t *testing.T) {
-	m := New(1)
+	m := New()
 	src := []int32{3, 1, 4, 1, 5}
 	a := m.Snapshot32(src)
 	src[0] = 9
@@ -119,7 +106,7 @@ func TestSnapshot32ReusesBuffer(t *testing.T) {
 }
 
 func TestStepAccounting(t *testing.T) {
-	m := New(1)
+	m := New()
 	m.Step(10, func(int) {})
 	m.Step(100, func(int) {})
 	m.StepCost(3, 7, func(int) {})
@@ -136,9 +123,9 @@ func TestStepAccounting(t *testing.T) {
 }
 
 func TestStepN(t *testing.T) {
-	m := New(4)
+	m := New()
 	var count int64
-	m.StepN(1000, 37, func(lo, hi int) { atomic.AddInt64(&count, int64(hi-lo)) })
+	m.StepN(1000, 37, func(lo, hi int) { count += int64(hi - lo) })
 	if count != 37 {
 		t.Errorf("iterations = %d, want 37", count)
 	}
@@ -150,10 +137,9 @@ func TestStepN(t *testing.T) {
 
 // TestStepNChargesWithoutHostWork pins the charged-vs-host split: an
 // empty frontier runs no host iteration but charges the step in full,
-// and a frontier above the sequential threshold tiles its iterations
-// exactly once on a sharded machine.
+// and a frontier runs each of its iterations exactly once.
 func TestStepNChargesWithoutHostWork(t *testing.T) {
-	m := New(2)
+	m := New()
 	m.StepN(500, 0, func(int, int) { t.Fatal("an empty frontier must not run") })
 	if s := m.Stats(); s.Steps != 1 || s.Work != 500 || s.MaxProcs != 500 {
 		t.Errorf("empty frontier charged %+v, want one step of 500 processors", s)
@@ -162,7 +148,7 @@ func TestStepNChargesWithoutHostWork(t *testing.T) {
 	seen := make([]int32, iters)
 	m.StepN(10*iters, iters, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			atomic.AddInt32(&seen[i], 1)
+			seen[i]++
 		}
 	})
 	for i, c := range seen {
@@ -176,7 +162,7 @@ func TestStepNChargesWithoutHostWork(t *testing.T) {
 }
 
 func TestZeroProcsStep(t *testing.T) {
-	m := New(4)
+	m := New()
 	m.Step(0, func(int) { t.Fatal("must not run") })
 	if m.Stats().Steps != 1 {
 		t.Error("zero-proc step still costs one time unit")
@@ -184,7 +170,7 @@ func TestZeroProcsStep(t *testing.T) {
 }
 
 func TestAllocFree(t *testing.T) {
-	m := New(1)
+	m := New()
 	m.Alloc(100)
 	m.Alloc(50)
 	m.Free(120)
@@ -195,7 +181,7 @@ func TestAllocFree(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	m := New(1)
+	m := New()
 	m.Step(5, func(int) {})
 	m.Alloc(9)
 	m.Reset()
@@ -281,17 +267,6 @@ func TestPackOrdering(t *testing.T) {
 	hi := PackLevelVertex(3, 0)
 	if lo >= hi {
 		t.Error("packing does not order by level first")
-	}
-}
-
-func TestConcurrentMaxCombine(t *testing.T) {
-	m := New(8)
-	var cell int64
-	m.Step(10000, func(i int) {
-		MaxCombine64(&cell, int64(i))
-	})
-	if cell != 9999 {
-		t.Errorf("concurrent max = %d, want 9999", cell)
 	}
 }
 

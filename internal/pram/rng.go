@@ -3,8 +3,9 @@ package pram
 // Schedule-independent randomness. A PRAM algorithm's random choices
 // must not depend on the host scheduler, so per-processor coins are
 // derived by hashing (seed, round, index) with SplitMix64. Two runs
-// with the same seed make identical random choices regardless of the
-// worker count; only ARBITRARY write resolutions may differ.
+// with the same seed make identical random choices, and since the
+// machine runs each step in processor order (see the package doc) they
+// resolve every ARBITRARY write identically too.
 
 // SplitMix64 is the standard splitmix64 finalizer.
 func SplitMix64(x uint64) uint64 {

@@ -11,11 +11,11 @@ import (
 	"repro/internal/pram"
 )
 
-// TestGoldenModelCosts pins a one-worker Theorem-2 solve: at
-// pram.New(1) every ARBITRARY write resolves the same way on every
-// run, so the labels, forest edges, Stats, phase counts and each
-// phase's trace row hash to the recorded values. A host-side speedup
-// must leave every hash unchanged.
+// TestGoldenModelCosts pins a Theorem-2 solve: the machine runs every
+// step in processor order, so every ARBITRARY write resolves the same
+// way on every run and host, and the labels, forest edges, Stats,
+// phase counts and each phase's trace row hash to the recorded
+// values. A host-side speedup must leave every hash unchanged.
 func TestGoldenModelCosts(t *testing.T) {
 	graphs := []struct {
 		name string
@@ -41,7 +41,7 @@ func TestGoldenModelCosts(t *testing.T) {
 			name := fmt.Sprintf("%s/seed%d", tc.name, seed)
 			t.Run(name, func(t *testing.T) {
 				g := tc.g(int64(seed))
-				res := Run(pram.New(1), g, DefaultParams(seed))
+				res := Run(pram.New(), g, DefaultParams(seed))
 				if err := check.Forest(g, res.ForestEdges); err != nil {
 					t.Fatalf("forest wrong: %v", err)
 				}

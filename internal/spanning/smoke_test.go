@@ -20,7 +20,7 @@ func TestSmokeSpanning(t *testing.T) {
 	for name, g := range cases {
 		for seed := uint64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/%d", name, seed), func(t *testing.T) {
-				m := pram.New(0)
+				m := pram.New()
 				res := Run(m, g, DefaultParams(seed))
 				if res.Failed {
 					t.Fatalf("failed flag set, phases=%d", res.Phases)

@@ -117,7 +117,7 @@ func treeLink(in treeLinkInput, alpha, beta, leaderNbr, chosen []int32) treeLink
 		for i := lo; i < hi; i++ {
 			v, w := au[i], av[i]
 			if v != w && in.Ongoing[v] == 1 && in.Leader[v] == 1 {
-				pram.Store32(&leaderNbr[w], 1)
+				leaderNbr[w] = 1
 			}
 		}
 	})
@@ -136,7 +136,7 @@ func treeLink(in treeLinkInput, alpha, beta, leaderNbr, chosen []int32) treeLink
 			return
 		}
 		for _, w := range Q[u].Occupied() {
-			if pram.Load32(&leaderNbr[w]) == 1 {
+			if leaderNbr[w] == 1 {
 				beta[u] = alpha[u] + 1
 				return
 			}
@@ -155,7 +155,7 @@ func treeLink(in treeLinkInput, alpha, beta, leaderNbr, chosen []int32) treeLink
 			}
 			bv, bw := beta[v], beta[w]
 			if bv >= 1 && bw == bv-1 {
-				pram.Store32(&chosen[v], int32(i))
+				chosen[v] = int32(i)
 			}
 		}
 	})

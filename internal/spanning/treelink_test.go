@@ -16,7 +16,7 @@ import (
 // explicit leader set, returning α, β, chosen and the inputs.
 func treeLinkFixture(t *testing.T, g *graph.Graph, leaders map[int]bool, tableSize int) (*expand.Outcome, treeLinkOutput) {
 	t.Helper()
-	m := pram.New(1)
+	m := pram.New()
 	arcs := labels.NewArcStore(g.Span())
 	ongoingB := make([]bool, g.N)
 	ongoing := make([]int32, g.N)

@@ -11,10 +11,9 @@ import (
 	"repro/internal/pram"
 )
 
-// goldenGraphs are the inputs the one-worker model-cost hashes are
-// recorded on: a long permuted path, a sparse and a dense random
-// graph, and a multi-component graph with isolated vertices and
-// self-loops.
+// goldenGraphs are the inputs the model-cost hashes are recorded on:
+// a long permuted path, a sparse and a dense random graph, and a
+// multi-component graph with isolated vertices and self-loops.
 var goldenGraphs = []struct {
 	name string
 	g    func(seed int64) *graph.Graph
@@ -31,10 +30,11 @@ var goldenGraphs = []struct {
 	}},
 }
 
-// TestGoldenModelCosts pins one-worker Vanilla and Vanilla-SF solves:
-// at pram.New(1) every ARBITRARY write resolves the same way on every
-// run, so the labels, forest edges, Stats and phase count hash to the
-// recorded values. A host-side speedup must leave every hash unchanged.
+// TestGoldenModelCosts pins Vanilla and Vanilla-SF solves: the
+// machine runs every step in processor order, so every ARBITRARY
+// write resolves the same way on every run and host, and the labels,
+// forest edges, Stats and phase count hash to the recorded values. A
+// host-side speedup must leave every hash unchanged.
 func TestGoldenModelCosts(t *testing.T) {
 	want := map[string]uint64{
 		"vanilla/path/seed1":          0x63e70f782414c608,
@@ -67,7 +67,7 @@ func TestGoldenModelCosts(t *testing.T) {
 			name := fmt.Sprintf("vanilla/%s/seed%d", tc.name, seed)
 			t.Run(name, func(t *testing.T) {
 				g := tc.g(int64(seed))
-				res := Run(pram.New(1), g, seed, 0)
+				res := Run(pram.New(), g, seed, 0)
 				if err := check.Components(g, res.Labels); err != nil {
 					t.Fatalf("labels wrong: %v", err)
 				}
@@ -79,7 +79,7 @@ func TestGoldenModelCosts(t *testing.T) {
 			name = fmt.Sprintf("vanilla-sf/%s/seed%d", tc.name, seed)
 			t.Run(name, func(t *testing.T) {
 				g := tc.g(int64(seed))
-				res := RunSF(pram.New(1), g, seed, 0)
+				res := RunSF(pram.New(), g, seed, 0)
 				if err := check.Forest(g, res.ForestEdges); err != nil {
 					t.Fatalf("forest wrong: %v", err)
 				}

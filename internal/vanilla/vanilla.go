@@ -85,9 +85,9 @@ func (s *State) link(m *pram.Machine, coin pram.Coin, phase uint64) {
 			}
 			la, lb := leader(coin, phase, a), leader(coin, phase, b)
 			if !la && lb {
-				pram.Store32(&par[a], b) // arc (a,b)
+				par[a] = b // arc (a,b)
 			} else if la && !lb {
-				pram.Store32(&par[b], a) // its mirror (b,a)
+				par[b] = a // its mirror (b,a)
 			}
 		}
 	})

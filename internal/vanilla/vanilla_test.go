@@ -26,7 +26,7 @@ func TestVanillaCorrectness(t *testing.T) {
 	for name, g := range cases {
 		for seed := uint64(1); seed <= 5; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {
-				res := Run(pram.New(1), g, seed, 0)
+				res := Run(pram.New(), g, seed, 0)
 				if err := check.Components(g, res.Labels); err != nil {
 					t.Fatalf("phases=%d: %v", res.Phases, err)
 				}
@@ -39,7 +39,7 @@ func TestVanillaPhasesLogarithmic(t *testing.T) {
 	// Corollary B.4: O(log n) phases w.h.p. Allow a generous constant.
 	for _, n := range []int{256, 1024, 4096} {
 		g := graph.Path(n)
-		res := Run(pram.New(1), g, 7, 0)
+		res := Run(pram.New(), g, 7, 0)
 		bound := 6*log2(n) + 10
 		if res.Phases > bound {
 			t.Fatalf("n=%d: %d phases > bound %d", n, res.Phases, bound)
@@ -59,7 +59,7 @@ func TestVanillaFlatAtPhaseStart(t *testing.T) {
 	// Lemma B.2: trees are flat at the start of every phase.
 	g := graph.Gnm(500, 1500, 9)
 	s := NewState(g.N, g.Span(), 3)
-	m := pram.New(1)
+	m := pram.New()
 	for i := 0; i < 20; i++ {
 		if !s.D.IsFlat() {
 			t.Fatalf("digraph not flat before phase %d", i)
@@ -78,7 +78,7 @@ func TestVanillaMonotone(t *testing.T) {
 	// the same tree stay in the same tree.
 	g := graph.Gnm(300, 900, 11)
 	s := NewState(g.N, g.Span(), 5)
-	m := pram.New(1)
+	m := pram.New()
 	prev := s.D.RootsOf()
 	for i := 0; i < 20; i++ {
 		if !s.RunPhase(m) {
@@ -111,7 +111,7 @@ func TestVanillaSFCorrectAndValid(t *testing.T) {
 	for name, g := range cases {
 		for seed := uint64(1); seed <= 5; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {
-				res := RunSF(pram.New(1), g, seed, 0)
+				res := RunSF(pram.New(), g, seed, 0)
 				if err := check.Components(g, res.Labels); err != nil {
 					t.Fatalf("labels: %v", err)
 				}
@@ -126,7 +126,7 @@ func TestVanillaSFCorrectAndValid(t *testing.T) {
 func TestVanillaSFForestGrowsMonotonically(t *testing.T) {
 	g := graph.Gnm(400, 1200, 13)
 	s := NewSFState(g.N, g.Span(), 2)
-	m := pram.New(1)
+	m := pram.New()
 	prevMarks := 0
 	for i := 0; i < 30; i++ {
 		cont := s.RunPhase(m)
@@ -149,14 +149,14 @@ func TestVanillaSFForestGrowsMonotonically(t *testing.T) {
 func TestVanillaEmptyAndTinyGraphs(t *testing.T) {
 	for _, n := range []int{1, 2, 3} {
 		g := graph.New(n)
-		res := Run(pram.New(1), g, 1, 0)
+		res := Run(pram.New(), g, 1, 0)
 		if err := check.Components(g, res.Labels); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 	}
 	g := graph.New(2)
 	g.AddEdge(0, 1)
-	res := Run(pram.New(1), g, 1, 0)
+	res := Run(pram.New(), g, 1, 0)
 	if res.Labels[0] != res.Labels[1] {
 		t.Fatal("single edge not contracted")
 	}
@@ -200,7 +200,7 @@ func TestVanillaArcsStayMirrorPairs(t *testing.T) {
 	for name, g := range cases {
 		for seed := uint64(1); seed <= 3; seed++ {
 			s := NewState(g.N, g.Span(), seed)
-			m := pram.New(1)
+			m := pram.New()
 			for more := true; ; more = s.RunPhase(m) {
 				a := s.Arcs
 				if a.Len()%2 != 0 {

@@ -47,7 +47,7 @@ func (s *SFState) RunPhase(m *pram.Machine) bool {
 		for i := lo; i < hi; i++ {
 			v, w := au[i], av[i]
 			if v != w && !leader(coin, phase, v) && leader(coin, phase, w) {
-				pram.Store32(&chosen[v], int32(i))
+				chosen[v] = int32(i)
 			}
 		}
 	})

@@ -10,10 +10,12 @@ type Backend int
 
 const (
 	// BackendSimulated runs on the step-synchronous ARBITRARY CRCW
-	// PRAM simulator (internal/pram): every constant-time model step
-	// is a barrier, and full model-cost statistics are accounted
-	// (steps, work, processors, space). This is the backend the
-	// paper's bounds are checked on; wall-clock speed is not a goal.
+	// PRAM simulator (internal/pram) on one host thread: every
+	// constant-time model step completes before the next begins, and
+	// full model-cost statistics are accounted (steps, work,
+	// processors, space). A seeded run is bit-identical on every
+	// host. This is the backend the paper's bounds are checked on;
+	// wall-clock speed is not a goal.
 	BackendSimulated Backend = iota
 	// BackendNative runs on the shared-memory engine
 	// (internal/native): goroutines with atomic CAS-min on the label
@@ -137,15 +139,15 @@ func WithCheckpointEvery(n int) Option { return func(c *config) { c.checkpointEv
 // the vertex set — and by every non-durable entry point.
 func WithInitialVertices(n int) Option { return func(c *config) { c.initialVertices = n } }
 
-// WithSeed sets the random seed. Runs with the same seed make the same
-// random choices regardless of the worker count; only arbitrary-write
-// resolutions may differ.
+// WithSeed sets the random seed. Simulated runs with the same seed are
+// bit-identical on every host: the same random choices, the same
+// ARBITRARY write resolutions, the same labels and model-cost Stats.
 func WithSeed(seed uint64) Option { return func(c *config) { c.seed = seed } }
 
-// WithWorkers sets the host worker-goroutine count: the pool backing
-// the PRAM simulation, or the shard workers of BackendNative. 0 (the
-// default) selects GOMAXPROCS; 1 gives a deterministic sequential
-// schedule on the simulator.
+// WithWorkers sets the worker-goroutine count of BackendNative and
+// BackendIncremental. 0 (the default) selects GOMAXPROCS. The PRAM
+// simulator ignores it: it runs every step on the calling goroutine,
+// in processor order, and reports Stats.Workers = 1.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
 // WithGrain fixes the scheduler claim grain — the number of items a
@@ -154,8 +156,8 @@ func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 // adaptive sizing, total/(workers·8) clamped to [64, 4096], which is
 // right for almost every workload; a fixed grain exists for the E17
 // grain-sweep experiments and for reproducing legacy behaviour
-// (grain 4096). The simulator backend schedules through the same
-// shard machinery but always sizes adaptively.
+// (grain 4096). The simulator has no scheduler: it runs every step on
+// the calling goroutine.
 func WithGrain(n int) Option { return func(c *config) { c.grain = n } }
 
 // WithMaxRounds caps the main loop of ConnectedComponents (EXPAND-

@@ -216,7 +216,7 @@ func ConnectedComponentsLogLog(g *graph.Graph, opts ...Option) (*Result, error) 
 		return nil, err
 	}
 	c := apply(opts)
-	m := pram.New(c.workers)
+	m := pram.New()
 	p := ccbase.DefaultParams(c.seed)
 	if c.maxPhases > 0 {
 		p.MaxPhases = c.maxPhases
@@ -229,7 +229,7 @@ func ConnectedComponentsLogLog(g *graph.Graph, opts ...Option) (*Result, error) 
 	wall := time.Since(start)
 	out := newResult(wall, res.Labels, Stats{
 		Backend:       BackendSimulated,
-		Workers:       m.Workers(),
+		Workers:       simulatorWorkers,
 		Rounds:        res.Phases,
 		PRAMSteps:     res.Stats.Steps,
 		Work:          res.Stats.Work,
@@ -270,13 +270,13 @@ func VanillaComponents(g *graph.Graph, opts ...Option) (*Result, error) {
 		return nil, err
 	}
 	c := apply(opts)
-	m := pram.New(c.workers)
+	m := pram.New()
 	start := time.Now()
 	res := vanilla.Run(m, g, c.seed, c.maxPhases)
 	wall := time.Since(start)
 	return newResult(wall, res.Labels, Stats{
 		Backend:       BackendSimulated,
-		Workers:       m.Workers(),
+		Workers:       simulatorWorkers,
 		Rounds:        res.Phases,
 		PRAMSteps:     res.Stats.Steps,
 		Work:          res.Stats.Work,

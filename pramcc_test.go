@@ -2,6 +2,7 @@ package pramcc
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/graph"
@@ -174,5 +175,80 @@ func TestStatsExposeSpaceBound(t *testing.T) {
 	ratio := float64(res.Stats.CumBlockWords) / float64(g.NumEdges())
 	if ratio > 16 {
 		t.Fatalf("cumulative block words = %.1f×m, Lemma 3.10 expects O(m)", ratio)
+	}
+}
+
+// TestSeededSimulationIgnoresWorkers: the simulator runs every step on
+// one host thread, so a seeded simulated run is bit-identical whatever
+// WithWorkers asks for — labels, forest edges and every Stats field but
+// Wall, at each entry point.
+func TestSeededSimulationIgnoresWorkers(t *testing.T) {
+	g := graph.Gnm(20000, 40000, 1)
+	type outcome struct {
+		labels []int32
+		forest []int
+		stats  Stats
+	}
+	entries := map[string]func(opts ...Option) (outcome, error){
+		"components": func(opts ...Option) (outcome, error) {
+			res, err := Components(g, append(opts, WithBackend(BackendSimulated))...)
+			if err != nil {
+				return outcome{}, err
+			}
+			return outcome{labels: res.Labels, stats: res.Stats}, nil
+		},
+		"loglog": func(opts ...Option) (outcome, error) {
+			res, err := ConnectedComponentsLogLog(g, opts...)
+			if err != nil {
+				return outcome{}, err
+			}
+			return outcome{labels: res.Labels, stats: res.Stats}, nil
+		},
+		"loglog-combining": func(opts ...Option) (outcome, error) {
+			res, err := ConnectedComponentsLogLog(g, append(opts, WithCombining())...)
+			if err != nil {
+				return outcome{}, err
+			}
+			return outcome{labels: res.Labels, stats: res.Stats}, nil
+		},
+		"forest": func(opts ...Option) (outcome, error) {
+			res, err := SpanningForest(g, opts...)
+			if err != nil {
+				return outcome{}, err
+			}
+			return outcome{labels: res.Labels, forest: res.EdgeIndices, stats: res.Stats}, nil
+		},
+		"vanilla": func(opts ...Option) (outcome, error) {
+			res, err := VanillaComponents(g, opts...)
+			if err != nil {
+				return outcome{}, err
+			}
+			return outcome{labels: res.Labels, stats: res.Stats}, nil
+		},
+	}
+	for name, solve := range entries {
+		t.Run(name, func(t *testing.T) {
+			var want outcome
+			for i, w := range []int{1, 2, 4, 0} {
+				got, err := solve(WithSeed(3), WithWorkers(w))
+				if err != nil {
+					t.Fatalf("workers=%d: %v", w, err)
+				}
+				got.stats.Wall = 0
+				if i == 0 {
+					if err := check.Components(g, got.labels); err != nil {
+						t.Fatal(err)
+					}
+					want = got
+					continue
+				}
+				if got.stats != want.stats {
+					t.Errorf("workers=%d: Stats %+v, workers=1 gave %+v", w, got.stats, want.stats)
+				}
+				if !slices.Equal(got.labels, want.labels) || !slices.Equal(got.forest, want.forest) {
+					t.Errorf("workers=%d: labels or forest edges differ from workers=1", w)
+				}
+			}
+		})
 	}
 }

@@ -84,7 +84,7 @@ var registry = []backendInfo{
 		name:    "simulated",
 		aliases: []string{"sim"},
 		newEngine: func(c *config) engine {
-			return &simulatedEngine{workers: c.workers, params: coreParams(c)}
+			return &simulatedEngine{params: coreParams(c)}
 		},
 	},
 	{
@@ -148,9 +148,14 @@ func errUnknownBackend(v interface{}) error {
 // the backend where amortized allocation is irrelevant next to the
 // simulation itself.
 type simulatedEngine struct {
-	workers int
-	params  core.Params // everything but Ctx, which each solve sets
+	params core.Params // everything but Ctx, which each solve sets
 }
+
+// simulatorWorkers is the Stats.Workers every simulated run reports:
+// the PRAM simulator runs each step on the calling goroutine, so a
+// seeded run resolves its ARBITRARY writes the same way on every host.
+// WithWorkers does not apply to it.
+const simulatorWorkers = 1
 
 // coreParams maps a config's algorithm options onto core.Params.
 func coreParams(c *config) core.Params {
@@ -172,7 +177,7 @@ func coreParams(c *config) core.Params {
 }
 
 func (e *simulatedEngine) solve(ctx context.Context, g *graph.Graph, out *solveOutput) error {
-	m := pram.New(e.workers)
+	m := pram.New()
 	p := e.params
 	p.Ctx = ctx
 	res := core.Run(m, g, p)
@@ -182,7 +187,7 @@ func (e *simulatedEngine) solve(ctx context.Context, g *graph.Graph, out *solveO
 	out.setLabels(res.Labels)
 	out.stats = Stats{
 		Backend:       BackendSimulated,
-		Workers:       m.Workers(),
+		Workers:       simulatorWorkers,
 		Rounds:        res.Rounds,
 		PRAMSteps:     res.Stats.Steps,
 		Work:          res.Stats.Work,
