@@ -28,17 +28,24 @@ func TestGoldenModelCosts(t *testing.T) {
 		{"path", func(seed int64) *graph.Graph { return graph.Permuted(graph.Path(3000), seed) }},
 		{"gnm-sparse", func(seed int64) *graph.Graph { return graph.Gnm(3000, 6000, seed) }},
 		{"gnm-dense", func(seed int64) *graph.Graph { return graph.Gnm(1000, 12000, seed) }},
+		// Sparse support: a path scattered among many isolated vertices.
+		{"sparse-support", func(seed int64) *graph.Graph {
+			return graph.Permuted(graph.WithIsolated(graph.Path(500), 20000), seed)
+		}},
 	}
 	want := map[string]uint64{
-		"path/seed1":       0xa7a76a8b6403c363,
-		"path/seed2":       0x1cd204fb6aee45ea,
-		"path/seed3":       0xf55831c27158c87a,
-		"gnm-sparse/seed1": 0xdd1207f3dc40f8dd,
-		"gnm-sparse/seed2": 0x36d32171058b820a,
-		"gnm-sparse/seed3": 0x5f2377d7260bcdd1,
-		"gnm-dense/seed1":  0x3fb174606781e667,
-		"gnm-dense/seed2":  0xfd5231fa263e2834,
-		"gnm-dense/seed3":  0x2c2a6e3f8f0198d3,
+		"path/seed1":           0xa7a76a8b6403c363,
+		"path/seed2":           0x1cd204fb6aee45ea,
+		"path/seed3":           0xf55831c27158c87a,
+		"gnm-sparse/seed1":     0xdd1207f3dc40f8dd,
+		"gnm-sparse/seed2":     0x36d32171058b820a,
+		"gnm-sparse/seed3":     0x5f2377d7260bcdd1,
+		"gnm-dense/seed1":      0x3fb174606781e667,
+		"gnm-dense/seed2":      0xfd5231fa263e2834,
+		"gnm-dense/seed3":      0x2c2a6e3f8f0198d3,
+		"sparse-support/seed1": 0x6593cd38f4c0ff77,
+		"sparse-support/seed2": 0x7ba43f72a8602075,
+		"sparse-support/seed3": 0x22af64b81d1c6081,
 	}
 	for _, tc := range graphs {
 		for seed := uint64(1); seed <= 3; seed++ {
