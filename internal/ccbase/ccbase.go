@@ -24,6 +24,7 @@ import (
 
 	"repro/graph"
 	"repro/internal/expand"
+	"repro/internal/labels"
 	"repro/internal/pram"
 	"repro/internal/vanilla"
 )
@@ -125,6 +126,15 @@ func Run(m *pram.Machine, g *graph.Graph, p Params) Result {
 	}
 
 	st := vanilla.NewState(g.N, g.Span(), p.Seed)
+	// Every vertex step runs on the host frontier verts: the vertices
+	// an arc ends at, ascending. A vertex off it is isolated and stays
+	// so, since ALTER maps arc ends to parents and every parent is an
+	// arc end (a LINK target or a SHORTCUT of one). It stays a root
+	// with no incident arc, whose processor is a no-op in every vertex
+	// step; each step still charges all n.
+	incident := make([]bool, n)
+	verts := arcEnds(st.Arcs, incident)
+	st.Verts = verts
 
 	// PREPARE (§B.2): densify sparse instances with Vanilla phases.
 	prep := 0
@@ -155,9 +165,7 @@ func Run(m *pram.Machine, g *graph.Graph, p Params) Result {
 	}
 
 	res := Result{Prep: prep}
-	ongoing := make([]int32, n)
-	ongoingB := make([]bool, n)
-	incident := make([]int32, n)
+	ongoing := make([]bool, n)
 
 	maxPhases := p.MaxPhases
 	if maxPhases <= 0 {
@@ -165,7 +173,7 @@ func Run(m *pram.Machine, g *graph.Graph, p Params) Result {
 	}
 
 	coin := pram.Coin{Seed: p.Seed ^ 0xcbf29ce484222325}
-	leader := make([]int32, n)
+	leader := make([]bool, n)
 
 	for phase := 0; ; phase++ {
 		if err := ctx.Err(); err != nil {
@@ -173,26 +181,27 @@ func Run(m *pram.Machine, g *graph.Graph, p Params) Result {
 			res.Stats = m.Stats()
 			return res
 		}
-		// Identify ongoing vertices: roots with an incident non-loop
-		// edge (Lemma B.2; trees are flat at phase start).
-		st.Arcs.MarkIncident(m, incident)
-		m.Step(n, func(v int) {
-			if st.D.Parent[v] == int32(v) && incident[v] == 1 {
-				ongoing[v] = 1
-				ongoingB[v] = true
-			} else {
-				ongoing[v] = 0
-				ongoingB[v] = false
-			}
-		})
+		// Identify and count the ongoing vertices: roots with an
+		// incident non-loop edge (Lemma B.2; trees are flat at phase
+		// start). Only frontier vertices end arcs, so clearing them
+		// clears every mark.
+		for _, v := range verts {
+			incident[v] = false
+		}
+		st.Arcs.MarkEnds(m, incident)
 		// Exact count: one combining write in ModeCombining; in
 		// ModeArbitrary it is host-side reporting only.
 		nOngoing := 0
-		for v := 0; v < n; v++ {
-			if ongoing[v] == 1 {
-				nOngoing++
+		par := st.D.Parent
+		m.StepN(n, len(verts), func(lo, hi int) {
+			for _, v := range verts[lo:hi] {
+				on := par[v] == v && incident[v]
+				ongoing[v] = on
+				if on {
+					nOngoing++
+				}
 			}
-		}
+		})
 		if p.Mode == ModeCombining {
 			m.ChargeSteps(1) // the sum-combining concurrent write
 			estimate = float64(nOngoing)
@@ -218,7 +227,7 @@ func Run(m *pram.Machine, g *graph.Graph, p Params) Result {
 		blockSlack := p.BlockSlack * b
 
 		spaceBefore := m.Stats().Space
-		exp := expand.Run(m, st.Arcs, ongoingB, expand.Params{
+		exp := expand.Run(m, st.Arcs, ongoing, expand.Params{
 			BlockSlack: blockSlack,
 			TableSize:  tableSize,
 			MaxRounds:  p.MaxExpandRounds,
@@ -231,43 +240,25 @@ func Run(m *pram.Machine, g *graph.Graph, p Params) Result {
 		if q < p.MinLeaderProb {
 			q = p.MinLeaderProb
 		}
-		m.Step(n, func(u int) {
-			if ongoing[u] == 0 {
-				leader[u] = 0
-				return
-			}
-			if exp.Live[u] {
-				// Leader iff minimal in its table (which holds its
-				// whole component — Lemma B.7 discussion).
-				l := int32(1)
-				for _, v := range exp.H[u].Occupied() {
-					if v < int32(u) {
-						l = 0
-						break
-					}
-				}
-				leader[u] = l
-			} else {
-				if coin.Bernoulli(uint64(phase)+1, uint64(u), q) {
-					leader[u] = 1
-				} else {
-					leader[u] = 0
-				}
+		m.StepN(n, len(verts), func(lo, hi int) {
+			for _, u := range verts[lo:hi] {
+				leader[u] = vote(u, ongoing[u], exp, coin, uint64(phase)+1, q)
 			}
 		})
 
 		// LINK: ongoing non-leader v links to any leader in its
 		// neighbour set (table entries plus direct arc neighbours).
-		par := st.D.Parent
-		m.Step(n, func(v int) {
-			if ongoing[v] == 0 || leader[v] == 1 {
-				return
-			}
-			if t := exp.H[v]; t != nil {
-				for _, w := range t.Occupied() {
-					if w != int32(v) && leader[w] == 1 && ongoing[w] == 1 {
-						par[v] = w
-						return
+		m.StepN(n, len(verts), func(lo, hi int) {
+			for _, v := range verts[lo:hi] {
+				if !ongoing[v] || leader[v] {
+					continue
+				}
+				if t := exp.H[v]; t != nil {
+					for _, w := range t.Occupied() {
+						if w != v && leader[w] && ongoing[w] {
+							par[v] = w
+							break
+						}
 					}
 				}
 			}
@@ -277,10 +268,10 @@ func Run(m *pram.Machine, g *graph.Graph, p Params) Result {
 		m.StepN(st.Arcs.Procs(), st.Arcs.Len(), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				v, w := au[i], av[i]
-				if v == w || ongoing[v] == 0 || ongoing[w] == 0 {
+				if !ongoing[v] || !ongoing[w] {
 					continue
 				}
-				if leader[v] == 0 && leader[w] == 1 && par[v] == v {
+				if !leader[v] && leader[w] && par[v] == v {
 					par[v] = w
 				}
 			}
@@ -291,8 +282,8 @@ func Run(m *pram.Machine, g *graph.Graph, p Params) Result {
 		st.Arcs.Alter(m, st.D)
 
 		liveCount := 0
-		for v := 0; v < n; v++ {
-			if ongoingB[v] && exp.Live[v] {
+		for _, v := range verts {
+			if ongoing[v] && exp.Live[v] {
 				liveCount++
 			}
 		}
@@ -318,10 +309,47 @@ func Run(m *pram.Machine, g *graph.Graph, p Params) Result {
 		}
 	}
 
-	st.D.Flatten(m)
+	st.D.FlattenVerts(m, verts)
 	res.Labels = st.D.Parent
 	res.Stats = m.Stats()
 	return res
+}
+
+// arcEnds returns the vertices the store's arcs end at, ascending,
+// using mark (one cell per vertex, all clear) as scratch and leaving it
+// clear. Host-side set-up, charged nothing: the PRAM's vertex steps
+// run every processor.
+func arcEnds(a *labels.ArcStore, mark []bool) []int32 {
+	for _, u := range a.U {
+		mark[u] = true // mirror pairs: every end is some arc's U
+	}
+	var ends []int32
+	for v, x := range mark {
+		if x {
+			ends = append(ends, int32(v))
+			mark[v] = false
+		}
+	}
+	return ends
+}
+
+// vote is VOTE (§B.4) for vertex u in the given phase: a live ongoing
+// vertex leads iff it is the minimum of its table, which holds its
+// whole component (Lemma B.7 discussion); a dormant one leads with
+// probability q.
+func vote(u int32, ongoing bool, exp *expand.Outcome, coin pram.Coin, phase uint64, q float64) bool {
+	if !ongoing {
+		return false
+	}
+	if !exp.Live[u] {
+		return coin.Bernoulli(phase, uint64(u), q)
+	}
+	for _, v := range exp.H[u].Occupied() {
+		if v < u {
+			return false
+		}
+	}
+	return true
 }
 
 func fillDefaults(p Params) Params {

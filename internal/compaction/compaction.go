@@ -7,8 +7,11 @@
 // O(1) time with n·log n processors. We implement the natural hashing
 // realization — repeatedly hash the still-unplaced elements into the
 // target array with fresh pairwise-independent functions, keeping
-// first-committed winners — and charge the lemma's cost. The retry
-// count is exposed so experiments can confirm it stays O(log* n)-ish.
+// first-committed winners — and charge the lemma's cost. The caller
+// hands over the distinguished elements as a list of their indices,
+// and the result is the target array itself, so the host's work and
+// memory follow k, not n. The retry count is exposed so experiments
+// can confirm it stays O(log* n)-ish.
 package compaction
 
 import (
@@ -18,52 +21,38 @@ import (
 
 // Result describes one compaction run.
 type Result struct {
-	Indices []int32 // for each input element: target index, or -1 if not distinguished
-	Size    int     // length of the target array (≥ 2k)
-	Rounds  int     // hashing rounds used
-	Failed  bool    // true if MaxRounds was exhausted (callers treat as a bad-probability event)
+	// Slots is the target array, nil if there is no element: Slots[s]
+	// is the element placed at s, or -1. Each placed element appears
+	// exactly once.
+	Slots  []int32
+	Size   int  // length of the target array (≥ 2k)
+	Rounds int  // hashing rounds used
+	Failed bool // true if MaxRounds was exhausted (callers treat as a bad-probability event)
 }
 
 // MaxRounds bounds the retry loop; exceeding it is the "fails with
 // probability 1/poly(n)" event of Lemma D.2.
 const MaxRounds = 64
 
-// Compact maps the distinguished elements (marked true) one-to-one into
-// [0, size) with size = max(2·k, 1). fam provides the hash functions;
-// cost selects the charged PRAM time per Lemma D.2: if plentiful is
-// true the caller has ≥ n·log n processors and O(1) time is charged,
-// otherwise O(log* n) (we charge 4, the value of log* for any
-// practically representable n).
-func Compact(m *pram.Machine, fam hashing.Family, distinguished []bool, plentiful bool) Result {
-	n := len(distinguished)
-	k := 0
-	for _, d := range distinguished {
-		if d {
-			k++
-		}
-	}
-	size := 2 * k
-	if size == 0 {
-		size = 1
-	}
-	res := Result{Indices: make([]int32, n), Size: size}
-	for i := range res.Indices {
-		res.Indices[i] = -1
-	}
+// Compact maps the k distinct elements of elems one-to-one into
+// [0, size) with size = max(2·k, 1); elems lists the indices of the
+// distinguished elements, and its order is the processor order.
+// fam provides the hash functions; cost selects the charged PRAM time
+// per Lemma D.2: if plentiful is true the caller has ≥ n·log n
+// processors and O(1) time is charged, otherwise O(log* n) (we charge
+// 4, the value of log* for any practically representable n).
+func Compact(m *pram.Machine, fam hashing.Family, elems []int32, plentiful bool) Result {
+	k := len(elems)
+	size := max(2*k, 1)
+	res := Result{Size: size}
 	if k == 0 {
 		return res
 	}
 
 	slots := make([]int32, size)
-	for i := range slots {
-		slots[i] = -1
-	}
-	pending := make([]int32, 0, k)
-	for i, d := range distinguished {
-		if d {
-			pending = append(pending, int32(i))
-		}
-	}
+	pram.Fill32(slots, -1)
+	res.Slots = slots
+	pending := elems
 
 	cost := 4 // log*(n) for any real n
 	if plentiful {
@@ -85,16 +74,13 @@ func Compact(m *pram.Machine, fam hashing.Family, distinguished []bool, plentifu
 				slots[s] = e
 			}
 		})
-		// Read phase: winners record their index, losers retry. The
-		// losers go to a fresh slice: appending into the array being
-		// iterated would overwrite elements of cur not yet read.
+		// Read phase: winners keep their slot, losers retry. The losers
+		// go to a fresh slice: appending into the array being iterated
+		// would overwrite elements of cur not yet read.
 		var next []int32
 		m.Step(len(cur), func(i int) {
 			e := cur[i]
-			s := h.Slot(uint64(e), size)
-			if slots[s] == e {
-				res.Indices[e] = int32(s)
-			} else {
+			if slots[h.Slot(uint64(e), size)] != e {
 				next = append(next, e)
 			}
 		})

@@ -8,13 +8,49 @@ import (
 	"repro/internal/pram"
 )
 
+// elemsOf lists the indices of the distinguished elements of mask.
+func elemsOf(mask []bool) []int32 {
+	var elems []int32
+	for i, d := range mask {
+		if d {
+			elems = append(elems, int32(i))
+		}
+	}
+	return elems
+}
+
+// placement inverts res.Slots into element → slot. ok is false unless
+// every placed element is one of elems and appears once, every element
+// of elems is placed, and Slots spans Size cells.
+func placement(res Result, elems []int32) (slot map[int32]int, ok bool) {
+	if len(res.Slots) != res.Size {
+		return nil, false
+	}
+	want := map[int32]bool{}
+	for _, e := range elems {
+		want[e] = true
+	}
+	slot = map[int32]int{}
+	for s, e := range res.Slots {
+		if e == -1 {
+			continue
+		}
+		if _, dup := slot[e]; dup || !want[e] {
+			return nil, false
+		}
+		slot[e] = s
+	}
+	return slot, len(slot) == len(elems)
+}
+
 func TestCompactBasic(t *testing.T) {
 	m := pram.New()
 	dist := make([]bool, 100)
 	for i := 0; i < 100; i += 3 {
 		dist[i] = true
 	}
-	res := Compact(m, hashing.Family{Seed: 1}, dist, false)
+	elems := elemsOf(dist)
+	res := Compact(m, hashing.Family{Seed: 1}, elems, false)
 	if res.Failed {
 		t.Fatal("compaction failed")
 	}
@@ -22,27 +58,15 @@ func TestCompactBasic(t *testing.T) {
 	if res.Size != 2*k {
 		t.Fatalf("size = %d, want %d", res.Size, 2*k)
 	}
-	seen := map[int32]bool{}
-	for i, d := range dist {
-		idx := res.Indices[i]
-		if d {
-			if idx < 0 || int(idx) >= res.Size {
-				t.Fatalf("element %d got index %d out of range", i, idx)
-			}
-			if seen[idx] {
-				t.Fatalf("index %d assigned twice", idx)
-			}
-			seen[idx] = true
-		} else if idx != -1 {
-			t.Fatalf("non-distinguished element %d got index %d", i, idx)
-		}
+	if _, ok := placement(res, elems); !ok {
+		t.Fatalf("slots %v are not a one-to-one placement of the distinguished elements", res.Slots)
 	}
 }
 
 func TestCompactEmpty(t *testing.T) {
 	m := pram.New()
-	res := Compact(m, hashing.Family{Seed: 2}, make([]bool, 10), false)
-	if res.Failed || res.Rounds != 0 {
+	res := Compact(m, hashing.Family{Seed: 2}, elemsOf(make([]bool, 10)), false)
+	if res.Failed || res.Rounds != 0 || res.Size != 1 || res.Slots != nil {
 		t.Fatalf("empty compaction: %+v", res)
 	}
 }
@@ -53,16 +77,13 @@ func TestCompactAllDistinguished(t *testing.T) {
 	for i := range dist {
 		dist[i] = true
 	}
-	res := Compact(m, hashing.Family{Seed: 3}, dist, true)
+	elems := elemsOf(dist)
+	res := Compact(m, hashing.Family{Seed: 3}, elems, true)
 	if res.Failed {
 		t.Fatal("failed")
 	}
-	seen := map[int32]bool{}
-	for _, idx := range res.Indices {
-		if idx < 0 || seen[idx] {
-			t.Fatal("not one-to-one")
-		}
-		seen[idx] = true
+	if _, ok := placement(res, elems); !ok {
+		t.Fatal("not one-to-one")
 	}
 }
 
@@ -72,24 +93,16 @@ func TestCompactProperty(t *testing.T) {
 			return true
 		}
 		m := pram.New()
-		res := Compact(m, hashing.Family{Seed: seed}, mask, false)
+		elems := elemsOf(mask)
+		res := Compact(m, hashing.Family{Seed: seed}, elems, false)
 		if res.Failed {
 			return false // would be a 1/poly event; treat as failure at this size
 		}
-		seen := map[int32]bool{}
-		for i, d := range mask {
-			idx := res.Indices[i]
-			if d != (idx >= 0) {
-				return false
-			}
-			if idx >= 0 {
-				if int(idx) >= res.Size || seen[idx] {
-					return false
-				}
-				seen[idx] = true
-			}
+		if len(elems) == 0 {
+			return res.Slots == nil
 		}
-		return true
+		_, ok := placement(res, elems)
+		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -105,7 +118,7 @@ func TestCompactRoundsLogarithmic(t *testing.T) {
 	for i := range dist {
 		dist[i] = i%2 == 0
 	}
-	res := Compact(m, hashing.Family{Seed: 7}, dist, false)
+	res := Compact(m, hashing.Family{Seed: 7}, elemsOf(dist), false)
 	if res.Failed {
 		t.Fatal("failed")
 	}
@@ -116,8 +129,7 @@ func TestCompactRoundsLogarithmic(t *testing.T) {
 
 func TestCompactChargesTime(t *testing.T) {
 	m := pram.New()
-	dist := []bool{true, false, true}
-	Compact(m, hashing.Family{Seed: 9}, dist, false)
+	Compact(m, hashing.Family{Seed: 9}, []int32{0, 2}, false)
 	if m.Stats().Steps == 0 {
 		t.Fatal("compaction must charge PRAM time")
 	}

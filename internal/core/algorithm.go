@@ -62,7 +62,7 @@ type state struct {
 	startLevel []int32
 	dormant    []int32
 	boosted    []int32
-	incident   []int32 // by vertex: endpoint of a non-loop edge
+	incident   []bool // by vertex: endpoint of a non-loop edge
 	best       []int64
 	parChange  int64
 	lvlChange  int64
@@ -72,19 +72,15 @@ type state struct {
 // newState builds the repeat loop's state on the digraph and arcs that
 // PREPARE left. Every ongoing vertex becomes a level-1 root with budget
 // b₁ in one PRAM step over all n vertices (everything else, non-roots
-// and finished roots, stays at level 0, §D.1) and so joins the active
-// frontier. incident is an n-sized scratch array the state takes over.
-func newState(m *pram.Machine, p Params, vst *vanilla.State, ongoing []bool, incident []int32, b1 float64) *state {
+// and finished roots, stays at level 0, §D.1); the host runs that step
+// on the ongoing list, which becomes the active frontier. ongoing must
+// be ascending. incident is an n-sized scratch array the state takes
+// over.
+func newState(m *pram.Machine, p Params, vst *vanilla.State, ongoing []int32, incident []bool, b1 float64) *state {
 	n := vst.D.N()
+	k := len(ongoing)
 	slot := make([]int32, n)
-	k := 0
-	for v := range slot {
-		slot[v] = -1
-		if ongoing[v] {
-			slot[v] = int32(k)
-			k++
-		}
-	}
+	pram.Fill32(slot, -1)
 	s := &state{
 		p:          p,
 		n:          n,
@@ -94,7 +90,8 @@ func newState(m *pram.Machine, p Params, vst *vanilla.State, ongoing []bool, inc
 		arcs:       vst.Arcs,
 		added:      &labels.ArcStore{},
 		level:      make([]int32, n),
-		active:     make([]int32, 0, k),
+		active:     ongoing,
+		roots:      slices.Clone(ongoing),
 		slot:       slot,
 		budget:     make([]int64, k),
 		budgets:    newBudgetTable(b1, p.Growth, p.BudgetCapFactor, n),
@@ -107,18 +104,14 @@ func newState(m *pram.Machine, p Params, vst *vanilla.State, ongoing []bool, inc
 		incident:   incident,
 		best:       make([]int64, k),
 	}
-	m.Step(n, func(v int) {
-		if ongoing[v] {
+	b := s.budgets.at(1)
+	m.StepN(n, k, func(lo, hi int) {
+		for i, v := range ongoing[lo:hi] {
+			slot[v] = int32(lo + i)
 			s.level[v] = 1
-			s.budget[slot[v]] = s.budgets.at(1)
+			s.budget[lo+i] = b
 		}
 	})
-	for v := 0; v < n; v++ {
-		if ongoing[v] {
-			s.active = append(s.active, int32(v))
-		}
-	}
-	s.roots = slices.Clone(s.active)
 	return s
 }
 
@@ -177,20 +170,18 @@ func Run(m *pram.Machine, g *graph.Graph, p Params) Result {
 
 	// Ongoing roots start at level 1 with budget b₁; everything else
 	// (non-roots, finished roots) stays at level 0 (§D.1).
-	incident := make([]int32, n)
-	vst.Arcs.MarkIncident(m, incident)
-	ongoing := make([]bool, n)
-	nOngoing := 0
-	m.Step(n, func(v int) {
-		if vst.D.Parent[v] == int32(v) && incident[v] == 1 {
-			ongoing[v] = true
+	incident := make([]bool, n)
+	vst.Arcs.MarkEnds(m, incident)
+	var ongoing []int32 // ascending
+	par := vst.D.Parent
+	m.StepRange(n, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			if par[v] == int32(v) && incident[v] {
+				ongoing = append(ongoing, int32(v))
+			}
 		}
 	})
-	for v := 0; v < n; v++ {
-		if ongoing[v] {
-			nOngoing++
-		}
-	}
+	nOngoing := len(ongoing)
 	if nOngoing > 0 {
 		// Approximate compaction renames the ongoing vertices into a
 		// dense id range so all later block allocations are O(1)-time
@@ -291,12 +282,15 @@ func Run(m *pram.Machine, g *graph.Graph, p Params) Result {
 	}
 	res.PostPhases = ccr.Phases
 
-	// Compose: label of v = Theorem-1 label of v's root.
-	out := make([]int32, n)
-	m.Step(n, func(v int) {
-		out[v] = ccr.Labels[s.d.Parent[v]]
+	// Compose: label of v = Theorem-1 label of v's root. Processor v
+	// reads and writes only v.p, so the labels overwrite the parents.
+	lab, par := ccr.Labels, s.d.Parent
+	m.StepRange(n, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			par[v] = lab[par[v]]
+		}
 	})
-	res.Labels = out
+	res.Labels = par
 	res.MaxLevel = s.maxLevel()
 	res.AddedEdges = s.added.Procs() / 2
 	res.Stats = m.Stats()
@@ -309,10 +303,7 @@ func (s *state) remainingGraph() *graph.Graph {
 	g := graph.New(s.n)
 	add := func(st *labels.ArcStore) {
 		for i := 0; i < st.Len(); i += 2 {
-			u, v := st.U[i], st.V[i]
-			if u != v {
-				g.AddEdge(int(u), int(v))
-			}
+			g.AddEdge(int(st.U[i]), int(st.V[i]))
 		}
 	}
 	add(s.arcs)
@@ -360,7 +351,7 @@ func (s *state) round(round int, res *Result) bool {
 	// further part in level increases. Only active vertices end live
 	// arcs, so clearing them clears every mark that is read.
 	for _, v := range s.active {
-		s.incident[v] = 0
+		s.incident[v] = false
 	}
 	s.arcs.MarkEnds(m, s.incident)
 	s.added.MarkEnds(m, s.incident)
@@ -370,7 +361,7 @@ func (s *state) round(round int, res *Result) bool {
 		coin := s.coin
 		logn := math.Log(float64(n) + 2)
 		s.eachRoot(func(v, i int32) {
-			if s.incident[v] == 0 {
+			if !s.incident[v] {
 				return
 			}
 			if s.budget[i] >= s.budgets.cap {
@@ -405,9 +396,6 @@ func (s *state) round(round int, res *Result) bool {
 		m.StepN(st.Procs(), st.Len(), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				a, b := u[i], w[i]
-				if a == b {
-					continue
-				}
 				sa, sb := slot[a], slot[b]
 				ta := s.tables[sa]
 				if ta == nil || s.tables[sb] == nil {
@@ -428,9 +416,6 @@ func (s *state) round(round int, res *Result) bool {
 		m.StepN(st.Procs(), st.Len(), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				a, b := u[i], w[i]
-				if a == b {
-					continue
-				}
 				sa, sb := slot[a], slot[b]
 				ta := s.tables[sa]
 				if ta == nil || s.tables[sb] == nil || s.budget[sa] != s.budget[sb] {
@@ -530,8 +515,8 @@ func (s *state) round(round int, res *Result) bool {
 	for _, v := range roots {
 		for _, w := range s.tables[slot[v]].Occupied() {
 			if w != v {
-				s.added.Append(v, w, -1)
-				s.added.Append(w, v, -1)
+				s.added.Append(v, w)
+				s.added.Append(w, v)
 			}
 		}
 	}
@@ -550,7 +535,7 @@ func (s *state) round(round int, res *Result) bool {
 	// may have linked some of this round's roots, so the body checks.
 	s.eachRoot(func(v, i int32) {
 		if s.d.Parent[v] == v && s.dormant[i] == 1 && s.boosted[i] == 0 &&
-			s.budget[i] < s.budgets.cap && s.incident[v] == 1 {
+			s.budget[i] < s.budgets.cap && s.incident[v] {
 			s.level[v]++
 			s.lvlChange = 1
 		}
@@ -645,17 +630,15 @@ func (s *state) dedupAdded() {
 		if u > v {
 			u, v = v, u
 		}
-		if u != v {
-			edges = append(edges, uint64(uint32(u))<<32|uint64(uint32(v)))
-		}
+		edges = append(edges, uint64(uint32(u))<<32|uint64(uint32(v)))
 	}
 	slices.Sort(edges)
 	edges = slices.Compact(edges)
 	s.added = &labels.ArcStore{}
 	for _, e := range edges {
 		u, v := int32(e>>32), int32(uint32(e))
-		s.added.Append(u, v, -1)
-		s.added.Append(v, u, -1)
+		s.added.Append(u, v)
+		s.added.Append(v, u)
 	}
 }
 

@@ -48,9 +48,6 @@ func (s *state) maxlink() {
 			m.StepN(st.Procs(), st.Len(), func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					a, b := u[i], w[i]
-					if a == b {
-						continue
-					}
 					bp := par[b]
 					pram.MaxCombine64(&best[slot[a]], pram.PackLevelVertex(lvl[bp], bp))
 				}

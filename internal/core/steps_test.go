@@ -18,11 +18,11 @@ import (
 func newTestState(g *graph.Graph, params Params) *state {
 	p := params.filled()
 	vst := vanilla.NewState(g.N, g.Span(), p.Seed)
-	ongoing := make([]bool, g.N)
+	ongoing := make([]int32, g.N)
 	for v := range ongoing {
-		ongoing[v] = true
+		ongoing[v] = int32(v)
 	}
-	s := newState(pram.New(), p, vst, ongoing, make([]int32, g.N), 16)
+	s := newState(pram.New(), p, vst, ongoing, make([]bool, g.N), 16)
 	s.coin = pram.Coin{Seed: p.Seed}
 	s.fam = hashing.Family{Seed: p.Seed ^ 1}
 	return s
@@ -115,9 +115,9 @@ func TestDedupAddedRemovesDuplicatesAndLoops(t *testing.T) {
 	p.AddedCap = 0.0001 // force dedup
 	s := newTestState(g, p)
 	for i := 0; i < 500; i++ {
-		s.added.Append(1, 2, -1)
-		s.added.Append(2, 1, -1)
-		s.added.Append(3, 3, -1) // loop: dropped
+		s.added.Append(1, 2)
+		s.added.Append(2, 1)
+		s.added.Append(3, 3) // loop: dropped
 	}
 	s.dedupAdded()
 	if s.added.Len() != 2 {
@@ -136,8 +136,8 @@ func TestDedupAddedKeepsMirrorPairs(t *testing.T) {
 	triangle := [][2]int32{{1, 2}, {2, 3}, {1, 3}}
 	for i := 0; i < 400; i++ {
 		for _, e := range triangle {
-			s.added.Append(e[0], e[1], -1)
-			s.added.Append(e[1], e[0], -1)
+			s.added.Append(e[0], e[1])
+			s.added.Append(e[1], e[0])
 		}
 	}
 	s.dedupAdded()
@@ -165,8 +165,8 @@ func TestDedupAddedKeepsMirrorPairs(t *testing.T) {
 func TestDedupAddedNoopUnderLimit(t *testing.T) {
 	g := graph.Path(4)
 	s := newTestState(g, DefaultParams(1))
-	s.added.Append(1, 2, -1)
-	s.added.Append(2, 1, -1)
+	s.added.Append(1, 2)
+	s.added.Append(2, 1)
 	s.dedupAdded()
 	if s.added.Len() != 2 {
 		t.Fatal("dedup must not run below the cap")
@@ -212,11 +212,10 @@ func TestRoundMaterializesAddedEdges(t *testing.T) {
 	if s.added.Len() == 0 && res.Trace[0].Dormant < 6 {
 		t.Fatal("a clique round must either add edges or mark dormancy")
 	}
-	// Added arcs must connect same-component vertices.
-	for i := 0; i < s.added.Len(); i++ {
-		if s.added.Orig[i] != -1 {
-			t.Fatal("added arcs must carry orig = -1")
-		}
+	// The added-edge store tracks no input arc: only the forest
+	// algorithms keep Orig.
+	if s.added.Orig != nil {
+		t.Fatal("the added-edge store must not track Orig")
 	}
 }
 

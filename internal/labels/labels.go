@@ -85,6 +85,37 @@ func (d *Digraph) Flatten(m *pram.Machine) int {
 	}
 }
 
+// FlattenVerts is Flatten with the host sweeping verts only, for a
+// digraph whose every other vertex is an isolated root: that vertex's
+// processor stores the parent it has. It charges what Flatten charges,
+// n processors a pass, and returns the same pass count. Each pass
+// reads the old grandparents of verts into a buffer of their own
+// before it writes, as Shortcut reads its snapshot.
+func (d *Digraph) FlattenVerts(m *pram.Machine, verts []int32) int {
+	par := d.Parent
+	gp := make([]int32, len(verts))
+	iters := 0
+	for {
+		iters++
+		var diff int32
+		m.StepN(len(par), len(verts), func(lo, hi int) {
+			vs, g := verts[lo:hi], gp[lo:hi]
+			g = g[:len(vs)]
+			for i, v := range vs {
+				p := par[v]
+				g[i] = par[p]
+				diff |= g[i] ^ p
+			}
+			for i, v := range vs {
+				par[v] = g[i]
+			}
+		})
+		if diff == 0 {
+			return iters
+		}
+	}
+}
+
 // IsFlat reports whether every tree is flat (each parent is a root).
 func (d *Digraph) IsFlat() bool {
 	for _, p := range d.Parent {

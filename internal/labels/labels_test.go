@@ -125,7 +125,7 @@ func TestTreeHeights(t *testing.T) {
 
 func TestArcStoreAlter(t *testing.T) {
 	g := graph.Path(4) // arcs (0,1),(1,0),(1,2),(2,1),(2,3),(3,2)
-	a := NewArcStore(g.Span())
+	a := NewArcStoreOrig(g.Span())
 	d := NewSelfLabeled(4)
 	d.Parent[1] = 0
 	d.Parent[3] = 2
@@ -148,15 +148,45 @@ func TestArcStoreAlter(t *testing.T) {
 	}
 }
 
-// TestAlterDropsLoopsStably checks the host view after ALTER: exactly
-// the arcs whose image is a loop are dropped, the rest keep their
-// order and their Orig, and mirror pairs stay adjacent.
+// TestAlterDropsLoopsStably checks the host view on a store that
+// tracks Orig, after construction and after ALTER: exactly the loops
+// are dropped, the rest keep their order and their Orig, and mirror
+// pairs stay adjacent.
 func TestAlterDropsLoopsStably(t *testing.T) {
 	f := func(seed int64) bool {
 		g := graph.Gnm(60, 150, seed)
-		g.AddEdge(5, 5) // an input loop is dropped by the first ALTER too
-		a := NewArcStore(g.Span())
+		g.AddEdge(5, 5) // an input loop never enters the view
+		// live reports whether a's view is exactly the non-loop images
+		// of the input arcs under par, in input order, each with its
+		// input index as Orig, and whole mirror pairs.
+		live := func(a *ArcStore, par []int32) bool {
+			k := 0
+			for i := range g.U {
+				u, v := par[g.U[i]], par[g.V[i]]
+				if u == v {
+					continue
+				}
+				if k >= a.Len() || a.Orig[k] != int32(i) || a.U[k] != u || a.V[k] != v {
+					return false
+				}
+				k++
+			}
+			if k != a.Len() || a.Procs() != len(g.U) {
+				return false
+			}
+			for i := 0; i < a.Len(); i += 2 {
+				if a.Orig[i]%2 != 0 || a.Orig[i+1] != a.Orig[i]+1 ||
+					a.U[i] != a.V[i+1] || a.V[i] != a.U[i+1] {
+					return false
+				}
+			}
+			return true
+		}
 		d := NewSelfLabeled(60)
+		a := NewArcStoreOrig(g.Span())
+		if !live(a, d.Parent) {
+			return false
+		}
 		coin := pram.Coin{Seed: uint64(seed)}
 		for v := 1; v < 60; v++ {
 			if coin.Bernoulli(0, uint64(v), 0.5) {
@@ -164,27 +194,7 @@ func TestAlterDropsLoopsStably(t *testing.T) {
 			}
 		}
 		a.Alter(pram.New(), d)
-		k := 0
-		for i := range g.U {
-			u, v := d.Parent[g.U[i]], d.Parent[g.V[i]]
-			if u == v {
-				continue
-			}
-			if k >= a.Len() || a.Orig[k] != int32(i) || a.U[k] != u || a.V[k] != v {
-				return false
-			}
-			k++
-		}
-		if k != a.Len() || a.Procs() != len(g.U) {
-			return false
-		}
-		for i := 0; i < a.Len(); i += 2 {
-			if a.Orig[i]%2 != 0 || a.Orig[i+1] != a.Orig[i]+1 ||
-				a.U[i] != a.V[i+1] || a.V[i] != a.U[i+1] {
-				return false
-			}
-		}
-		return true
+		return live(a, d.Parent)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -192,9 +202,10 @@ func TestAlterDropsLoopsStably(t *testing.T) {
 }
 
 // TestArcStepsChargeDroppedArcs compares a store that dropped its
-// loops with one holding the same arcs that never dropped: Alter,
-// HasNonLoop and MarkEnds must charge the same Stats and compute the
-// same results on both.
+// loops in ALTER with one built by appending the same arc images,
+// loops included, which never enter its view: Alter, HasNonLoop and
+// MarkEnds must charge the same Stats and compute the same results on
+// both.
 func TestArcStepsChargeDroppedArcs(t *testing.T) {
 	g := graph.Gnm(200, 600, 3)
 	d := NewSelfLabeled(200)
@@ -203,33 +214,34 @@ func TestArcStepsChargeDroppedArcs(t *testing.T) {
 	}
 	dropped := NewArcStore(g.Span())
 	dropped.Alter(pram.New(), d)
-	full := &ArcStore{}
+	appended := &ArcStore{}
 	for i := range g.U {
-		full.Append(d.Parent[g.U[i]], d.Parent[g.V[i]], int32(i))
+		appended.Append(d.Parent[g.U[i]], d.Parent[g.V[i]])
 	}
-	if dropped.Len() >= full.Len() || dropped.Procs() != full.Procs() {
-		t.Fatalf("dropped store: %d live of %d charged; full store: %d of %d",
-			dropped.Len(), dropped.Procs(), full.Len(), full.Procs())
+	if dropped.Len() >= len(g.U) || dropped.Procs() != appended.Procs() ||
+		!slices.Equal(dropped.U, appended.U) || !slices.Equal(dropped.V, appended.V) {
+		t.Fatalf("altered store: %d live of %d charged; appended store: %d of %d",
+			dropped.Len(), dropped.Procs(), appended.Len(), appended.Procs())
 	}
 	d2 := NewSelfLabeled(200)
 	for v := 2; v < 200; v += 5 {
 		d2.Parent[v] = 0
 	}
-	run := func(a *ArcStore) (pram.Stats, bool, []int32) {
+	run := func(a *ArcStore) (pram.Stats, bool, []bool) {
 		m := pram.New()
 		a.Alter(m, d2)
 		non := a.HasNonLoop(m)
-		inc := make([]int32, 200)
+		inc := make([]bool, 200)
 		a.MarkEnds(m, inc)
 		return m.Stats(), non, inc
 	}
 	sd, nd, id := run(dropped)
-	sf, nf, idf := run(full)
-	if sd != sf {
-		t.Errorf("dropped store charged %+v, never-dropped store %+v", sd, sf)
+	sf, nf, idf := run(appended)
+	if sd != sf || sd.Work != 3*int64(len(g.U)) {
+		t.Errorf("altered store charged %+v, appended store %+v; want %d work each", sd, sf, 3*len(g.U))
 	}
 	if nd != nf || !slices.Equal(id, idf) {
-		t.Error("dropped and never-dropped stores disagree on HasNonLoop or MarkEnds")
+		t.Error("altered and appended stores disagree on HasNonLoop or MarkEnds")
 	}
 }
 
@@ -255,12 +267,12 @@ func TestMarkIncident(t *testing.T) {
 	g.AddEdge(2, 2) // self-loop must not mark
 	a := NewArcStore(g.Span())
 	m := pram.New()
-	inc := make([]int32, 4)
+	inc := make([]bool, 4)
 	a.MarkIncident(m, inc)
-	want := []int32{1, 1, 0, 0}
+	want := []bool{true, true, false, false}
 	for i := range want {
 		if inc[i] != want[i] {
-			t.Fatalf("incident[%d] = %d, want %d", i, inc[i], want[i])
+			t.Fatalf("incident[%d] = %v, want %v", i, inc[i], want[i])
 		}
 	}
 }
@@ -270,7 +282,7 @@ func TestAlterPreservesPartitionProperty(t *testing.T) {
 	// by trees: endpoints stay in the same component of (graph ∪ trees).
 	f := func(seed int64) bool {
 		g := graph.Gnm(50, 100, seed)
-		a := NewArcStore(g.Span())
+		a := NewArcStoreOrig(g.Span())
 		d := NewSelfLabeled(50)
 		// Random valid links: parent to smaller id keeps acyclicity.
 		coin := pram.Coin{Seed: uint64(seed)}

@@ -61,9 +61,33 @@ func TestRangeStepsMatchReferences(t *testing.T) {
 		}
 	})
 
+	t.Run("FlattenVerts", func(t *testing.T) {
+		// Every third vertex is an isolated root, off the frontier.
+		d := randomForest(refN, 7)
+		var verts []int32
+		for v := range d.Parent {
+			if v%3 == 2 {
+				d.Parent[v] = int32(v)
+				continue
+			}
+			for d.Parent[v]%3 == 2 {
+				d.Parent[v] = d.Parent[d.Parent[v]] - 1
+			}
+			verts = append(verts, int32(v))
+		}
+		ref := &Digraph{Parent: slices.Clone(d.Parent)}
+		mRef, mFront := pram.New(), pram.New()
+		want := ref.Flatten(mRef)
+		if got := d.FlattenVerts(mFront, verts); got != want ||
+			!slices.Equal(d.Parent, ref.Parent) || mFront.Stats() != mRef.Stats() {
+			t.Fatalf("FlattenVerts: %d passes, stats %+v; Flatten: %d passes, stats %+v",
+				got, mFront.Stats(), want, mRef.Stats())
+		}
+	})
+
 	t.Run("Alter", func(t *testing.T) {
 		d := randomForest(refN, 4)
-		a := NewArcStore(g.Span())
+		a := NewArcStoreOrig(g.Span())
 		a.Alter(m, d)
 		k := 0 // the live arcs are the non-loop images, in input order
 		for i := range g.U {
@@ -79,22 +103,30 @@ func TestRangeStepsMatchReferences(t *testing.T) {
 		if k != a.Len() {
 			t.Fatalf("%d live arcs, want %d", a.Len(), k)
 		}
+		// A store without Orig alters its endpoints the same way.
+		b := NewArcStore(g.Span())
+		b.Alter(m, d)
+		if b.Orig != nil || !slices.Equal(b.U, a.U) || !slices.Equal(b.V, a.V) {
+			t.Fatal("a store without Orig alters differently")
+		}
 	})
 
 	t.Run("HasNonLoop", func(t *testing.T) {
 		a := &ArcStore{}
 		for i := 0; i < refN; i++ {
-			a.Append(int32(i), int32(i), -1)
+			a.Append(int32(i), int32(i))
 		}
+		before := m.Stats().Work
 		if a.HasNonLoop(m) {
 			t.Fatal("all-loop store reported a non-loop")
 		}
-		for _, at := range []int{0, refN / 2, refN - 1} {
-			a.V[at] = int32((at + 1) % refN)
-			if !a.HasNonLoop(m) {
-				t.Fatalf("non-loop at arc %d missed", at)
-			}
-			a.V[at] = int32(at)
+		a.Append(0, 1)
+		a.Append(1, 0)
+		if !a.HasNonLoop(m) {
+			t.Fatal("non-loop pair missed")
+		}
+		if got := m.Stats().Work - before; got != 2*refN+2 {
+			t.Fatalf("two HasNonLoop steps charged %d work, want %d", got, 2*refN+2)
 		}
 	})
 
@@ -104,18 +136,23 @@ func TestRangeStepsMatchReferences(t *testing.T) {
 		a.Alter(m, d)
 		added := &ArcStore{}
 		for v := 0; v+3 < refN; v += 7 {
-			added.Append(int32(v), int32(v+3), -1)
+			added.Append(int32(v), int32(v+3))
 		}
-		want := make([]int32, refN)
-		for _, st := range []*ArcStore{a, added} {
-			for i := range st.U {
-				if st.U[i] != st.V[i] {
-					want[st.U[i]], want[st.V[i]] = 1, 1
-				}
+		// The reference marks the ends of every non-loop image of an
+		// input arc and every appended arc.
+		want := make([]bool, refN)
+		for i := range g.U {
+			if x, y := d.Parent[g.U[i]], d.Parent[g.V[i]]; x != y {
+				want[x], want[y] = true, true
 			}
 		}
-		inc := make([]int32, refN)
-		pram.Fill32(inc, 1) // MarkIncident must clear stale marks
+		for v := 0; v+3 < refN; v += 7 {
+			want[v], want[v+3] = true, true
+		}
+		inc := make([]bool, refN)
+		for i := range inc {
+			inc[i] = true // MarkIncident must clear stale marks
+		}
 		a.MarkIncident(m, inc)
 		added.MarkEnds(m, inc)
 		if !slices.Equal(inc, want) {

@@ -17,9 +17,11 @@
 // another rather than in lockstep, so a step's reads may see writes
 // made earlier in the same step by lower-index processors. A step
 // whose processors must all see the cells as they were before it
-// reads a copy instead (Snapshot32; SHORTCUT reads the old parents
-// while rewriting them). Cells are plain Go memory; the helpers in
-// cells.go only pack and combine values.
+// reads a copy instead (Snapshot32; a general SHORTCUT reads the old
+// parents while rewriting them), unless its call site shows that no
+// read can see such a write change its result (Vanilla's SHORTCUT).
+// Cells are plain Go memory; the helpers in cells.go only pack and
+// combine values.
 //
 // The machine accounts simulated time (steps), per-step processor
 // usage, and total work, so experiments report model costs rather
@@ -29,11 +31,11 @@
 // Machine.StepN charges its full processor count while the host runs
 // only a frontier of them. The host may skip a processor only when
 // that processor's body is a no-op in the step — a loop arc, a vertex
-// that is not an ongoing root, a vote the reading step draws itself —
-// and each call site says why its skipped processors are no-ops. A
-// frontier is always ascending, so the surviving processors run in the
-// same order as the full sweep and every ARBITRARY write resolves as
-// it would there.
+// that is not an ongoing root, an isolated vertex, a vote the reading
+// step draws itself — and each call site says why its skipped
+// processors are no-ops. A frontier is always ascending, so the
+// surviving processors run in the same order as the full sweep and
+// every ARBITRARY write resolves as it would there.
 package pram
 
 import "fmt"

@@ -118,7 +118,7 @@ func Run(m *pram.Machine, g *graph.Graph, p Params) Result {
 	res := Result{Prep: prep}
 	ongoing := make([]int32, n)
 	ongoingB := make([]bool, n)
-	incident := make([]int32, n)
+	incident := make([]bool, n)
 	leader := make([]int32, n)
 	alpha := make([]int32, n)
 	beta := make([]int32, n)
@@ -140,7 +140,7 @@ func Run(m *pram.Machine, g *graph.Graph, p Params) Result {
 		}
 		st.Arcs.MarkIncident(m, incident)
 		m.Step(n, func(v int) {
-			if st.D.Parent[v] == int32(v) && incident[v] == 1 {
+			if st.D.Parent[v] == int32(v) && incident[v] {
 				ongoing[v] = 1
 				ongoingB[v] = true
 			} else {

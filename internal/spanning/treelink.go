@@ -116,7 +116,7 @@ func treeLink(in treeLinkInput, alpha, beta, leaderNbr, chosen []int32) treeLink
 	m.StepN(in.Arcs.Procs(), in.Arcs.Len(), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			v, w := au[i], av[i]
-			if v != w && in.Ongoing[v] == 1 && in.Leader[v] == 1 {
+			if in.Ongoing[v] == 1 && in.Leader[v] == 1 {
 				leaderNbr[w] = 1
 			}
 		}
@@ -150,7 +150,7 @@ func treeLink(in treeLinkInput, alpha, beta, leaderNbr, chosen []int32) treeLink
 	m.StepN(in.Arcs.Procs(), in.Arcs.Len(), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			v, w := au[i], av[i]
-			if v == w || in.Ongoing[v] == 0 || in.Ongoing[w] == 0 {
+			if in.Ongoing[v] == 0 || in.Ongoing[w] == 0 {
 				continue
 			}
 			bv, bw := beta[v], beta[w]

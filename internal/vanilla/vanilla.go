@@ -19,6 +19,12 @@ type State struct {
 	Arcs  *labels.ArcStore
 	Coin  pram.Coin
 	Phase int // phases executed so far
+
+	// Verts, if set, is the host frontier of SHORTCUT: ascending, and
+	// holding every vertex an arc ends at. A vertex off it is isolated,
+	// a root that no arc reaches in any phase, so its SHORTCUT processor
+	// stores the parent it has. Nil means every vertex.
+	Verts []int32
 }
 
 // NewState initializes the self-labeled digraph and arc store for n
@@ -27,9 +33,13 @@ type State struct {
 // (or any loader/replay span) without boxing. The span's arcs must come
 // in mirror pairs, as a Graph's do: LINK sweeps them pairwise.
 func NewState(n int, span graph.EdgeSpan, seed uint64) *State {
+	return newState(n, labels.NewArcStore(span), seed)
+}
+
+func newState(n int, arcs *labels.ArcStore, seed uint64) *State {
 	return &State{
 		D:    labels.NewSelfLabeled(n),
-		Arcs: labels.NewArcStore(span),
+		Arcs: arcs,
 		Coin: pram.Coin{Seed: seed},
 	}
 }
@@ -56,23 +66,47 @@ func (s *State) RunPhase(m *pram.Machine) bool {
 	m.StepN(s.D.N(), 0, nil)
 
 	s.link(m, coin, phase)
-
-	// SHORTCUT; ALTER.
-	s.D.Shortcut(m)
+	s.shortcut(m)
 	s.Arcs.Alter(m, s.D)
-
 	return s.Arcs.HasNonLoop(m)
+}
+
+// shortcut is SHORTCUT, v.p := v.p.p for every v, run in place: the
+// host reads the parents it is rewriting, with no snapshot of the old
+// ones. On a general forest that could read a grandparent one step
+// early; after a Vanilla LINK it cannot. Trees are flat at phase start
+// (Lemma B.2) and LINK moves only follower roots, each onto a leader,
+// which stays a root. So v.p is an unlinked root or a leader, whose
+// parent is itself, or a linked follower, whose parent is a leader;
+// either way SHORTCUT leaves v.p's own parent as it was, and v reads
+// the same v.p.p whether or not v.p has run yet. The step charges n
+// processors, like Digraph.Shortcut; the host runs Verts if set.
+func (s *State) shortcut(m *pram.Machine) {
+	par := s.D.Parent
+	if s.Verts == nil {
+		m.StepRange(len(par), func(lo, hi int) {
+			for v := lo; v < hi; v++ {
+				par[v] = par[par[v]]
+			}
+		})
+		return
+	}
+	m.StepN(len(par), len(s.Verts), func(lo, hi int) {
+		for _, v := range s.Verts[lo:hi] {
+			par[v] = par[par[v]]
+		}
+	})
 }
 
 // link is LINK: for each graph arc (v,w): if v.l=0 and w.l=1, v.p := w.
 // Trees are flat at phase start (Lemma B.2), so v and w are roots;
 // concurrent writes to v.p resolve arbitrarily. Loops never link, so
-// the host sweeps the live arcs only, and it sweeps them as mirror
-// pairs: arcs 2k and 2k+1 are (v,w) and (w,v), since the input arcs
-// come in mirror pairs and ALTER's loop drop keeps them adjacent. A
-// pair's two processors read the same two votes, so the host draws
-// each once and runs arc 2k before arc 2k+1 (at most one of them
-// writes). The step still charges one processor per arc.
+// the host sweeps the live arcs only, none of them a loop, and it
+// sweeps them as mirror pairs: arcs 2k and 2k+1 are (v,w) and (w,v),
+// since the input arcs come in mirror pairs and the store's loop drops
+// keep them adjacent. A pair's two processors read the same two votes,
+// so the host draws each once and runs arc 2k before arc 2k+1 (at most
+// one of them writes). The step still charges one processor per arc.
 func (s *State) link(m *pram.Machine, coin pram.Coin, phase uint64) {
 	au, av, par := s.Arcs.U, s.Arcs.V, s.D.Parent
 	m.StepN(s.Arcs.Procs(), s.Arcs.Len()/2, func(lo, hi int) {
@@ -80,9 +114,6 @@ func (s *State) link(m *pram.Machine, coin pram.Coin, phase uint64) {
 		v = v[:len(u)]
 		for i := 0; i < len(u); i += 2 {
 			a, b := u[i], v[i]
-			if a == b {
-				continue
-			}
 			la, lb := leader(coin, phase, a), leader(coin, phase, b)
 			if !la && lb {
 				par[a] = b // arc (a,b)

@@ -56,19 +56,58 @@ func log2(n int) int {
 }
 
 func TestVanillaFlatAtPhaseStart(t *testing.T) {
-	// Lemma B.2: trees are flat at the start of every phase.
-	g := graph.Gnm(500, 1500, 9)
-	s := NewState(g.N, g.Span(), 3)
-	m := pram.New()
-	for i := 0; i < 20; i++ {
-		if !s.D.IsFlat() {
-			t.Fatalf("digraph not flat before phase %d", i)
-		}
-		if err := s.D.CheckAcyclic(); err != nil {
-			t.Fatalf("phase %d: %v", i, err)
-		}
-		if !s.RunPhase(m) {
-			break
+	// Lemma B.2: trees are flat at the start of every phase, for
+	// Vanilla and Vanilla-SF alike. Their in-place SHORTCUT relies on
+	// it (see State.shortcut). The inputs: a random graph, a long
+	// permuted path, components among isolated vertices, and a graph
+	// with self-loops and multi-edges.
+	graphs := []struct {
+		name string
+		g    func(seed int64) *graph.Graph
+	}{
+		{"gnm", func(int64) *graph.Graph { return graph.Gnm(500, 1500, 9) }},
+		{"path", func(seed int64) *graph.Graph { return graph.Permuted(graph.Path(1500), seed) }},
+		{"isolated", func(seed int64) *graph.Graph {
+			return graph.WithIsolated(graph.DisjointUnion(
+				graph.Permuted(graph.Cycle(60), seed), graph.Clique(8), graph.Star(20)), 25)
+		}},
+		{"loops-multi", func(seed int64) *graph.Graph {
+			g := graph.Gnm(300, 600, seed)
+			for v := 0; v < 300; v += 7 {
+				g.AddEdge(v, v)
+				g.AddEdge(v, (v+1)%300)
+				g.AddEdge((v+1)%300, v)
+			}
+			return g
+		}},
+	}
+	for _, tc := range graphs {
+		for seed := uint64(1); seed <= 3; seed++ {
+			g := tc.g(int64(seed))
+			s := NewState(g.N, g.Span(), seed)
+			sf := NewSFState(g.N, g.Span(), seed)
+			for _, run := range []struct {
+				name  string
+				s     *State
+				phase func(*pram.Machine) bool
+			}{
+				{"vanilla", s, s.RunPhase},
+				{"vanilla-sf", &sf.State, sf.RunPhase},
+			} {
+				name, s := run.name, run.s
+				m := pram.New()
+				for more := true; more; more = run.phase(m) {
+					if !s.D.IsFlat() {
+						t.Fatalf("%s/%s/seed%d: digraph not flat before phase %d", name, tc.name, seed, s.Phase)
+					}
+					if err := s.D.CheckAcyclic(); err != nil {
+						t.Fatalf("%s/%s/seed%d phase %d: %v", name, tc.name, seed, s.Phase, err)
+					}
+					if s.Phase == defaultPhaseCap(g.N) {
+						break
+					}
+				}
+			}
 		}
 	}
 }
@@ -177,8 +216,9 @@ func TestLeaderIsHalfCoin(t *testing.T) {
 
 // TestVanillaArcsStayMirrorPairs checks the invariant LINK's pair sweep
 // rests on: through every phase of a run, the live view holds whole
-// mirror pairs, arc 2k+1 being arc 2k reversed, and an input pair keeps
-// its two original arcs adjacent.
+// mirror pairs, arc 2k+1 being arc 2k reversed. Vanilla's store keeps
+// no Orig; on Vanilla-SF's, which does, an input pair also keeps its
+// two original arcs adjacent.
 func TestVanillaArcsStayMirrorPairs(t *testing.T) {
 	multi := graph.New(6)
 	multi.AddEdge(0, 1)
@@ -197,34 +237,46 @@ func TestVanillaArcsStayMirrorPairs(t *testing.T) {
 		"isolated": graph.WithIsolated(graph.DisjointUnion(graph.Clique(8), graph.Cycle(30)), 25),
 		"no-edges": graph.New(50),
 	}
+	// walk runs phase until no arc is live, checking the view before
+	// each phase.
+	walk := func(name string, s *State, phase func(*pram.Machine) bool, orig bool) {
+		m := pram.New()
+		for more := true; ; more = phase(m) {
+			a := s.Arcs
+			if a.Len()%2 != 0 {
+				t.Fatalf("%s phase %d: odd live view of %d arcs", name, s.Phase, a.Len())
+			}
+			if (a.Orig != nil) != orig {
+				t.Fatalf("%s phase %d: store tracks Orig = %v, want %v", name, s.Phase, a.Orig != nil, orig)
+			}
+			for k := 0; k+1 < a.Len(); k += 2 {
+				if a.U[k+1] != a.V[k] || a.V[k+1] != a.U[k] {
+					t.Fatalf("%s phase %d: arcs %d,%d = (%d,%d),(%d,%d) are not mirrors",
+						name, s.Phase, k, k+1, a.U[k], a.V[k], a.U[k+1], a.V[k+1])
+				}
+				if orig && (a.Orig[k]%2 != 0 || a.Orig[k+1] != a.Orig[k]+1) {
+					t.Fatalf("%s phase %d: arcs %d,%d descend from input arcs %d,%d",
+						name, s.Phase, k, k+1, a.Orig[k], a.Orig[k+1])
+				}
+			}
+			if !more {
+				break
+			}
+			if s.Phase == defaultPhaseCap(s.D.N()) {
+				t.Fatalf("%s: arcs still live after %d phases", name, s.Phase)
+			}
+		}
+	}
 	for name, g := range cases {
 		for seed := uint64(1); seed <= 3; seed++ {
 			s := NewState(g.N, g.Span(), seed)
-			m := pram.New()
-			for more := true; ; more = s.RunPhase(m) {
-				a := s.Arcs
-				if a.Len()%2 != 0 {
-					t.Fatalf("%s/seed%d phase %d: odd live view of %d arcs", name, seed, s.Phase, a.Len())
+			walk(fmt.Sprintf("vanilla/%s/seed%d", name, seed), s, s.RunPhase, false)
+			sf := NewSFState(g.N, g.Span(), seed)
+			walk(fmt.Sprintf("vanilla-sf/%s/seed%d", name, seed), &sf.State, sf.RunPhase, true)
+			for _, d := range []*State{s, &sf.State} {
+				if err := check.Components(g, d.D.RootsOf()); err != nil {
+					t.Fatalf("%s/seed%d: %v", name, seed, err)
 				}
-				for k := 0; k+1 < a.Len(); k += 2 {
-					if a.U[k+1] != a.V[k] || a.V[k+1] != a.U[k] {
-						t.Fatalf("%s/seed%d phase %d: arcs %d,%d = (%d,%d),(%d,%d) are not mirrors",
-							name, seed, s.Phase, k, k+1, a.U[k], a.V[k], a.U[k+1], a.V[k+1])
-					}
-					if a.Orig[k]%2 != 0 || a.Orig[k+1] != a.Orig[k]+1 {
-						t.Fatalf("%s/seed%d phase %d: arcs %d,%d descend from input arcs %d,%d",
-							name, seed, s.Phase, k, k+1, a.Orig[k], a.Orig[k+1])
-					}
-				}
-				if !more {
-					break
-				}
-				if s.Phase == defaultPhaseCap(g.N) {
-					t.Fatalf("%s/seed%d: arcs still live after %d phases", name, seed, s.Phase)
-				}
-			}
-			if err := check.Components(g, s.D.RootsOf()); err != nil {
-				t.Fatalf("%s/seed%d: %v", name, seed, err)
 			}
 		}
 	}

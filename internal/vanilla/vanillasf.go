@@ -2,6 +2,7 @@ package vanilla
 
 import (
 	"repro/graph"
+	"repro/internal/labels"
 	"repro/internal/pram"
 )
 
@@ -18,7 +19,7 @@ type SFState struct {
 // columnar arc span (see NewState).
 func NewSFState(n int, span graph.EdgeSpan, seed uint64) *SFState {
 	s := &SFState{
-		State:     *NewState(n, span, seed),
+		State:     *newState(n, labels.NewArcStoreOrig(span), seed),
 		ChosenArc: make([]int32, n),
 		ForestArc: make([]bool, len(span.U)),
 	}
@@ -38,15 +39,15 @@ func (s *SFState) RunPhase(m *pram.Machine) bool {
 
 	// MARK-EDGE: for each current arc e=(v,w): if v.l=0 and w.l=1 then
 	// v.e := e (arbitrary winner). Loops are never marked, so the host
-	// sweeps the live arcs only; e indexes the live view, which stays
-	// fixed until ALTER.
+	// sweeps the live arcs only, none of them a loop; e indexes the live
+	// view, which stays fixed until ALTER.
 	au, av := s.Arcs.U, s.Arcs.V
 	chosen := s.ChosenArc
 	pram.Fill32(chosen, -1)
 	m.StepN(s.Arcs.Procs(), s.Arcs.Len(), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			v, w := au[i], av[i]
-			if v != w && !leader(coin, phase, v) && leader(coin, phase, w) {
+			if !leader(coin, phase, v) && leader(coin, phase, w) {
 				chosen[v] = int32(i)
 			}
 		}
@@ -66,7 +67,9 @@ func (s *SFState) RunPhase(m *pram.Machine) bool {
 		}
 	})
 
-	s.D.Shortcut(m)
+	// SHORTCUT in place: LINK moved only followers onto leaders, as in
+	// Vanilla (see State.shortcut).
+	s.shortcut(m)
 	s.Arcs.Alter(m, s.D)
 	return s.Arcs.HasNonLoop(m)
 }
