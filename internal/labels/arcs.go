@@ -25,7 +25,7 @@ import (
 // connected-components algorithms carry just the two endpoint columns.
 type ArcStore struct {
 	U, V []int32 // live arcs' current endpoints, altered over rounds
-	Orig []int32 // index into the input graph's arc list, -1 for an appended arc; nil if not tracked
+	Orig []int32 // index into the input graph's arc list; nil if not tracked
 
 	procs int // arcs ever held: the processors each arc step charges
 }
@@ -94,19 +94,15 @@ func (a *ArcStore) Len() int { return len(a.U) }
 // arc the store has held, loops dropped from the view included.
 func (a *ArcStore) Procs() int { return a.procs }
 
-// Append adds an arc (u,v) that descends from no input arc (an edge
-// added by EXPAND; its Orig is -1 if the store tracks Orig). A loop
+// Append adds an arc (u,v), an edge added by EXPAND, to a store that
+// does not track Orig: an added arc descends from no input arc. A loop
 // gains a processor but never enters the view. Not safe for
 // concurrent use; callers append from the host between PRAM steps.
 func (a *ArcStore) Append(u, v int32) {
 	a.procs++
-	if u == v {
-		return
-	}
-	a.U = append(a.U, u)
-	a.V = append(a.V, v)
-	if a.Orig != nil {
-		a.Orig = append(a.Orig, -1)
+	if u != v {
+		a.U = append(a.U, u)
+		a.V = append(a.V, v)
 	}
 }
 

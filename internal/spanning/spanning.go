@@ -232,9 +232,7 @@ func Run(m *pram.Machine, g *graph.Graph, p Params) Result {
 				return
 			}
 			par[u] = arcV[e]
-			if o := orig[e]; o >= 0 {
-				st.ForestArc[o] = true
-			}
+			st.ForestArc[orig[e]] = true
 		})
 		linked := 0
 		for v := 0; v < n; v++ {

@@ -62,9 +62,7 @@ func (s *SFState) RunPhase(m *pram.Machine) bool {
 			return
 		}
 		par[u] = av[e]
-		if o := orig[e]; o >= 0 {
-			s.ForestArc[o] = true
-		}
+		s.ForestArc[orig[e]] = true
 	})
 
 	// SHORTCUT in place: LINK moved only followers onto leaders, as in
