@@ -9,32 +9,42 @@
 // label is lowered towards the smaller of the two via CAS-min) and a
 // shortcutting step over the vertices (pointer jumping repeated to the
 // root, compressing every chain to depth one). Labels only ever
-// decrease, every vertex's label always names a vertex of the same
-// component, and a round with no change is a proof of convergence —
-// flat labels that agree across every edge — so no step barrier,
-// snapshot semantics, or per-step cost accounting is needed. The
-// asynchronous races the simulator's ARBITRARY write-resolution models
-// explicitly are simply allowed to happen here; CAS-min makes every
-// interleaving safe.
+// decrease and every vertex's label always names a vertex of the same
+// component, so no step barrier, snapshot semantics, or per-step cost
+// accounting is needed. The asynchronous races the simulator's
+// ARBITRARY write-resolution models explicitly are simply allowed to
+// happen here; CAS-min makes every interleaving safe.
 //
 // Work is sharded over the locality-aware grain-claim scheduler in
 // internal/pool: each worker sweeps a sticky contiguous home range of
 // the edge (and vertex) space first and steals from other ranges only
 // after exhausting it, so the same label cache lines keep landing in
-// the same core across the rounds of a solve. The first round links
+// the same core across the sweeps of a solve. The first round links
 // each edge to the root (the incremental engine's union discipline,
 // with path splitting), which connects the whole label forest in one
-// pass regardless of diameter, so the rounds that follow are cheap
-// verification sweeps. On graphs with m ≥ 2.5n the first round goes
-// sample → shortcut → finish (the Afforest/ConnectIt recipe): it
+// pass regardless of diameter. On graphs with m ≥ 2.5n the first round
+// goes sample → shortcut → finish (the Afforest/ConnectIt recipe): it
 // root-links every s-th edge, s = ⌊m/(5n/4)⌋, so about 1.25n edges
 // build most of the forest, shortcuts it flat, then sweeps every edge,
 // skipping those whose endpoints already carry one label (two reads,
 // no CAS — the bulk of a sample's giant component) and root-linking
 // the rest, before the round's shortcut. Below that density round 1
-// is the single root-link sweep over every edge. Either way the
-// convergence test — a full round of one-hop links with no change — is
-// unchanged and still ranges over every edge.
+// is the single root-link sweep over every edge.
+//
+// That round is the whole solve, with no verification round after it,
+// and its labels are exact on every interleaving. Every write keeps
+// labels[x] ≤ x, so each tree's root is its minimum id. A root link
+// only hangs one root under another, and path splitting and shortcuts
+// only move a vertex to an ancestor, so trees merge but never split.
+// A root link of edge (u, v) returns once u and v were seen in one
+// tree, and a finish-sweep skip reads u and v with one parent, so when
+// the link sweeps end both endpoints of every edge share a tree: the
+// trees are the components. No root moves during the closing
+// shortcut, so it points every vertex at its component's minimum id.
+// The NoRootLink ablation links one hop per edge instead and keeps the
+// Liu–Tarjan loop, whose convergence proof is a full round with no
+// change.
+//
 // Every link sweep reads edge i as the mirror pair (g.U[2i], g.U[2i+1]):
 // the graph's own U column already is the interleaved [u v] record
 // layout, so no sweep touches V and the engine keeps no copy of the
@@ -173,12 +183,15 @@ func (e *Engine) Close() { e.pool.Close() }
 
 // Run computes the connected components of g into labels, which must
 // have length g.N; on return labels[v] is the minimum vertex id of
-// v's component. It returns the number of link+shortcut rounds run.
+// v's component. It returns the number of link+shortcut rounds run:
+// 1 on any graph with an edge, unless the engine was built with
+// NoRootLink, and 0 on a graph without edges.
 //
-// ctx is checked at every round boundary: when it is cancelled or past
-// its deadline, Run abandons the computation and returns ctx.Err()
-// within one round. The labels buffer then holds a partial (monotone
-// but unconverged) labeling that the caller must discard.
+// ctx is checked at every round boundary, the end of the last round
+// included: when it is cancelled or past its deadline, Run abandons
+// the computation and returns ctx.Err() within one round. The labels
+// buffer then holds a partial (monotone but unconverged) labeling that
+// the caller must discard.
 //
 // The returned labeling is exact on every interleaving: correctness
 // depends only on the monotone CAS-min discipline, not on scheduling.
@@ -215,8 +228,10 @@ func (e *Engine) Run(ctx context.Context, g *graph.Graph, labels []int32) (int, 
 	// the default round loop stays allocation-free.
 	emit := obs.Enabled()
 	var roundStart time.Time
-	rounds := 0
+	rounds, done := 0, false
 	for {
+		// Polled after the last round too, so a cancellation during a
+		// one-round solve is reported.
 		if err := ctx.Err(); err != nil {
 			if emit {
 				obs.Emit(obs.Event{Source: "native", Category: "engine",
@@ -225,21 +240,24 @@ func (e *Engine) Run(ctx context.Context, g *graph.Graph, labels []int32) (int, 
 			}
 			return rounds, err
 		}
+		if done {
+			mRuns.Inc()
+			mRounds.Add(int64(rounds))
+			return rounds, nil
+		}
 		rounds++
 		if emit {
 			roundStart = time.Now()
 		}
 		var linked bool
 		if linkPhase == phaseRootLink && e.stride > 1 {
-			// Round 1 on a dense graph: sample, shortcut, finish. The
-			// verification round still sees every edge.
+			// Round 1 on a dense graph: sample, shortcut, finish.
 			linked = e.sweep(phaseRootLink, (numEdges+e.stride-1)/e.stride)
 			e.sweep(phaseShortcut, g.N)
 			linked = e.sweep(phaseFinishLink, numEdges) || linked
 		} else {
 			linked = e.sweep(linkPhase, numEdges)
 		}
-		linkPhase = phaseLink
 		cut := e.sweep(phaseShortcut, g.N)
 		if emit {
 			obs.Emit(obs.Event{Source: "native", Category: "engine",
@@ -250,16 +268,18 @@ func (e *Engine) Run(ctx context.Context, g *graph.Graph, labels []int32) (int, 
 					"changed": b2f(linked || cut),
 				}})
 		}
-		// A full round with no successful CAS means the labels are flat
-		// and agree across every edge: were some edge's labels unequal,
-		// the link CAS-min on its larger side would have succeeded
-		// against a flat (self-parented) label. Labels strictly
-		// decrease on every change, so this point is always reached.
-		if !linked && !cut {
-			mRuns.Inc()
-			mRounds.Add(int64(rounds))
-			return rounds, nil
-		}
+		// A root-linking round is exact on its own: when its link
+		// sweeps end, both endpoints of every edge share a tree, and
+		// its shortcut points each vertex at its tree's root, the
+		// tree's minimum id (see the package doc). Otherwise (the
+		// NoRootLink ablation) a full round with no successful CAS
+		// means the labels are flat and agree across every edge: were
+		// some edge's labels unequal, the link CAS-min on its larger
+		// side would have succeeded against a flat (self-parented)
+		// label. Labels strictly decrease on every change, so this
+		// point is always reached.
+		done = linkPhase == phaseRootLink || (!linked && !cut)
+		linkPhase = phaseLink
 	}
 }
 
@@ -340,9 +360,8 @@ func (e *Engine) link(lo, hi int) bool {
 // on contention, so both endpoints share a root when the call moves on
 // (the incremental engine's union discipline). With stride 1 it covers
 // every edge, and one such sweep connects the whole label forest
-// regardless of diameter, so the rounds that follow are cheap
-// all-labels-equal verification sweeps instead of further rounds of
-// propagation; with a larger stride it links round 1's sample.
+// regardless of diameter, so the round's shortcut finishes the solve;
+// with a larger stride it links round 1's sample.
 //
 //pramcc:zeroalloc
 func (e *Engine) rootLinkEdges(lo, hi int) bool {

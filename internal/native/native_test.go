@@ -2,6 +2,8 @@ package native
 
 import (
 	"context"
+	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"repro/graph"
@@ -13,6 +15,17 @@ func requireOracle(t *testing.T, g *graph.Graph, labels []int32) {
 	t.Helper()
 	if err := check.Components(g, labels); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// requireLabels fails unless labels equal want, the BFS oracle's
+// minimum-id labels, elementwise.
+func requireLabels(t *testing.T, what string, want, labels []int32) {
+	t.Helper()
+	for v, l := range labels {
+		if l != want[v] {
+			t.Fatalf("%s: label[%d] = %d, BFS %d", what, v, l, want[v])
+		}
 	}
 }
 
@@ -109,14 +122,76 @@ func TestRaceStress(t *testing.T) {
 	}
 }
 
-// TestRoundsAreFew: repeated shortcutting to the root keeps rounds far
-// below the diameter — the whole point over naive label propagation.
+// TestRoundsAreFew: the root-linking first round solves a path of any
+// diameter on its own, and in the NoRootLink ablation repeated
+// shortcutting to the root keeps the one-hop loop's rounds far below
+// the diameter — the whole point over naive label propagation.
 func TestRoundsAreFew(t *testing.T) {
 	g := graph.Path(100000)
 	res := Components(g, Options{})
 	requireOracle(t, g, res.Labels)
+	if res.Rounds != 1 {
+		t.Fatalf("path-100000 took %d rounds, want 1", res.Rounds)
+	}
+	res = Components(g, Options{NoRootLink: true})
+	requireOracle(t, g, res.Labels)
 	if res.Rounds > 40 {
-		t.Fatalf("path-100000 took %d rounds, want O(log n)-ish", res.Rounds)
+		t.Fatalf("NoRootLink: path-100000 took %d rounds, want O(log n)-ish", res.Rounds)
+	}
+}
+
+// TestRootLinkRoundIsExact: with root links on, the first round is the
+// whole solve — one round whose labels equal the BFS oracle's
+// minimum-id labels on every worker count and grain, with no
+// verification round behind it to catch a wrong one. The Gnm densities
+// straddle the sampling cutoff m ≥ 2.5n, so both forms of round 1 run.
+// The NoRootLink arm still reaches the same labels through the one-hop
+// loop's no-change exit, which takes at least a second round.
+func TestRootLinkRoundIsExact(t *testing.T) {
+	const n = 1000
+	messy := graph.WithIsolated(graph.Gnm(n, 2*n, 31), 40)
+	for i := 0; i < n; i += 3 {
+		messy.AddEdge(i, i)         // self-loop
+		messy.AddEdge(i, (i*5+1)%n) // and the same edge twice
+		messy.AddEdge(i, (i*5+1)%n)
+	}
+	cases := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"gnm-m/n=1", graph.Gnm(n, n, 32)},
+		{"gnm-m/n=2", graph.Gnm(n, 2*n, 33)},
+		{"gnm-m/n=2.5", graph.Gnm(n, 5*n/2, 34)},
+		{"gnm-m/n=10", graph.Gnm(n, 10*n, 35)},
+		{"path-permuted", graph.Permuted(graph.Path(3000), 36)},
+		{"star", graph.Star(500)},
+		{"clique-beads", graph.CliqueBeads(graph.CliqueBeadsSpec{Beads: 32, Size: 16, IntraDeg: 8, Bridges: 2, Seed: 37})},
+		{"rmat", graph.RMAT(1<<11, 1<<14, 38)},
+		{"loops-multi-isolated", messy},
+		{"isolated", graph.WithIsolated(graph.Path(50), 200)},
+		{"empty", graph.New(0)},
+	}
+	for _, tc := range cases {
+		g := tc.g
+		want := g.ComponentsBFS()
+		wantRounds := min(g.NumEdges(), 1)
+		for _, noRootLink := range []bool{false, true} {
+			for _, workers := range []int{1, 2, 4, 32} {
+				for _, grain := range []int{0, 1, 7} {
+					res := Components(g, Options{Workers: workers, Grain: grain, NoRootLink: noRootLink})
+					requireLabels(t, fmt.Sprintf("%s noRootLink=%v workers=%d grain=%d",
+						tc.name, noRootLink, workers, grain), want, res.Labels)
+					switch {
+					case !noRootLink && res.Rounds != wantRounds:
+						t.Fatalf("%s workers=%d grain=%d: %d rounds, want %d",
+							tc.name, workers, grain, res.Rounds, wantRounds)
+					case noRootLink && g.NumEdges() > 0 && res.Rounds < 2:
+						t.Fatalf("%s NoRootLink workers=%d grain=%d: %d rounds, want ≥ 2 (the no-change exit)",
+							tc.name, workers, grain, res.Rounds)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -185,6 +260,40 @@ func TestEngineRunCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireOracle(t, g, labels)
+}
+
+// cancelAfterFirstCheck is a context whose Err reports nil on its
+// first call and context.Canceled on every later one.
+type cancelAfterFirstCheck struct {
+	context.Context
+	checks atomic.Int32
+}
+
+func (c *cancelAfterFirstCheck) Err() error {
+	if c.checks.Add(1) > 1 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestEngineRunCancelledDuringOnlyRound: a root-linking solve is one
+// round, so a context cancelled after Run's check before that round
+// must still be seen, by the check at the round's end; the engine then
+// solves exactly.
+func TestEngineRunCancelledDuringOnlyRound(t *testing.T) {
+	e := NewEngine(2)
+	defer e.Close()
+	g := graph.Gnm(3000, 9000, 4)
+	labels := make([]int32, g.N)
+	rounds, err := e.Run(&cancelAfterFirstCheck{Context: context.Background()}, g, labels)
+	if err != context.Canceled || rounds != 1 {
+		t.Fatalf("Run = (%d, %v), want (1, context.Canceled)", rounds, err)
+	}
+	rounds, err = e.Run(context.Background(), g, labels)
+	if err != nil || rounds != 1 {
+		t.Fatalf("Run = (%d, %v), want (1, nil)", rounds, err)
+	}
+	requireLabels(t, "after the cancelled run", g.ComponentsBFS(), labels)
 }
 
 // TestEngineRunBadBuffer: a mis-sized label buffer is a programming
@@ -270,17 +379,12 @@ func TestSampledFirstRound(t *testing.T) {
 		for _, workers := range []int{1, 2, 4} {
 			for _, grain := range []int{0, 1, 7} {
 				res := Components(g, Options{Workers: workers, Grain: grain})
-				for v, l := range res.Labels {
-					if l != want[v] {
-						t.Fatalf("%s workers=%d grain=%d: label[%d] = %d, BFS %d",
-							tc.name, workers, grain, v, l, want[v])
-					}
-				}
+				requireLabels(t, fmt.Sprintf("%s workers=%d grain=%d", tc.name, workers, grain), want, res.Labels)
 			}
 		}
 	}
 	g := graph.Gnm(50000, 500000, 25)
-	if res := Components(g, Options{}); res.Rounds != 2 {
-		t.Fatalf("Gnm(5e4, 5e5) took %d rounds, want 2 (sampled round + verification)", res.Rounds)
+	if res := Components(g, Options{}); res.Rounds != 1 {
+		t.Fatalf("Gnm(5e4, 5e5) took %d rounds, want 1 (the sampled round alone)", res.Rounds)
 	}
 }
