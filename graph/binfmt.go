@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"repro/internal/pool"
+	"repro/internal/wire"
 )
 
 // Binary graph format, version 1. All integers are little-endian:
@@ -26,21 +27,22 @@ import (
 // implicit, as in WriteEdgeList) and preserves edge order, so a
 // text→binary→text round trip is byte-identical. Record k is the
 // little-endian form of Graph.U[2k], U[2k+1] — the arc column already
-// holds each edge as an interleaved [u v] pair. Fixed-width records
-// keep the loader a straight memory scan: at 8 bytes per edge the file
-// is smaller than the equivalent text for vertex ids above ~3 digits,
-// and decoding is one bounds check and two loads per edge instead of a
-// line split and two integer parses.
+// holds each edge as an interleaved [u v] pair. So the loader reads
+// the records straight into the bytes of U, and decoding is one pass
+// that writes the mirror column V and keeps the largest endpoint for a
+// single range check, instead of a line split and two integer parses
+// per edge. At 8 bytes per edge the file is also smaller than the
+// equivalent text for vertex ids above ~3 digits.
 const (
 	binMagic      = "PCCG"
 	binVersion    = 1
 	binHeaderSize = 24
-	// binChunkEdges is the encode and decode buffer granularity:
+	// binChunkEdges is the encode buffer and the unsized read's chunk:
 	// 1 MiB of edge records. A file read splits it among its workers,
-	// so their buffers together stay within 1 MiB.
+	// so the reads they have in flight together cover at most 1 MiB.
 	binChunkEdges = 1 << 17
 	// binMinReadEdges is the smallest read a file read gives one
-	// worker, 128 KiB of records; with the 1 MiB budget it caps a file
+	// worker, 128 KiB of records; splitting 1 MiB no finer caps a file
 	// read at 8 workers. Readings so far come from a 2-CPU host, so
 	// the cap is unmeasured beyond 2 workers.
 	binMinReadEdges = 1 << 14
@@ -109,11 +111,11 @@ func readBinary(r io.Reader, src binSource) (*Graph, error) {
 // When r is a regular file whose remaining size matches the header,
 // they are allocated up front and filled in parallel: up to
 // GOMAXPROCS workers (at most 8, and no more than the file has chunks)
-// each pread disjoint ranges of records into a buffer of their own and
-// decode them straight into the columns, and the first bad edge in
-// file order is the one reported. A file of one chunk, or a one-CPU
-// process, gets one worker, which reads the chunks in order on the
-// calling goroutine. Otherwise the records are read in chunks first
+// each pread disjoint ranges of records straight into the U column and
+// mirror them into V in place, and the first bad edge in file order is
+// the one reported. A file of one chunk, or a one-CPU process, gets
+// one worker, which reads the chunks in order on the calling
+// goroutine. Otherwise the records are read in chunks first
 // and the columns allocated once the bytes have arrived, so a corrupt
 // header declaring a huge m cannot force a huge allocation.
 func ReadBinarySpan(r io.Reader) (int, EdgeSpan, error) {
@@ -184,18 +186,18 @@ func readBinarySpan(r io.Reader, src binSource) (int, EdgeSpan, error) {
 // readFileEdges decodes m records whose arrival the file size has
 // vouched for. The columns are allocated first; then up to src.workers
 // workers, one per chunk at most, claim chunks of src.chunk records on
-// a locality-aware pool, pread each into a buffer of their own and
-// decode it into the columns. Every chunk is read and checked, so the
-// error kept — the one of the first failing chunk — is the one a
-// sequential read would have met first. One byte past the last record
-// is read to reject trailing data (the size may have changed since it
-// was taken), and the file is left positioned after the records.
+// a locality-aware pool, pread each straight into the bytes of its
+// slice of U and turn it into arcs in place (decodeArcs). Every chunk
+// is read and checked, so the error kept — the one of the first
+// failing chunk — is the one a sequential read would have met first.
+// One byte past the last record is read to reject trailing data (the
+// size may have changed since it was taken), and the file is left
+// positioned after the records.
 func readFileEdges(src binSource, n, m uint64) (EdgeSpan, error) {
 	span := EdgeSpan{U: make([]int32, 2*m), V: make([]int32, 2*m)}
 	base := src.off + binHeaderSize
 	chunk := uint64(src.chunk)
 	workers := max(1, min(src.workers, int((m+chunk-1)/chunk)))
-	bufs := make([][]byte, workers)
 	var (
 		mu       sync.Mutex
 		firstAt  int
@@ -209,15 +211,12 @@ func readFileEdges(src binSource, n, m uint64) (EdgeSpan, error) {
 		mu.Unlock()
 	}
 	p := pool.New(workers)
-	p.Sharded(int(m), src.chunk, func(worker, lo, hi int) bool {
-		if bufs[worker] == nil {
-			bufs[worker] = make([]byte, 8*min(chunk, m))
-		}
-		buf := bufs[worker][:8*(hi-lo)]
+	p.Sharded(int(m), src.chunk, func(_, lo, hi int) bool {
 		// Chunks are disjoint, so lo orders a chunk's error among them.
-		if got, err := src.f.ReadAt(buf, base+8*int64(lo)); err != nil {
+		part := span.Slice(lo, hi)
+		if got, err := src.f.ReadAt(wire.Bytes(part.U), base+8*int64(lo)); err != nil {
 			fail(lo, edgeArrayError(err, uint64(lo+got/8), m))
-		} else if err := decodeEdges(span, uint64(lo), buf, n); err != nil {
+		} else if err := decodeArcs(part, uint64(lo), n); err != nil {
 			fail(lo, err)
 		}
 		return true
@@ -240,9 +239,9 @@ func readFileEdges(src binSource, n, m uint64) (EdgeSpan, error) {
 }
 
 // readUnsizedEdges reads records in fixed chunks until the input ends
-// (or overruns the header's m), then allocates the columns once and
-// decodes the chunks into them. Memory follows the bytes that actually
-// arrived, never the header alone.
+// (or overruns the header's m), then allocates the columns once,
+// copies the chunks into U and turns them into arcs. Memory follows
+// the bytes that actually arrived, never the header alone.
 func readUnsizedEdges(r io.Reader, n, m uint64) (EdgeSpan, error) {
 	var chunks [][]byte
 	var total uint64
@@ -269,12 +268,12 @@ func readUnsizedEdges(r io.Reader, n, m uint64) (EdgeSpan, error) {
 		return EdgeSpan{}, fmt.Errorf("graph: trailing data after %d binary edges", m)
 	}
 	span := EdgeSpan{U: make([]int32, 2*m), V: make([]int32, 2*m)}
-	done := uint64(0)
+	dst := wire.Bytes(span.U)
 	for _, c := range chunks {
-		if err := decodeEdges(span, done, c, n); err != nil {
-			return EdgeSpan{}, err
-		}
-		done += uint64(len(c)) / 8
+		dst = dst[copy(dst, c):]
+	}
+	if err := decodeArcs(span, 0, n); err != nil {
+		return EdgeSpan{}, err
 	}
 	return span, nil
 }
@@ -289,19 +288,21 @@ func edgeArrayError(err error, got, m uint64) error {
 	return fmt.Errorf("graph: binary edge array: %w", err)
 }
 
-// decodeEdges decodes the whole records of data into span as edges
-// first, first+1, …, checking every endpoint against n.
-func decodeEdges(span EdgeSpan, first uint64, data []byte, n uint64) error {
-	U, V := span.U[2*first:], span.V[2*first:]
-	for j := 0; j+8 <= len(data); j += 8 {
-		u := binary.LittleEndian.Uint32(data[j:])
-		v := binary.LittleEndian.Uint32(data[j+4:])
+// decodeArcs turns span, whose U column holds the raw records of edges
+// first, first+1, … as read from the file, into arcs: it puts U in
+// host byte order, writes the mirror column V and checks every
+// endpoint against n. Only a span holding a bad endpoint is scanned a
+// second time, to name its first bad edge.
+func decodeArcs(span EdgeSpan, first, n uint64) error {
+	wire.FromLE(span.U)
+	if uint64(wire.Mirror(span.U, span.V)) < n {
+		return nil
+	}
+	for i := range span.Len() {
+		u, v := uint32(span.U[2*i]), uint32(span.U[2*i+1])
 		if uint64(u) >= n || uint64(v) >= n {
-			return fmt.Errorf("graph: edge %d = {%d,%d} out of range [0,%d)", first+uint64(j/8), u, v, n)
+			return fmt.Errorf("graph: edge %d = {%d,%d} out of range [0,%d)", first+uint64(i), u, v, n)
 		}
-		i := j / 4
-		U[i], U[i+1] = int32(u), int32(v)
-		V[i], V[i+1] = int32(v), int32(u)
 	}
 	return nil
 }

@@ -2,6 +2,9 @@ package graph
 
 import (
 	"bytes"
+	"io"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 )
@@ -60,6 +63,42 @@ func BenchmarkLoadBinary(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ReadBinary(bytes.NewReader(bin)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// fileBenchBin is the binary form of Gnm(5·10⁵, 5·10⁶), the input the
+// perf harness's solve-native and stream-ingest workloads load.
+var fileBenchBin = sync.OnceValue(func() []byte {
+	var bin bytes.Buffer
+	if err := Gnm(500_000, 5_000_000, 1).WriteBinary(&bin); err != nil {
+		panic(err)
+	}
+	return bin.Bytes()
+})
+
+// BenchmarkLoadBinaryFile times ReadAuto on a regular file, the sized
+// path: the columns are allocated up front and filled by parallel
+// preads. BenchmarkLoadBinary reads from memory, the unsized path.
+func BenchmarkLoadBinaryFile(b *testing.B) {
+	bin := fileBenchBin()
+	path := filepath.Join(b.TempDir(), "g.bin")
+	if err := os.WriteFile(path, bin, 0o644); err != nil {
+		b.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	b.SetBytes(int64(len(bin)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := f.Seek(0, io.SeekStart); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := ReadAuto(f); err != nil {
 			b.Fatal(err)
 		}
 	}

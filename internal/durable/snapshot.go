@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+
+	"repro/internal/wire"
 )
 
 // Snapshot file format (PCCS), version 1. All integers little-endian,
@@ -40,9 +42,7 @@ func AppendSnapshot(buf []byte, seq uint64, labels []int32) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, snapVersion)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(labels)))
 	buf = binary.LittleEndian.AppendUint64(buf, seq)
-	for _, l := range labels {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(l))
-	}
+	buf = wire.AppendLE(buf, labels)
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
 }
 
@@ -79,9 +79,7 @@ func DecodeSnapshot(data []byte) (seq uint64, labels []int32, err error) {
 		return 0, nil, fmt.Errorf("durable: snapshot CRC mismatch: stored %08x, computed %08x", got, sum)
 	}
 	labels = make([]int32, n)
-	for i := range labels {
-		labels[i] = int32(binary.LittleEndian.Uint32(data[snapHeaderSize+4*i:]))
-	}
+	wire.Load(labels, data[snapHeaderSize:])
 	for v, l := range labels {
 		if l < 0 || int(l) > v || labels[l] != l {
 			return 0, nil, fmt.Errorf("durable: snapshot label[%d] = %d is not canonical (want the minimum vertex of the component)", v, l)

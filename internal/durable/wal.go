@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"repro/graph"
+	"repro/internal/wire"
 )
 
 // Write-ahead-log segment format (PCCW), version 1. All integers
@@ -79,7 +80,11 @@ func appendRecordFrame(buf []byte, kind byte, seq uint64, payload func([]byte) [
 }
 
 // AppendSpanRecord appends a span-batch record: the span's even arcs
-// as fixed-width edge records.
+// as fixed-width edge records. It reads each edge as (U[2i], V[2i]),
+// not as a block copy of U: Service.IngestSpan ingests exactly those
+// arcs, and incremental.validateSpan does not check that U[2i+1]
+// mirrors V[2i], so the log holds what was ingested even for a span
+// whose mirror arcs disagree.
 func AppendSpanRecord(buf []byte, seq uint64, span graph.EdgeSpan) []byte {
 	return appendRecordFrame(buf, KindSpan, seq, func(b []byte) []byte {
 		for i := 0; i < span.Len(); i++ {
@@ -157,16 +162,14 @@ func decodeRecord(data []byte, off int, wantSeq uint64) (rec Record, next int, o
 		if plen%8 != 0 {
 			return Record{}, 0, false
 		}
+		// A record is the little-endian form of U[2i], U[2i+1]: copy
+		// the payload into U, mirror it into V, and treat an endpoint
+		// outside int32 as damage.
 		m := int(plen / 8)
 		span := graph.EdgeSpan{U: make([]int32, 2*m), V: make([]int32, 2*m)}
-		for i := 0; i < m; i++ {
-			u := binary.LittleEndian.Uint32(payload[8*i:])
-			v := binary.LittleEndian.Uint32(payload[8*i+4:])
-			if u > math.MaxInt32 || v > math.MaxInt32 {
-				return Record{}, 0, false
-			}
-			span.U[2*i], span.U[2*i+1] = int32(u), int32(v)
-			span.V[2*i], span.V[2*i+1] = int32(v), int32(u)
+		wire.Load(span.U, payload)
+		if wire.Mirror(span.U, span.V) > math.MaxInt32 {
+			return Record{}, 0, false
 		}
 		rec = Record{Seq: seq, Kind: kind, Span: span}
 	case KindGrow:
