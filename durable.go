@@ -195,13 +195,8 @@ func (sv *Service) replay(se streamEngine, r durable.Record) (edges int64, err e
 			return 0, nil
 		}
 		se.grow(r.N)
-		labels := make([]int32, r.N)
-		copy(labels, cur.Labels)
-		for v := len(cur.Labels); v < r.N; v++ {
-			labels[v] = int32(v)
-		}
 		sv.publish(&Result{
-			Labels:        labels,
+			Labels:        grownLabels(cur.Labels, r.N),
 			NumComponents: cur.NumComponents + r.N - len(cur.Labels),
 			Stats:         cur.Stats,
 		})

@@ -31,7 +31,9 @@ import (
 // the records straight into the bytes of U, and decoding is one pass
 // that writes the mirror column V and keeps the largest endpoint for a
 // single range check, instead of a line split and two integer parses
-// per edge. At 8 bytes per edge the file is also smaller than the
+// per edge. Both columns are allocated first, unzeroed (wire.Column):
+// the read fills every element of U and the pass every element of V,
+// and a failed load drops them. At 8 bytes per edge the file is also smaller than the
 // equivalent text for vertex ids above ~3 digits.
 const (
 	binMagic      = "PCCG"
@@ -108,12 +110,14 @@ func readBinary(r io.Reader, src binSource) (*Graph, error) {
 // materializing a [][2]int edge list.
 //
 // The two columns are the only allocation that grows with the input.
-// When r is a regular file whose remaining size matches the header,
-// they are allocated up front and filled in parallel: up to
-// GOMAXPROCS workers (at most 8, and no more than the file has chunks)
-// each pread disjoint ranges of records straight into the U column and
-// mirror them into V in place, and the first bad edge in file order is
-// the one reported. A file of one chunk, or a one-CPU process, gets
+// They are allocated before any record lands in them, without the
+// runtime's zeroing (wire.Column): the load writes every element once,
+// and a failed load drops them. When r is a regular file whose
+// remaining size matches the header, they are allocated up front and
+// filled in parallel: up to GOMAXPROCS workers (at most 8, and no more
+// than the file has chunks) each pread disjoint ranges of records
+// straight into the U column and mirror them into V in place, and the
+// first bad edge in file order is the one reported. A file of one chunk, or a one-CPU process, gets
 // one worker, which reads the chunks in order on the calling
 // goroutine. Otherwise the records are read in chunks first
 // and the columns allocated once the bytes have arrived, so a corrupt
@@ -194,7 +198,7 @@ func readBinarySpan(r io.Reader, src binSource) (int, EdgeSpan, error) {
 // size may have changed since it was taken), and the file is left
 // positioned after the records.
 func readFileEdges(src binSource, n, m uint64) (EdgeSpan, error) {
-	span := EdgeSpan{U: make([]int32, 2*m), V: make([]int32, 2*m)}
+	span := EdgeSpan{U: wire.Column(int(2 * m)), V: wire.Column(int(2 * m))}
 	base := src.off + binHeaderSize
 	chunk := uint64(src.chunk)
 	workers := max(1, min(src.workers, int((m+chunk-1)/chunk)))
@@ -267,7 +271,7 @@ func readUnsizedEdges(r io.Reader, n, m uint64) (EdgeSpan, error) {
 	if total > 8*m {
 		return EdgeSpan{}, fmt.Errorf("graph: trailing data after %d binary edges", m)
 	}
-	span := EdgeSpan{U: make([]int32, 2*m), V: make([]int32, 2*m)}
+	span := EdgeSpan{U: wire.Column(int(2 * m)), V: wire.Column(int(2 * m))}
 	dst := wire.Bytes(span.U)
 	for _, c := range chunks {
 		dst = dst[copy(dst, c):]

@@ -16,6 +16,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -77,10 +78,7 @@ func FromEdges(n int, edges [][2]int) *Graph {
 // Clone returns a deep copy of the graph's arc lists. The CSR cache is
 // not copied; it is rebuilt on demand.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{N: g.N, U: make([]int32, len(g.U)), V: make([]int32, len(g.V))}
-	copy(c.U, g.U)
-	copy(c.V, g.V)
-	return c
+	return &Graph{N: g.N, U: slices.Clone(g.U), V: slices.Clone(g.V)}
 }
 
 // buildCSR constructs the adjacency index. Arcs already encode both

@@ -78,7 +78,7 @@ func DecodeSnapshot(data []byte) (seq uint64, labels []int32, err error) {
 	if got, sum := binary.LittleEndian.Uint32(foot), crc32.ChecksumIEEE(body); got != sum {
 		return 0, nil, fmt.Errorf("durable: snapshot CRC mismatch: stored %08x, computed %08x", got, sum)
 	}
-	labels = make([]int32, n)
+	labels = wire.Column(int(n))
 	wire.Load(labels, data[snapHeaderSize:])
 	for v, l := range labels {
 		if l < 0 || int(l) > v || labels[l] != l {

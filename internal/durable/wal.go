@@ -166,7 +166,7 @@ func decodeRecord(data []byte, off int, wantSeq uint64) (rec Record, next int, o
 		// the payload into U, mirror it into V, and treat an endpoint
 		// outside int32 as damage.
 		m := int(plen / 8)
-		span := graph.EdgeSpan{U: make([]int32, 2*m), V: make([]int32, 2*m)}
+		span := graph.EdgeSpan{U: wire.Column(2 * m), V: wire.Column(2 * m)}
 		wire.Load(span.U, payload)
 		if wire.Mirror(span.U, span.V) > math.MaxInt32 {
 			return Record{}, 0, false

@@ -46,12 +46,14 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"time"
 
 	"repro/graph"
 	"repro/internal/obs"
 	"repro/internal/pool"
+	"repro/internal/wire"
 )
 
 // Union-find ingest metrics, process-wide across engines. The adds sit
@@ -149,10 +151,10 @@ func (e *Engine) Reset(n int) {
 	if cap(e.parent) >= n {
 		e.parent = e.parent[:n]
 	} else {
-		e.parent = make([]int32, n)
+		e.parent = wire.Column(n)
 	}
 	e.n = n
-	labels := make([]int32, n)
+	labels := wire.Column(n)
 	for i := range labels {
 		e.parent[i] = int32(i)
 		labels[i] = int32(i)
@@ -179,8 +181,7 @@ func (e *Engine) RestoreLabels(labels []int32) {
 	}
 	e.n = n
 	copy(e.parent, labels)
-	snap := make([]int32, n)
-	copy(snap, labels)
+	snap := slices.Clone(labels)
 	comps := 0
 	for v, l := range labels {
 		if int(l) == v {
@@ -399,11 +400,13 @@ func (e *Engine) spanChunkBody(_, lo, hi int) bool {
 // only compress paths, never change roots. The labels slice and the
 // Snapshot itself are the only allocations of a whole batch on the
 // span path — inherent to immutable snapshot publication, since
-// earlier snapshots stay queryable forever.
+// earlier snapshots stay queryable forever. The labels come unzeroed
+// from wire.Column: the flatten sweeps all n vertices and writes each
+// label once before the snapshot is stored.
 func (e *Engine) publish(edges int64) *Snapshot {
 	e.batches++
 	e.edges += edges
-	labels := make([]int32, e.n)
+	labels := wire.Column(e.n)
 	e.pubLabels = labels
 	e.pubRoots.Store(0)
 	e.pool.ShardedOpt(e.n, pool.ShardOptions{Grain: e.grain, NoAffinity: e.noAffinity}, e.pubChunk)

@@ -6,10 +6,20 @@
 // host decoding adds a byte swap in place and encoding goes through
 // encoding/binary.
 //
-// This package is the module's only user of unsafe, and it makes one
-// conversion: Bytes views an []int32 as the bytes it occupies. Nothing
-// is ever cast to a wider type, so the race detector's pointer checks
-// (checkptr) hold for every caller.
+// It also allocates the fresh columns that loads, decodes and label
+// publishes fill: Column returns an []int32 whose memory the runtime
+// has not zeroed, for a caller about to overwrite every element anyway.
+//
+// This package is the module's only user of unsafe and of
+// //go:linkname, for two things. Bytes views an []int32 as the bytes
+// it occupies; nothing is ever cast to a wider type, so the race
+// detector's pointer checks (checkptr) hold for every caller. Column
+// takes its memory from the runtime's allocator without the clear.
+// The rule for Column is that the function calling it writes every
+// element before the slice escapes, and drops the slice on every
+// return that comes first; under the race detector each element starts
+// as a negative poison value, so a read before its write fails the
+// tests CI runs with -race.
 package wire
 
 import (

@@ -102,8 +102,43 @@ func TestMirror(t *testing.T) {
 	}
 }
 
+// TestColumn: a fresh column has the asked length and capacity, holds
+// what is written to it, and under the race detector starts poisoned in
+// every element; Column(0) is make's empty column.
+func TestColumn(t *testing.T) {
+	for _, n := range []int{1, 3, 4, 1000, 1 << 16} {
+		s := Column(n)
+		if len(s) != n || cap(s) != n {
+			t.Fatalf("Column(%d): len %d cap %d", n, len(s), cap(s))
+		}
+		if raceEnabled {
+			for i, x := range s {
+				if x != poison {
+					t.Fatalf("Column(%d)[%d] = %#x under -race, want poison %#x", n, i, x, poison)
+				}
+			}
+		}
+		for i := range s {
+			s[i] = int32(i)
+		}
+		for i, x := range s {
+			if x != int32(i) {
+				t.Fatalf("Column(%d)[%d] reads %d after writing %d", n, i, x, i)
+			}
+		}
+	}
+	z, want := Column(0), make([]int32, 0)
+	if z == nil || len(z) != len(want) || cap(z) != cap(want) {
+		t.Fatalf("Column(0) = %#v, want make([]int32, 0)", z)
+	}
+	if poison >= 0 || Bytes([]int32{poison})[0] != 0xA5 || Bytes([]int32{poison})[3] != 0xA5 {
+		t.Fatalf("poison %#x is not the negative int32 of bytes 0xA5", poison)
+	}
+}
+
 // TestOnlyWireImportsUnsafe keeps this package the module's one user of
-// unsafe: no other Go file under the repository root imports it.
+// unsafe and of //go:linkname: no other Go file under the repository
+// root imports the one or carries the other.
 func TestOnlyWireImportsUnsafe(t *testing.T) {
 	root := filepath.Join("..", "..")
 	self, err := filepath.Abs(".")
@@ -123,16 +158,23 @@ func TestOnlyWireImportsUnsafe(t *testing.T) {
 		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
-		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		if dir, _ := filepath.Abs(filepath.Dir(path)); dir == self {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ParseComments)
 		if err != nil {
 			return err
 		}
 		for _, imp := range f.Imports {
-			if imp.Path.Value != `"unsafe"` {
-				continue
-			}
-			if dir, _ := filepath.Abs(filepath.Dir(path)); dir != self {
+			if imp.Path.Value == `"unsafe"` {
 				t.Errorf("%s imports unsafe; only internal/wire may", path)
+			}
+		}
+		for _, g := range f.Comments {
+			for _, c := range g.List {
+				if strings.HasPrefix(c.Text, "//go:linkname") {
+					t.Errorf("%s carries %s; only internal/wire may", path, c.Text)
+				}
 			}
 		}
 		return nil

@@ -46,8 +46,10 @@ type engine interface {
 // the incremental union-find). Service type-asserts for it.
 type streamEngine interface {
 	engine
-	// reset re-initialises the live labeling over n isolated vertices.
-	reset(n int)
+	// reset re-initialises the live labeling over n isolated vertices
+	// and returns the identity labels it published, which are
+	// immutable.
+	reset(n int) []int32
 	// restore re-initialises the live labeling to a previously
 	// published canonical labeling — the recovery path after a
 	// cancelled destructive rebuild (see Service.Update).
@@ -267,7 +269,10 @@ func (e *incrementalEngine) solve(ctx context.Context, g *graph.Graph, out *solv
 
 func (e *incrementalEngine) close() { e.eng.Close() }
 
-func (e *incrementalEngine) reset(n int) { e.eng.Reset(n) }
+func (e *incrementalEngine) reset(n int) []int32 {
+	e.eng.Reset(n)
+	return e.eng.Snapshot().Labels
+}
 
 func (e *incrementalEngine) restore(labels []int32) { e.eng.RestoreLabels(labels) }
 

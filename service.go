@@ -9,6 +9,7 @@ import (
 
 	"repro/graph"
 	"repro/internal/durable"
+	"repro/internal/wire"
 )
 
 // Service is the serving layer over a Solver: a connectivity service
@@ -58,12 +59,13 @@ func NewService(n int, opts ...Option) (*Service, error) {
 		return nil, err
 	}
 	sv := &Service{solver: solver}
+	// A streaming engine publishes an identity labeling of its own;
+	// the service shares it, as it shares every later engine snapshot.
+	var labels []int32
 	if st, ok := solver.eng.(streamEngine); ok {
-		st.reset(n)
-	}
-	labels := make([]int32, n)
-	for i := range labels {
-		labels[i] = int32(i)
+		labels = st.reset(n)
+	} else {
+		labels = grownLabels(nil, n)
 	}
 	sv.publish(&Result{
 		Labels:        labels,
@@ -283,13 +285,8 @@ func (sv *Service) Grow(n int) error {
 		}
 	}
 	st.grow(n)
-	labels := make([]int32, n)
-	copy(labels, cur.Labels)
-	for v := len(cur.Labels); v < n; v++ {
-		labels[v] = int32(v)
-	}
 	pub := &Result{
-		Labels:        labels,
+		Labels:        grownLabels(cur.Labels, n),
 		NumComponents: cur.NumComponents + n - len(cur.Labels),
 		Stats:         cur.Stats,
 	}
@@ -301,6 +298,18 @@ func (sv *Service) Grow(n int) error {
 		})
 	}
 	return nil
+}
+
+// grownLabels returns cur widened to n labels, each new vertex its own
+// component: the labeling a Grow (live or replayed) publishes, and from
+// an empty cur a new Service's identity labeling.
+func grownLabels(cur []int32, n int) []int32 {
+	labels := wire.Column(n)
+	copy(labels, cur)
+	for v := len(cur); v < n; v++ {
+		labels[v] = int32(v)
+	}
+	return labels
 }
 
 // Snapshot returns the currently published labeling: an immutable

@@ -494,3 +494,41 @@ func TestServiceCloseRace(t *testing.T) {
 		}
 	}
 }
+
+// TestNewServiceOneIdentityLabeling: a new streaming Service publishes
+// the identity labeling its engine already published, so NewService
+// allocates the engine's parent column and one label column, not a
+// second label column of its own; a non-streaming Service allocates its
+// one label column.
+func TestNewServiceOneIdentityLabeling(t *testing.T) {
+	const n = 1 << 20
+	for _, tc := range []struct {
+		bk      Backend
+		columns uint64
+	}{{BackendIncremental, 2}, {BackendNative, 1}} {
+		t.Run(tc.bk.String(), func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			sv, err := NewService(n, WithBackend(tc.bk), WithWorkers(1))
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sv.Close()
+			// 256 KiB covers the solver, the worker pool and the
+			// snapshot headers; one label column more is 4 MiB.
+			got, want := after.TotalAlloc-before.TotalAlloc, tc.columns*4*n
+			if got < want || got > want+256<<10 {
+				t.Fatalf("NewService(%d) allocated %d bytes, want %d column(s) of 4·n = %d bytes plus at most 256 KiB", n, got, tc.columns, want)
+			}
+			if tc.bk == BackendIncremental && &sv.Snapshot().Labels[0] != &sv.solver.eng.(*incrementalEngine).eng.Snapshot().Labels[0] {
+				t.Fatal("service and engine publish different identity labelings")
+			}
+			for v, l := range sv.Labels() {
+				if l != int32(v) {
+					t.Fatalf("label[%d] = %d, want the identity", v, l)
+				}
+			}
+		})
+	}
+}
