@@ -259,45 +259,40 @@ func TestBackendEquivalenceGrainSweep(t *testing.T) {
 	}
 }
 
-// TestEngineOptionMatrixEquivalence sweeps the scheduler knobs the
-// public API deliberately does not expose — affinity stealing and the
-// native root-linking first sweep — through the internal engine
-// options, crossed with degenerate and adaptive grains. Every cell must
-// induce the oracle partition; under -race this doubles as the
-// scheduler stress test. The native subtest label keeps NoRootLink's
-// former name, nopack, so the subtest ids stay stable.
+// TestEngineOptionMatrixEquivalence runs both engines through their
+// internal options at the degenerate grain 1 (one item per claim, the
+// most concurrent chunk claims a sweep can issue) and at the adaptive
+// grain. Every cell must induce the oracle partition; under -race this
+// doubles as the scheduler stress test. The subtest labels keep the
+// noaff= and nopack= fields of the scheduler and root-link switches
+// this matrix once crossed, so the ids of the cells that remain stay
+// stable.
 func TestEngineOptionMatrixEquivalence(t *testing.T) {
 	zoo := generatorZoo()
 	for _, name := range []string{"gnm", "clique-beads", "binary-tree"} {
 		g := zoo[name]
 		oracle := baseline.Components(g)
 		for _, grain := range []int{1, 0} {
-			for _, noAff := range []bool{false, true} {
-				for _, noRootLink := range []bool{false, true} {
-					opt := native.Options{Grain: grain, NoAffinity: noAff, NoRootLink: noRootLink}
-					t.Run(fmt.Sprintf("native/%s/grain=%d,noaff=%v,nopack=%v", name, grain, noAff, noRootLink),
-						func(t *testing.T) {
-							res := native.Components(g, opt)
-							if err := check.SamePartition(res.Labels, oracle); err != nil {
-								t.Fatal(err)
-							}
-						})
-				}
-				opt := incremental.Options{Grain: grain, NoAffinity: noAff}
-				t.Run(fmt.Sprintf("incremental/%s/grain=%d,noaff=%v", name, grain, noAff),
-					func(t *testing.T) {
-						eng := incremental.New(g.N, opt)
-						defer eng.Close()
-						for _, span := range g.SpanBatches(3) {
-							if _, err := eng.AddSpan(span); err != nil {
-								t.Fatal(err)
-							}
-						}
-						if err := check.SamePartition(eng.Snapshot().Labels, oracle); err != nil {
+			t.Run(fmt.Sprintf("native/%s/grain=%d,noaff=false,nopack=false", name, grain),
+				func(t *testing.T) {
+					res := native.Components(g, native.Options{Grain: grain})
+					if err := check.SamePartition(res.Labels, oracle); err != nil {
+						t.Fatal(err)
+					}
+				})
+			t.Run(fmt.Sprintf("incremental/%s/grain=%d,noaff=false", name, grain),
+				func(t *testing.T) {
+					eng := incremental.New(g.N, incremental.Options{Grain: grain})
+					defer eng.Close()
+					for _, span := range g.SpanBatches(3) {
+						if _, err := eng.AddSpan(span); err != nil {
 							t.Fatal(err)
 						}
-					})
-			}
+					}
+					if err := check.SamePartition(eng.Snapshot().Labels, oracle); err != nil {
+						t.Fatal(err)
+					}
+				})
 		}
 	}
 }

@@ -29,7 +29,8 @@ import (
 )
 
 // gateScales: small solves in milliseconds, full is the EXPERIMENTS.md
-// full-scale workload (the E17 graph).
+// full-scale workload (Gnm(10⁶, 10⁷), the graph of E13's and E14's
+// full-scale rows).
 var gateScales = []struct {
 	name string
 	n, m int

@@ -24,7 +24,7 @@
 // -grain overrides the scheduler claim grain of the engines under the
 // wall-clock experiments (E11, E12, E14); 0, the default, keeps the
 // adaptive sizing. Each affected table prints the active grain in its
-// notes. E17 sweeps grains itself and ignores the flag.
+// notes.
 package main
 
 import (
@@ -46,7 +46,7 @@ func main() {
 	scaleFlag := flag.String("scale", "quick", "quick (seconds) or full (minutes, EXPERIMENTS.md scale)")
 	formatFlag := flag.String("format", "text", "output format: text, markdown, csv, or json")
 	graphFlag := flag.String("graph", "", "graph file for E13 (text or binary, auto-detected) instead of generated workloads")
-	grainFlag := flag.Int("grain", 0, "scheduler claim grain for the wall-clock experiments' engines (0 = adaptive sizing; E17 sweeps its own grains and ignores this)")
+	grainFlag := flag.Int("grain", 0, "scheduler claim grain for the wall-clock experiments' engines (0 = adaptive sizing)")
 	flag.Parse()
 
 	if *grainFlag < 0 {

@@ -66,8 +66,8 @@
 // on every host — and which makes it orders of magnitude slower than
 // the hardware.
 // BackendNative (internal/native) is a shared-memory engine —
-// goroutines with atomic CAS-min on the label array, edge ranges
-// sharded over a reusable worker pool — that computes the identical
+// goroutines linking roots by CAS on the label array (the internal/uf
+// kernel), edge ranges sharded over a reusable worker pool — that computes the identical
 // partition as fast as the hardware allows and fills only the real
 // Stats fields (Backend, Wall, Workers, Rounds), leaving the
 // model-only ones zero. BackendIncremental (internal/incremental) is

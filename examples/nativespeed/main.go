@@ -2,7 +2,7 @@
 // execution backends. The simulated backend is the paper's Theorem-3
 // algorithm on the step-barrier ARBITRARY CRCW PRAM, with full
 // model-cost accounting; the native backend is the shared-memory
-// CAS-min engine that only cares about wall clock. The partitions are
+// union-find engine that only cares about wall clock. The partitions are
 // identical — the point of having both is that every model claim can
 // be checked against a run that is actually fast.
 //

@@ -217,7 +217,7 @@ func boundedLoop(info *types.Info, loop *ast.ForStmt) bool {
 }
 
 // casRetryLoop reports whether loop's direct body performs a
-// compare-and-swap — the lock-free retry shape (casMin, union-by-CAS,
+// compare-and-swap — the lock-free retry shape (CAS-min, union-by-CAS,
 // budget max-combining) that finishes in bounded contention retries.
 func casRetryLoop(loop *ast.ForStmt) bool {
 	found := false

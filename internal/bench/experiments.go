@@ -42,7 +42,6 @@ const (
 // engines: 0, the default, selects adaptive sizing. ccbench -grain
 // sets it once before any experiment runs; the affected tables report
 // the active value in their notes so a snapshot is self-describing.
-// E17 ignores the override — sweeping the grain is its whole job.
 var grainOverride int
 
 // SetGrain sets the claim-grain override consulted by the wall-clock
@@ -84,7 +83,6 @@ func All() []Experiment {
 		{"E14", "streaming ingest throughput: columnar spans vs boxed pairs", E14},
 		{"E15", "observability overhead: sink off vs no-op sink vs JSON sink", E15},
 		{"E16", "span coalescing under queued multi-tenant load: off vs on", E16},
-		{"E17", "grain scheduler: adaptive sizing × affinity × packed arcs", E17},
 	}
 }
 
@@ -605,7 +603,7 @@ func E11(scale Scale) *Table {
 		t.Add(row...)
 	}
 	t.Notes = append(t.Notes,
-		"columns enumerate the pramcc backend registry (simulated = Theorem-3 EXPAND-MAXLINK on the step-barrier PRAM simulator; native = CAS-min engine; incremental = union-find fed one batch)",
+		"columns enumerate the pramcc backend registry (simulated = Theorem-3 EXPAND-MAXLINK on the step-barrier PRAM simulator; native = one-round root-linking engine; incremental = union-find fed one batch)",
 		"unionfind = sequential single-core anchor; workers = GOMAXPROCS on native and incremental, one thread on the simulator; "+grainNote()+"; wall clock is host-dependent, track trends not absolutes")
 	return t
 }
@@ -1138,121 +1136,4 @@ func budgetsForDefault(n int, density float64) func(int32) int64 {
 		}
 		return bs[len(bs)-1]
 	}
-}
-
-// E17: the locality-aware grain scheduler (PR 10). All four parallel
-// claim loops used to hard-code 4096-item claims off one shared
-// cursor; the shared internal/pool scheduler sizes the grain
-// adaptively (total/(workers·8), clamped to [64, 4096]) and gives
-// every worker a sticky home range, stealing from other ranges only
-// after its own is exhausted — and the native engine's first link
-// sweep root-links every edge, union-find style, so one pass connects
-// the whole label forest. Every native link sweep reads edge i as the
-// pair (U[2i], U[2i+1]) of the graph's own arc column. The claim: the
-// default configuration (adaptive grain + affinity + root link) beats
-// the legacy configuration (grain 4096, no affinity, one-hop links on
-// every sweep) by ≥ 1.15× on the full-scale native solve, and every
-// configuration computes the identical partition.
-func E17(scale Scale) *Table {
-	t := &Table{
-		ID:    "E17",
-		Title: "grain scheduler: adaptive sizing × affinity × root-linking first sweep",
-		Claim: "adaptive grain + affinity + root link ≥ 1.15× over the legacy fixed-4096 configuration on the full-scale native solve; identical partitions in every cell",
-		Header: []string{"engine", "config", "median ms", "per-round ms", "rounds",
-			"speedup vs legacy", "same partition"},
-	}
-	trials, k := 3, 10
-	var g *graph.Graph
-	if scale == Full {
-		g = graph.Gnm(1_000_000, 10_000_000, 1)
-		trials, k = 5, 20
-	} else {
-		g = graph.Gnm(50_000, 400_000, 1)
-	}
-	uf := baseline.Components(g)
-	ms := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
-
-	// Native solve. Each configuration holds one long-lived engine and
-	// a reusable label buffer (the steady-state serving shape); trials
-	// interleave round-robin so host drift hits every configuration
-	// equally, and the median is scored.
-	natCfgs := []struct {
-		name string
-		opt  native.Options
-	}{
-		{"legacy: grain=4096, no affinity, no root link", native.Options{Grain: 4096, NoAffinity: true, NoRootLink: true}},
-		{"grain=4096 + affinity, no root link", native.Options{Grain: 4096, NoRootLink: true}},
-		{"grain=64 + affinity + root link", native.Options{Grain: 64}},
-		{"grain=1024 + affinity + root link", native.Options{Grain: 1024}},
-		{"adaptive + root link, no affinity", native.Options{NoAffinity: true}},
-		{"default: adaptive + affinity + root link", native.Options{}},
-	}
-	engines := make([]*native.Engine, len(natCfgs))
-	natLabels := make([][]int32, len(natCfgs))
-	natRounds := make([]int, len(natCfgs))
-	natDur := make([][]float64, len(natCfgs))
-	for i, c := range natCfgs {
-		engines[i] = native.NewEngineOpt(c.opt)
-		natLabels[i] = make([]int32, g.N)
-	}
-	// One untimed warm run per engine, then the scored trials.
-	for i := range natCfgs {
-		engines[i].Run(context.Background(), g, natLabels[i])
-	}
-	for trial := 0; trial < trials; trial++ {
-		for i := range natCfgs {
-			t0 := time.Now()
-			rounds, _ := engines[i].Run(context.Background(), g, natLabels[i])
-			natDur[i] = append(natDur[i], ms(time.Since(t0)))
-			natRounds[i] = rounds
-		}
-	}
-	legacy := median(natDur[0])
-	for i, c := range natCfgs {
-		med := median(natDur[i])
-		same := check.SamePartition(natLabels[i], uf) == nil
-		t.Add("native", c.name, med, med/float64(max(natRounds[i], 1)), natRounds[i], legacy/med, same)
-		engines[i].Close()
-	}
-
-	// Incremental replay: the graph arrives in K span batches on a
-	// fresh engine per trial (replay is inherently cold — a warm
-	// engine has nothing left to union). Per-round = per-batch.
-	incCfgs := []struct {
-		name string
-		opt  incremental.Options
-	}{
-		{"legacy: grain=4096, no affinity", incremental.Options{Grain: 4096, NoAffinity: true}},
-		{"grain=64 + affinity", incremental.Options{Grain: 64}},
-		{"default: adaptive + affinity", incremental.Options{}},
-	}
-	batches := g.SpanBatches(k)
-	incLabels := make([][]int32, len(incCfgs))
-	incDur := make([][]float64, len(incCfgs))
-	for trial := 0; trial < trials; trial++ {
-		for i, c := range incCfgs {
-			eng := incremental.New(g.N, c.opt)
-			t0 := time.Now()
-			for _, b := range batches {
-				eng.AddSpan(b)
-			}
-			incDur[i] = append(incDur[i], ms(time.Since(t0)))
-			incLabels[i] = eng.Snapshot().Labels
-			eng.Close()
-		}
-	}
-	incLegacy := median(incDur[0])
-	for i, c := range incCfgs {
-		med := median(incDur[i])
-		same := check.SamePartition(incLabels[i], uf) == nil
-		t.Add("incremental", c.name, med, med/float64(len(batches)), len(batches), incLegacy/med, same)
-	}
-
-	t.Notes = append(t.Notes,
-		"legacy = the pre-scheduler behavior both engines shipped with: fixed 4096-item claims off one shared cursor, one-hop CAS-min on every native link sweep",
-		"native rows: one long-lived engine per config solves the same graph; per-round ms = median solve / link+shortcut rounds",
-		fmt.Sprintf("incremental rows: the graph replayed as %d zero-copy span batches on a fresh engine per trial; per-round ms = median total / batches", len(batches)),
-		fmt.Sprintf("workers = GOMAXPROCS; %d scored trials interleaved round-robin across configs, median scored; same partition = vs the sequential union-find", trials),
-		"on a single-core host the affinity and grain columns should be near 1× (one worker claims every range either way) and the root-linking first sweep carries the speedup; multi-core hosts add the locality term")
-	return t
 }

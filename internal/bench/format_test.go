@@ -114,8 +114,8 @@ func TestRenderTo(t *testing.T) {
 // structural check that ids, headers and rows stay consistent.)
 func TestExperimentsRegistered(t *testing.T) {
 	all := All()
-	if len(all) != 17 {
-		t.Fatalf("want 17 experiments, got %d", len(all))
+	if len(all) != 16 {
+		t.Fatalf("want 16 experiments, got %d", len(all))
 	}
 	seen := map[string]bool{}
 	for i, e := range all {

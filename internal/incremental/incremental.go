@@ -3,21 +3,11 @@
 // edges arrive in batches, so component queries stay fresh without
 // recomputing from scratch on every update.
 //
-// The data structure is a lock-free disjoint-set forest (Jayanti–
-// Tarjan style): parents are updated only with compare-and-swap,
-// roots are linked by index (the larger root is CASed under the
-// smaller), and finds do path splitting (each visited node is CASed
-// from its parent to its grandparent). Three invariants make every
-// interleaving safe:
-//
-//  1. parent[x] ≤ x always — links attach larger roots under smaller
-//     ones and splitting replaces a parent with an ancestor, so parent
-//     chains strictly decrease and can never form a cycle;
-//  2. a link CAS succeeds only while the target is still a root, so a
-//     lost race just means someone else linked first and the union
-//     retries from the new roots;
-//  3. parent[x] always names a vertex of x's component, so no CAS can
-//     merge components that share no edge.
+// The data structure is the lock-free disjoint-set forest of
+// internal/uf, the same kernel the native engine's round runs: each
+// edge is joined with uf.Link (the larger root CASed under the smaller)
+// and the flatten resolves roots with uf.Find (path splitting). The uf
+// package doc holds the invariants that make every interleaving safe.
 //
 // Batches arrive as columnar arc-pair spans (graph.EdgeSpan) and are
 // ingested by sharding the edge range over the locality-aware
@@ -53,6 +43,7 @@ import (
 	"repro/graph"
 	"repro/internal/obs"
 	"repro/internal/pool"
+	"repro/internal/uf"
 	"repro/internal/wire"
 )
 
@@ -76,10 +67,6 @@ type Options struct {
 	// fetch of a range cursor; 0 derives pool.AdaptiveGrain from the
 	// batch size and worker count.
 	Grain int
-	// NoAffinity disables the sticky range-to-worker assignment and
-	// claims from one shared cursor (the pre-scheduler behavior; kept
-	// for the E17 ablation).
-	NoAffinity bool
 }
 
 // Snapshot is a consistent view of the labeling as of a batch
@@ -107,8 +94,7 @@ type Engine struct {
 	pool   *pool.Pool
 	snap   atomic.Pointer[Snapshot]
 
-	grain      int
-	noAffinity bool
+	grain int
 
 	batches int
 	edges   int64
@@ -135,7 +121,7 @@ func New(n int, opt Options) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	e := &Engine{pool: pool.New(workers), grain: opt.Grain, noAffinity: opt.NoAffinity}
+	e := &Engine{pool: pool.New(workers), grain: opt.Grain}
 	e.spanChunk = e.spanChunkBody
 	e.pubChunk = e.pubChunkBody
 	e.Reset(n)
@@ -323,7 +309,7 @@ func (e *Engine) ingestSpan(ctx context.Context, span graph.EdgeSpan) error {
 	}
 	e.spanU, e.spanV = span.U, span.V
 	e.spanCtx = ctx
-	e.pool.ShardedOpt(span.Len(), pool.ShardOptions{Grain: e.grain, NoAffinity: e.noAffinity}, e.spanChunk)
+	e.pool.Sharded(span.Len(), e.grain, e.spanChunk)
 	e.spanU, e.spanV, e.spanCtx = nil, nil, nil
 	if err := ctx.Err(); err != nil {
 		e.noteIngestErr(err)
@@ -388,9 +374,9 @@ func (e *Engine) spanChunkBody(_, lo, hi int) bool {
 	if e.spanCtx.Err() != nil {
 		return false
 	}
-	u, v := e.spanU, e.spanV
+	parent, u, v := e.parent, e.spanU, e.spanV
 	for i := lo; i < hi; i++ {
-		e.union(u[2*i], v[2*i])
+		uf.Link(parent, u[2*i], v[2*i])
 	}
 	return true
 }
@@ -409,7 +395,7 @@ func (e *Engine) publish(edges int64) *Snapshot {
 	labels := wire.Column(e.n)
 	e.pubLabels = labels
 	e.pubRoots.Store(0)
-	e.pool.ShardedOpt(e.n, pool.ShardOptions{Grain: e.grain, NoAffinity: e.noAffinity}, e.pubChunk)
+	e.pool.Sharded(e.n, e.grain, e.pubChunk)
 	e.pubLabels = nil
 	s := &Snapshot{
 		Labels:     labels,
@@ -427,10 +413,10 @@ func (e *Engine) publish(edges int64) *Snapshot {
 //
 //pramcc:zeroalloc
 func (e *Engine) pubChunkBody(_, lo, hi int) bool {
-	labels := e.pubLabels
+	parent, labels := e.parent, e.pubLabels
 	local := int64(0)
 	for v := lo; v < hi; v++ {
-		r := e.find(int32(v))
+		r := uf.Find(parent, int32(v))
 		labels[v] = r
 		if r == int32(v) {
 			local++
@@ -440,47 +426,4 @@ func (e *Engine) pubChunkBody(_, lo, hi int) bool {
 		e.pubRoots.Add(local)
 	}
 	return true
-}
-
-// find returns the root of x with path splitting: each visited node is
-// CASed from its parent to its grandparent. A failed CAS means a racing
-// find already improved the pointer; either way progress is monotone
-// because parents strictly decrease along every path.
-//
-//pramcc:zeroalloc
-func (e *Engine) find(x int32) int32 {
-	for {
-		p := atomic.LoadInt32(&e.parent[x])
-		if p == x {
-			return x
-		}
-		gp := atomic.LoadInt32(&e.parent[p])
-		if gp == p {
-			return p
-		}
-		atomic.CompareAndSwapInt32(&e.parent[x], p, gp)
-		x = gp
-	}
-}
-
-// union links the roots of u and v by index: the larger root is CASed
-// under the smaller, which preserves parent[x] ≤ x and therefore
-// acyclicity on every interleaving. A lost race means another worker
-// linked one of the roots first; retry from the new roots.
-//
-//pramcc:zeroalloc
-func (e *Engine) union(u, v int32) {
-	for {
-		ru, rv := e.find(u), e.find(v)
-		if ru == rv {
-			return
-		}
-		if ru > rv {
-			ru, rv = rv, ru
-		}
-		if atomic.CompareAndSwapInt32(&e.parent[rv], rv, ru) {
-			return
-		}
-		u, v = ru, rv
-	}
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/check"
 	"repro/internal/native"
+	"repro/internal/uf"
 )
 
 // zoo is a compact generator spread: every structural family the
@@ -52,6 +53,32 @@ func TestEngineMatchesNativeLabels(t *testing.T) {
 			}
 			if err := check.SamePartition(snap.Labels, baseline.Components(g)); err != nil {
 				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestLabelsAreComponentMinima: whole-graph and batched ingestion
+// publish the BFS oracle's minimum-id labels. The native engine runs
+// the same uf kernel, so this pins the labels to an oracle that shares
+// no code with the engine.
+func TestLabelsAreComponentMinima(t *testing.T) {
+	for name, g := range zoo() {
+		t.Run(name, func(t *testing.T) {
+			want := g.ComponentsBFS()
+			for _, k := range []int{1, 5} {
+				e := New(g.N, Options{Workers: 3})
+				defer e.Close()
+				for _, span := range g.SpanBatches(k) {
+					if _, err := e.AddSpan(span); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for v, l := range e.Snapshot().Labels {
+					if l != want[v] {
+						t.Fatalf("%d batches: label[%d] = %d, BFS %d", k, v, l, want[v])
+					}
+				}
 			}
 		})
 	}
@@ -388,7 +415,7 @@ func TestAddSpanCancelledMidBatch(t *testing.T) {
 	merged := 0
 	for i := 0; i < batches[1].Len(); i++ {
 		u, v := batches[1].Edge(i)
-		if before.Labels[u] != before.Labels[v] && e.find(u) == e.find(v) {
+		if before.Labels[u] != before.Labels[v] && uf.Find(e.parent, u) == uf.Find(e.parent, v) {
 			merged++
 		}
 	}

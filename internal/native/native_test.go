@@ -122,10 +122,8 @@ func TestRaceStress(t *testing.T) {
 	}
 }
 
-// TestRoundsAreFew: the root-linking first round solves a path of any
-// diameter on its own, and in the NoRootLink ablation repeated
-// shortcutting to the root keeps the one-hop loop's rounds far below
-// the diameter — the whole point over naive label propagation.
+// TestRoundsAreFew: the root-linking round solves a path of any
+// diameter on its own — the whole point over naive label propagation.
 func TestRoundsAreFew(t *testing.T) {
 	g := graph.Path(100000)
 	res := Components(g, Options{})
@@ -133,20 +131,13 @@ func TestRoundsAreFew(t *testing.T) {
 	if res.Rounds != 1 {
 		t.Fatalf("path-100000 took %d rounds, want 1", res.Rounds)
 	}
-	res = Components(g, Options{NoRootLink: true})
-	requireOracle(t, g, res.Labels)
-	if res.Rounds > 40 {
-		t.Fatalf("NoRootLink: path-100000 took %d rounds, want O(log n)-ish", res.Rounds)
-	}
 }
 
-// TestRootLinkRoundIsExact: with root links on, the first round is the
-// whole solve — one round whose labels equal the BFS oracle's
-// minimum-id labels on every worker count and grain, with no
-// verification round behind it to catch a wrong one. The Gnm densities
-// straddle the sampling cutoff m ≥ 2.5n, so both forms of round 1 run.
-// The NoRootLink arm still reaches the same labels through the one-hop
-// loop's no-change exit, which takes at least a second round.
+// TestRootLinkRoundIsExact: the root-linking round is the whole solve —
+// one round whose labels equal the BFS oracle's minimum-id labels on
+// every worker count and grain, with no verification round behind it
+// to catch a wrong one. The Gnm densities straddle the sampling cutoff
+// m ≥ 2.5n, so both forms of the round run.
 func TestRootLinkRoundIsExact(t *testing.T) {
 	const n = 1000
 	messy := graph.WithIsolated(graph.Gnm(n, 2*n, 31), 40)
@@ -175,20 +166,14 @@ func TestRootLinkRoundIsExact(t *testing.T) {
 		g := tc.g
 		want := g.ComponentsBFS()
 		wantRounds := min(g.NumEdges(), 1)
-		for _, noRootLink := range []bool{false, true} {
-			for _, workers := range []int{1, 2, 4, 32} {
-				for _, grain := range []int{0, 1, 7} {
-					res := Components(g, Options{Workers: workers, Grain: grain, NoRootLink: noRootLink})
-					requireLabels(t, fmt.Sprintf("%s noRootLink=%v workers=%d grain=%d",
-						tc.name, noRootLink, workers, grain), want, res.Labels)
-					switch {
-					case !noRootLink && res.Rounds != wantRounds:
-						t.Fatalf("%s workers=%d grain=%d: %d rounds, want %d",
-							tc.name, workers, grain, res.Rounds, wantRounds)
-					case noRootLink && g.NumEdges() > 0 && res.Rounds < 2:
-						t.Fatalf("%s NoRootLink workers=%d grain=%d: %d rounds, want ≥ 2 (the no-change exit)",
-							tc.name, workers, grain, res.Rounds)
-					}
+		for _, workers := range []int{1, 2, 4, 32} {
+			for _, grain := range []int{0, 1, 7} {
+				res := Components(g, Options{Workers: workers, Grain: grain})
+				requireLabels(t, fmt.Sprintf("%s workers=%d grain=%d",
+					tc.name, workers, grain), want, res.Labels)
+				if res.Rounds != wantRounds {
+					t.Fatalf("%s workers=%d grain=%d: %d rounds, want %d",
+						tc.name, workers, grain, res.Rounds, wantRounds)
 				}
 			}
 		}

@@ -3,6 +3,12 @@
 // incremental streaming engine, and the parallel graph loader. It lives
 // below all of them (and below package graph) so that none of those
 // packages need to import each other for a goroutine pool.
+//
+// A pool has two entry points: Run broadcasts one job to every worker,
+// and Sharded(total, grain, job) splits [0, total) into chunks on the
+// locality-aware grain-claim scheduler (sticky per-worker home ranges,
+// then stealing; grain 0 sizes the claims adaptively). Every caller
+// shares that one scheduler mode.
 package pool
 
 import (
@@ -35,10 +41,10 @@ type Pool struct {
 	wg        sync.WaitGroup
 	closeOnce sync.Once
 
-	// shard is the pool-owned claim state behind Sharded/ShardedOpt,
-	// with its cursors sized for the worker count and shardWork
-	// pre-bound once here, so dispatching a sharded sweep allocates
-	// nothing, the first one included.
+	// shard is the pool-owned claim state behind Sharded, with its
+	// cursors sized for the worker count and shardWork pre-bound once
+	// here, so dispatching a sharded sweep allocates nothing, the first
+	// one included.
 	shard     Shard
 	shardWork func(worker int)
 }

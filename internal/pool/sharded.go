@@ -14,13 +14,13 @@
 //
 //   - Sticky range-to-worker affinity. Each worker owns a
 //     deterministic contiguous home range of the index space
-//     [r*total/n, (r+1)*total/n) and sweeps it first every round, so
-//     across the many rounds a solve performs, the same label/parent/
-//     span cache lines keep landing in the same core's cache. Only
-//     after its home range is exhausted does a worker steal — from the
-//     most loaded remaining range, the one with the most unclaimed
-//     items — so skew still cannot strand work, and the thieves pile
-//     onto the range that actually needs the help.
+//     [r*total/n, (r+1)*total/n) and sweeps it first every sweep, so
+//     across the sweeps of a solve or a stream of batches, the same
+//     label/parent/span cache lines keep landing in the same core's
+//     cache. Only after its home range is exhausted does a worker
+//     steal — from the most loaded remaining range, the one with the
+//     most unclaimed items — so skew still cannot strand work, and the
+//     thieves pile onto the range that actually needs the help.
 //
 // A Shard is plain value state (no goroutines, no channels): Init it,
 // then have each participating worker call Work. Pool.Sharded wires
@@ -89,18 +89,6 @@ type padCursor struct {
 	_ [56]byte
 }
 
-// ShardOptions tunes one sharded run.
-type ShardOptions struct {
-	// Grain is the number of items a worker claims per fetch of a
-	// range cursor; 0 derives AdaptiveGrain(total, workers).
-	Grain int
-	// NoAffinity collapses the per-worker home ranges into one shared
-	// cursor (the pre-scheduler behavior). Used by the E17 ablation
-	// and by callers whose per-item cost is too uneven for sticky
-	// ranges to help.
-	NoAffinity bool
-}
-
 // Shard is the claim state for one parallel sweep of [0, total):
 // per-range cache-line-padded cursors plus the job to run on each
 // claimed chunk. The zero value is ready for Init; the cursor slice is
@@ -119,32 +107,27 @@ type Shard struct {
 }
 
 // Init arms the shard for one sweep of [0, total) by the given worker
-// count. grain <= 0 selects AdaptiveGrain. With affinity, worker w's
-// home range is [w*total/workers, (w+1)*total/workers); without, a
-// single shared cursor spans the whole interval. job is called on
-// contiguous chunks [lo, hi); returning false stops that worker's
-// claim loop (the per-chunk ctx-cancellation contract — other workers
-// observe the same condition through their own job calls).
+// count. grain <= 0 selects AdaptiveGrain. Worker w's home range is
+// [w*total/workers, (w+1)*total/workers). job is called on contiguous
+// chunks [lo, hi); returning false stops that worker's claim loop (the
+// per-chunk ctx-cancellation contract — other workers observe the same
+// condition through their own job calls).
 //
 //pramcc:zeroalloc
-func (s *Shard) Init(total, grain, workers int, affinity bool, job func(worker, lo, hi int) bool) {
+func (s *Shard) Init(total, grain, workers int, job func(worker, lo, hi int) bool) {
 	if workers < 1 {
 		workers = 1
 	}
 	if grain <= 0 {
 		grain = AdaptiveGrain(total, workers)
 	}
-	n := 1
-	if affinity {
-		n = workers
-	}
-	s.total, s.grain, s.ranges, s.job = total, grain, n, job
-	if cap(s.cursors) < n {
+	s.total, s.grain, s.ranges, s.job = total, grain, workers, job
+	if cap(s.cursors) < workers {
 		//pramcc:allow zeroalloc -- grow-or-reuse contract: allocates only when the worker count grows, never per sweep
-		s.cursors = make([]padCursor, n)
+		s.cursors = make([]padCursor, workers)
 	}
-	s.cursors = s.cursors[:n]
-	for r := 0; r < n; r++ {
+	s.cursors = s.cursors[:workers]
+	for r := 0; r < workers; r++ {
 		s.cursors[r].c.Store(int64(s.rangeLo(r)))
 	}
 	mGrain.Set(int64(grain))
@@ -165,17 +148,14 @@ func (s *Shard) rangeHi(r int) int { return (r + 1) * s.total / s.ranges }
 // Work is one worker's claim loop: drain the home range first, then
 // repeatedly steal from the most loaded remaining range — the one
 // whose cursor is furthest from its end — until every range is
-// drained. Safe to call concurrently from s's worker set after one
-// Init.
+// drained. worker must be below the worker count given to Init, and
+// names the home range. Safe to call concurrently from s's worker set
+// after one Init.
 //
 //pramcc:zeroalloc
 func (s *Shard) Work(worker int) {
 	n := s.ranges
-	home := worker
-	if home >= n {
-		home %= n
-	}
-	if !s.claimRange(worker, home, false) {
+	if !s.claimRange(worker, worker, false) {
 		return
 	}
 	for n > 1 {
@@ -186,7 +166,7 @@ func (s *Shard) Work(worker int) {
 		// on this scan.
 		victim, best := -1, 0
 		for r := 0; r < n; r++ {
-			if r == home {
+			if r == worker {
 				continue
 			}
 			if rem := s.rangeHi(r) - int(s.cursors[r].c.Load()); rem > best {
@@ -228,39 +208,23 @@ func (s *Shard) claimRange(worker, r int, stolen bool) bool {
 	}
 }
 
-// Sharded runs job over [0, total) on p's workers at adaptive grain
-// with range affinity — the common case; ShardedOpt takes the tuning
-// knobs.
-//
-//pramcc:zeroalloc
-func Sharded(p *Pool, total int, job func(worker, lo, hi int) bool) {
-	p.ShardedOpt(total, ShardOptions{}, job)
-}
-
-// Sharded is the method spelling of the package-level Sharded with an
-// explicit grain (0 = adaptive).
-//
-//pramcc:zeroalloc
-func (p *Pool) Sharded(total, grain int, job func(worker, lo, hi int) bool) {
-	p.ShardedOpt(total, ShardOptions{Grain: grain}, job)
-}
-
-// ShardedOpt runs job over contiguous chunks of [0, total) on p's
-// workers: each worker sweeps its sticky home range first, then steals.
-// job returning false stops that worker's claiming (per-chunk
-// cancellation). Tiny sweeps (one grain or fewer, or a one-worker
-// pool) run inline on the caller, skipping the broadcast barrier.
+// Sharded runs job over contiguous chunks of [0, total) on p's
+// workers at the given grain (0 = adaptive): each worker sweeps its
+// sticky home range first, then steals. job returning false stops that
+// worker's claiming (per-chunk cancellation). Tiny sweeps (one grain or
+// fewer, or a one-worker pool) run inline on the caller, skipping the
+// broadcast barrier.
 //
 // Like Run, a pool runs one sharded sweep at a time; callers
 // coordinate rounds themselves.
 //
 //pramcc:zeroalloc
-func (p *Pool) ShardedOpt(total int, o ShardOptions, job func(worker, lo, hi int) bool) {
+func (p *Pool) Sharded(total, grain int, job func(worker, lo, hi int) bool) {
 	if total <= 0 {
 		return
 	}
 	w := len(p.jobs)
-	p.shard.Init(total, o.Grain, w, !o.NoAffinity, job)
+	p.shard.Init(total, grain, w, job)
 	if w == 1 || total <= p.shard.grain {
 		mRuns.Inc()
 		p.shard.Work(0)

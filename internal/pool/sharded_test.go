@@ -28,8 +28,8 @@ func TestAdaptiveGrain(t *testing.T) {
 
 // TestShardedCoversExactlyOnce is the scheduler's core contract: every
 // index in [0, total) is visited by exactly one chunk, across grain
-// sizes (including 1, 7, the legacy 4096, and adaptive), affinity on
-// and off, worker counts, and totals that do and don't divide evenly.
+// sizes (including 1, 7, the legacy 4096, and adaptive), worker
+// counts, and totals that do and don't divide evenly.
 // Run under -race this doubles as the scheduler stress test.
 func TestShardedCoversExactlyOnce(t *testing.T) {
 	grains := []int{1, 7, 64, 4096, 0} // 0 = adaptive
@@ -39,23 +39,21 @@ func TestShardedCoversExactlyOnce(t *testing.T) {
 		p := New(w)
 		for _, g := range grains {
 			for _, total := range totals {
-				for _, noAff := range []bool{false, true} {
-					seen := make([]atomic.Int32, total)
-					p.ShardedOpt(total, ShardOptions{Grain: g, NoAffinity: noAff}, func(_, lo, hi int) bool {
-						if lo < 0 || hi > total || lo >= hi {
-							t.Errorf("bad chunk [%d,%d) for total=%d", lo, hi, total)
-							return false
-						}
-						for i := lo; i < hi; i++ {
-							seen[i].Add(1)
-						}
-						return true
-					})
-					for i := range seen {
-						if n := seen[i].Load(); n != 1 {
-							t.Fatalf("workers=%d grain=%d total=%d noAffinity=%v: index %d visited %d times",
-								w, g, total, noAff, i, n)
-						}
+				seen := make([]atomic.Int32, total)
+				p.Sharded(total, g, func(_, lo, hi int) bool {
+					if lo < 0 || hi > total || lo >= hi {
+						t.Errorf("bad chunk [%d,%d) for total=%d", lo, hi, total)
+						return false
+					}
+					for i := lo; i < hi; i++ {
+						seen[i].Add(1)
+					}
+					return true
+				})
+				for i := range seen {
+					if n := seen[i].Load(); n != 1 {
+						t.Fatalf("workers=%d grain=%d total=%d: index %d visited %d times",
+							w, g, total, i, n)
 					}
 				}
 			}
@@ -105,7 +103,7 @@ func TestShardedStealingEngages(t *testing.T) {
 	p := New(w)
 	defer p.Close()
 	executor := make([]atomic.Int32, total)
-	p.ShardedOpt(total, ShardOptions{Grain: grain}, func(worker, lo, hi int) bool {
+	p.Sharded(total, grain, func(worker, lo, hi int) bool {
 		if worker == 0 {
 			time.Sleep(2 * time.Millisecond)
 		}
@@ -138,7 +136,7 @@ func TestShardedStealsFromMostLoaded(t *testing.T) {
 	stopAfter := 0
 	var order []int
 	// Ranges of [0, 90) over 3 workers: [0,30), [30,60), [60,90).
-	s.Init(90, 10, 3, true, func(worker, lo, _ int) bool {
+	s.Init(90, 10, 3, func(worker, lo, _ int) bool {
 		if worker == 1 {
 			stopAfter--
 			return stopAfter > 0
@@ -178,7 +176,7 @@ func TestShardedHomeRangesAreSticky(t *testing.T) {
 	for i := range firstLo {
 		firstLo[i].Store(-1)
 	}
-	p.ShardedOpt(total, ShardOptions{Grain: 64}, func(worker, lo, _ int) bool {
+	p.Sharded(total, 64, func(worker, lo, _ int) bool {
 		firstLo[worker].CompareAndSwap(-1, int64(lo))
 		return true
 	})

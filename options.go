@@ -18,8 +18,8 @@ const (
 	// wall-clock speed is not a goal.
 	BackendSimulated Backend = iota
 	// BackendNative runs on the shared-memory engine
-	// (internal/native): goroutines with atomic CAS-min on the label
-	// array, no step barriers and no per-step accounting. Same
+	// (internal/native): goroutines with atomic CAS root links on the
+	// label array, no step barriers and no per-step accounting. Same
 	// partition, real wall-clock speed; all model-cost Stats fields
 	// are zero.
 	BackendNative
@@ -154,10 +154,10 @@ func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 // worker claims per atomic fetch-and-add — for the sharded engines
 // (BackendNative, BackendIncremental). 0 (the default) selects
 // adaptive sizing, total/(workers·8) clamped to [64, 4096], which is
-// right for almost every workload; a fixed grain exists for the E17
-// grain-sweep experiments and for reproducing legacy behaviour
-// (grain 4096). The simulator has no scheduler: it runs every step on
-// the calling goroutine.
+// right for almost every workload; a fixed grain pins the claim size
+// for benchmarks and reproduces legacy behaviour (grain 4096). The
+// simulator has no scheduler: it runs every step on the calling
+// goroutine.
 func WithGrain(n int) Option { return func(c *config) { c.grain = n } }
 
 // WithMaxRounds caps the main loop of ConnectedComponents (EXPAND-

@@ -206,7 +206,7 @@ func (e *simulatedEngine) solve(ctx context.Context, g *graph.Graph, out *solveO
 
 func (e *simulatedEngine) close() {}
 
-// ---- native: the shared-memory CAS-min engine ----
+// ---- native: the shared-memory root-linking engine ----
 
 // nativeEngine wraps a long-lived native.Engine: the worker pool and
 // the engine's pre-bound worker closure live across solves, and the
