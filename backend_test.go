@@ -10,8 +10,7 @@ import (
 	"repro/graph"
 	"repro/internal/baseline"
 	"repro/internal/check"
-	"repro/internal/incremental"
-	"repro/internal/native"
+	"repro/internal/forest"
 )
 
 // generatorZoo covers every generator family the graph package offers,
@@ -275,14 +274,19 @@ func TestEngineOptionMatrixEquivalence(t *testing.T) {
 		for _, grain := range []int{1, 0} {
 			t.Run(fmt.Sprintf("native/%s/grain=%d,noaff=false,nopack=false", name, grain),
 				func(t *testing.T) {
-					res := native.Components(g, native.Options{Grain: grain})
-					if err := check.SamePartition(res.Labels, oracle); err != nil {
+					eng := forest.New(0, forest.Options{Grain: grain})
+					defer eng.Close()
+					labels := make([]int32, g.N)
+					if _, err := eng.Run(context.Background(), g, labels); err != nil {
+						t.Fatal(err)
+					}
+					if err := check.SamePartition(labels, oracle); err != nil {
 						t.Fatal(err)
 					}
 				})
 			t.Run(fmt.Sprintf("incremental/%s/grain=%d,noaff=false", name, grain),
 				func(t *testing.T) {
-					eng := incremental.New(g.N, incremental.Options{Grain: grain})
+					eng := forest.New(g.N, forest.Options{Grain: grain})
 					defer eng.Close()
 					for _, span := range g.SpanBatches(3) {
 						if _, err := eng.AddSpan(span); err != nil {
@@ -304,7 +308,7 @@ func TestEngineOptionMatrixEquivalence(t *testing.T) {
 func TestNativeConvergesUnderConcurrentSweeps(t *testing.T) {
 	g := graph.CliqueBeads(graph.CliqueBeadsSpec{Beads: 24, Size: 10, IntraDeg: 6, Bridges: 2, Seed: 21})
 	oracle := baseline.Components(g)
-	eng := native.NewEngineOpt(native.Options{Workers: 4, Grain: 1})
+	eng := forest.New(0, forest.Options{Workers: 4, Grain: 1})
 	defer eng.Close()
 	labels := make([]int32, g.N)
 	for i := 0; i < 8; i++ {

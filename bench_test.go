@@ -182,7 +182,7 @@ func ingestBenchGraph() *graph.Graph {
 // backend. The span side slices the graph's arc columns in place
 // (SpanBatches + IngestSpan, the zero-copy pipeline — its replay layer
 // performs zero allocations, enforced by TestSpanIngestZeroAlloc in
-// internal/incremental; the allocs/op reported here are snapshot
+// internal/forest; the allocs/op reported here are snapshot
 // publication and service setup only); the pairs side materializes
 // [][2]int batches (SpanBatches + EdgeSpan.Pairs + Ingest, which
 // converts each batch back with graph.FromPairs). Both end in the

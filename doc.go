@@ -65,16 +65,15 @@
 // every model cost, which is the point — a seeded run is bit-identical
 // on every host — and which makes it orders of magnitude slower than
 // the hardware.
-// BackendNative (internal/native) is a shared-memory engine —
-// goroutines linking roots by CAS on the label array (the internal/uf
-// kernel), edge ranges sharded over a reusable worker pool — that computes the identical
-// partition as fast as the hardware allows and fills only the real
-// Stats fields (Backend, Wall, Workers, Rounds), leaving the
-// model-only ones zero. BackendIncremental (internal/incremental) is
-// a lock-free concurrent union-find (CAS link-by-index with path
-// splitting) built for streaming: under Components it ingests the
-// whole graph as one batch and returns the same partition as the
-// other two backends. Experiments E11 and E12 and the
+// BackendNative and BackendIncremental run one shared-memory engine,
+// internal/forest: goroutines linking roots by CAS (the internal/uf
+// kernel), edge ranges sharded over a reusable worker pool. It
+// computes the identical partition as fast as the hardware allows and
+// fills only the real Stats fields (Backend, Wall, Workers, Rounds),
+// leaving the model-only ones zero. A one-shot solve is the same on
+// both: one root-linking round in the caller's label array.
+// BackendIncremental adds streaming: a Service on it links each batch
+// into a live lock-free union-find forest and publishes its flatten. Experiments E11 and E12 and the
 // examples/nativespeed and examples/streaming programs compare the
 // backends side by side.
 //

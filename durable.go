@@ -116,12 +116,12 @@ func openFS(dir string, fsys durable.FS, opts ...Option) (*Service, error) {
 		st.Close()
 		return nil, err
 	}
+	// The decoded labels are immutable from here on: the engine's
+	// forest copies them once, and they are published as they are.
 	se := sv.solver.eng.(streamEngine)
-	se.restore(rec.Labels)
-	labels := append([]int32(nil), rec.Labels...)
 	sv.publish(&Result{
-		Labels:        labels,
-		NumComponents: countRoots(labels),
+		Labels:        rec.Labels,
+		NumComponents: se.restore(rec.Labels),
 		Stats:         Stats{Backend: cfg.backend},
 	})
 	if recoveryHook != nil {
@@ -283,17 +283,4 @@ func (sv *Service) RecoveryStats() (stats RecoveryStats, ok bool) {
 		return RecoveryStats{}, false
 	}
 	return *sv.recovery, true
-}
-
-// countRoots counts the components of a canonical labeling (labels[v]
-// is the minimum vertex id of v's component, so roots satisfy
-// labels[v] == v).
-func countRoots(labels []int32) int {
-	n := 0
-	for v, l := range labels {
-		if int(l) == v {
-			n++
-		}
-	}
-	return n
 }

@@ -20,7 +20,7 @@ func TestZeroalloc(t *testing.T) {
 }
 
 func TestCtxround(t *testing.T) {
-	antest.Run(t, analysis.Ctxround, fixtures, "./native")
+	antest.Run(t, analysis.Ctxround, fixtures, "./forest")
 }
 
 func TestWaldiscipline(t *testing.T) {

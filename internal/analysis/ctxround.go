@@ -12,12 +12,11 @@ import (
 // the ops binary — have their own latency structure and are not held
 // to it.
 var ctxroundTargets = map[string]bool{
-	"core":        true,
-	"native":      true,
-	"incremental": true,
-	"pram":        true,
-	"ccbase":      true,
-	"spanning":    true,
+	"core":     true,
+	"forest":   true,
+	"pram":     true,
+	"ccbase":   true,
+	"spanning": true,
 }
 
 // Ctxround enforces that contract statically:
@@ -26,7 +25,7 @@ var ctxroundTargets = map[string]bool{
 //     context.Context value), every unbounded `for` loop must reach a
 //     ctx check — reference ctx in its condition or body, directly or
 //     inside a nested closure. Deleting the ctx.Err() at the top of
-//     the native engine's round loop trips this rule.
+//     a round loop (internal/core's, say) trips this rule.
 //  2. An exported function that directly contains an unbounded loop
 //     must be context-aware: engine entry points accept a
 //     context.Context (or a Params struct carrying one) so callers can
@@ -132,7 +131,7 @@ func loopCondAndBody(loop *ast.ForStmt) ast.Node {
 
 // referencesContext reports whether any expression under n has static
 // type context.Context — a parameter, local, free variable, or a
-// struct field like the incremental engine's spanCtx.
+// struct field like the forest engine's ctx.
 func referencesContext(info *types.Info, n ast.Node) bool {
 	found := false
 	ast.Inspect(n, func(x ast.Node) bool {

@@ -1,8 +1,8 @@
-// Package native holds fixtures for the ctxround analyzer. The
+// Package forest holds fixtures for the ctxround analyzer. The
 // package basename matches the targeted engine set, so its loops are
-// held to the round-boundary contract; the shapes mirror the real
-// native engine's Run loop with and without its ctx.Err() check.
-package native
+// held to the round-boundary contract; the shapes mirror an engine's
+// round loop with and without its ctx.Err() check.
+package forest
 
 import (
 	"context"

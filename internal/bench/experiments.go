@@ -19,8 +19,7 @@ import (
 	"repro/internal/ccbase"
 	"repro/internal/check"
 	"repro/internal/core"
-	"repro/internal/incremental"
-	"repro/internal/native"
+	"repro/internal/forest"
 	"repro/internal/obs"
 	"repro/internal/pram"
 	"repro/internal/spanning"
@@ -656,8 +655,8 @@ func E12(scale Scale) *Table {
 		// itself.
 		batches := w.g.SpanBatches(k)
 
-		// Incremental: one engine, K AddSpan batches.
-		eng := incremental.New(w.g.N, incremental.Options{Grain: grainOverride})
+		// Incremental: K AddSpan batches into the engine's live forest.
+		eng := forest.New(w.g.N, forest.Options{Grain: grainOverride})
 		var incrTotal, incrWorst time.Duration
 		for _, b := range batches {
 			t0 := time.Now()
@@ -669,16 +668,17 @@ func E12(scale Scale) *Table {
 			}
 		}
 		incrLabels := eng.Snapshot().Labels
-		eng.Close()
 
 		// Native one-shot on the full graph (the freshness floor a
 		// non-streaming consumer pays once), and recompute-per-batch
 		// (what it pays to stay fresh after every batch): a full run
-		// on each growing prefix.
+		// on each growing prefix, on the same engine's pool.
+		natLabels := make([]int32, w.g.N)
 		t0 := time.Now()
-		nat := native.Components(w.g, native.Options{Grain: grainOverride})
+		eng.Run(context.Background(), w.g, natLabels)
 		oneShot := time.Since(t0)
 		prefix := graph.New(w.g.N)
+		prefixLabels := make([]int32, w.g.N)
 		var recompute time.Duration
 		for _, b := range batches {
 			for i := 0; i < b.Len(); i++ {
@@ -686,16 +686,17 @@ func E12(scale Scale) *Table {
 				prefix.AddEdge(int(u), int(v))
 			}
 			t0 = time.Now()
-			native.Components(prefix, native.Options{Grain: grainOverride})
+			eng.Run(context.Background(), prefix, prefixLabels)
 			recompute += time.Since(t0)
 		}
+		eng.Close()
 
-		same := slices.Equal(incrLabels, nat.Labels)
+		same := slices.Equal(incrLabels, natLabels)
 		t.Add(w.name, w.g.N, w.g.NumEdges(), len(batches), ms(incrTotal), ms(incrWorst),
 			ms(oneShot), ms(recompute), float64(recompute)/float64(incrTotal), same)
 	}
 	t.Notes = append(t.Notes,
-		"incr = internal/incremental lock-free union-find, one zero-copy AddSpan per batch (the engine behind Service.IngestSpan on BackendIncremental)",
+		"incr = internal/forest's live lock-free union-find, one zero-copy AddSpan per batch (the engine behind Service.IngestSpan on BackendIncremental)",
 		"recompute = a full native run after every batch, the non-streaming way to keep answers fresh",
 		"speedup = recompute / incr total; same labels = exact elementwise equality (both label by component minimum); "+grainNote())
 	return t
@@ -862,7 +863,7 @@ func E14(scale Scale) *Table {
 			// Boxed replay: materialize each batch of the resident
 			// graph as [][2]int, then convert it to a span and ingest
 			// it — what Service.Ingest does with a [][2]int batch.
-			eng := incremental.New(w.g.N, incremental.Options{Grain: grainOverride})
+			eng := forest.New(w.g.N, forest.Options{Grain: grainOverride})
 			t0 := time.Now()
 			for _, b := range w.g.SpanBatches(k) {
 				eng.AddSpan(graph.FromPairs(b.Pairs()))
@@ -873,7 +874,7 @@ func E14(scale Scale) *Table {
 
 			// Columnar replay: zero-copy span slices of the same graph,
 			// one AddSpan per batch.
-			eng = incremental.New(w.g.N, incremental.Options{Grain: grainOverride})
+			eng = forest.New(w.g.N, forest.Options{Grain: grainOverride})
 			t0 = time.Now()
 			for _, b := range w.g.SpanBatches(k) {
 				eng.AddSpan(b)
@@ -941,7 +942,7 @@ func E15(scale Scale) *Table {
 	}
 	defer obs.SetSink(nil)
 	replay := func() time.Duration {
-		eng := incremental.New(g.N, incremental.Options{})
+		eng := forest.New(g.N, forest.Options{})
 		t0 := time.Now()
 		for _, b := range g.SpanBatches(k) {
 			eng.AddSpan(b)

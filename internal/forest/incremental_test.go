@@ -1,8 +1,10 @@
-package incremental
+package forest
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,7 +12,6 @@ import (
 	"repro/graph"
 	"repro/internal/baseline"
 	"repro/internal/check"
-	"repro/internal/native"
 	"repro/internal/uf"
 )
 
@@ -42,7 +43,7 @@ func TestEngineMatchesNativeLabels(t *testing.T) {
 			e := New(g.N, Options{})
 			defer e.Close()
 			snap := addGraph(t, e, g)
-			nat := native.Components(g, native.Options{})
+			nat := components(g, Options{})
 			if len(snap.Labels) != len(nat.Labels) {
 				t.Fatalf("label lengths differ: %d vs %d", len(snap.Labels), len(nat.Labels))
 			}
@@ -90,7 +91,7 @@ func TestLabelsAreComponentMinima(t *testing.T) {
 func TestBatchSplitInvariance(t *testing.T) {
 	for name, g := range zoo() {
 		t.Run(name, func(t *testing.T) {
-			want := native.Components(g, native.Options{}).Labels
+			want := components(g, Options{}).Labels
 			rng := rand.New(rand.NewSource(42))
 			edges := g.Span().Pairs()
 			for trial := 0; trial < 4; trial++ {
@@ -249,7 +250,7 @@ func TestDegenerateInputs(t *testing.T) {
 // TestWorkerCounts: every worker count gives the same labels.
 func TestWorkerCounts(t *testing.T) {
 	g := graph.Gnm(3000, 9000, 17)
-	want := native.Components(g, native.Options{}).Labels
+	want := components(g, Options{}).Labels
 	for _, w := range []int{1, 2, 3, 7, 16} {
 		e := New(g.N, Options{Workers: w})
 		snap := addGraph(t, e, g)
@@ -332,7 +333,7 @@ func TestEngineReset(t *testing.T) {
 		}
 		snap := addGraph(t, e, g)
 		if snap.Batches != 1 {
-			t.Fatalf("graph %d: batches=%d after one AddGraphContext", i, snap.Batches)
+			t.Fatalf("graph %d: batches=%d after one batch", i, snap.Batches)
 		}
 		if err := check.SamePartition(snap.Labels, baseline.Components(g)); err != nil {
 			t.Fatalf("graph %d: %v", i, err)
@@ -443,9 +444,87 @@ func sameComponent(e *Engine, v, w int) bool {
 // error.
 func addGraph(tb testing.TB, e *Engine, g *graph.Graph) *Snapshot {
 	tb.Helper()
-	snap, err := e.AddGraphContext(context.Background(), g)
+	snap, err := e.AddSpan(g.Span())
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return snap
+}
+
+// union returns the graph on n vertices holding the edges of every
+// span, the oracle input for a forest those spans were linked into.
+func union(n int, spans ...graph.EdgeSpan) *graph.Graph {
+	g := graph.New(n)
+	for _, s := range spans {
+		for i := 0; i < s.Len(); i++ {
+			u, v := s.Edge(i)
+			g.AddEdge(int(u), int(v))
+		}
+	}
+	return g
+}
+
+// TestSampledRoundOnUsedForest: a streaming batch with m ≥ 2.5n takes
+// the sample → shortcut → finish round over a forest that already
+// holds earlier unions — after a small batch, and after RestoreLabels —
+// and the published labels still equal the BFS oracle's component
+// minima, at every worker count.
+func TestSampledRoundOnUsedForest(t *testing.T) {
+	const n = 2000
+	small := graph.Gnm(n, n/2, 41).Span()
+	dense := graph.Gnm(n, 10*n, 42).Span()
+	if s := sampleStride(n, dense.Len()); s < 2 {
+		t.Fatalf("dense batch gives stride %d, want a sampled round", s)
+	}
+	want := union(n, small, dense).ComponentsBFS()
+	restored := union(n, small).ComponentsBFS()
+	for _, workers := range []int{1, 2, 4} {
+		e := New(n, Options{Workers: workers})
+		for _, span := range []graph.EdgeSpan{small, dense} {
+			if _, err := e.AddSpan(span); err != nil {
+				t.Fatal(err)
+			}
+		}
+		requireLabels(t, fmt.Sprintf("batches workers=%d", workers), want, e.Snapshot().Labels)
+
+		e.RestoreLabels(restored)
+		snap, err := e.AddSpan(dense)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireLabels(t, fmt.Sprintf("restored workers=%d", workers), want, snap.Labels)
+		e.Close()
+	}
+}
+
+// TestRestoreLabelsCopiesOnce: restoring into a forest with enough
+// capacity copies the labels into the forest and nothing else — the
+// labels become the published snapshot as they are, so the only
+// allocation is the Snapshot header.
+func TestRestoreLabelsCopiesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	g := graph.Gnm(20000, 30000, 43)
+	labels := g.ComponentsBFS()
+	e := New(g.N, Options{Workers: 2})
+	defer e.Close()
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, func() { e.RestoreLabels(labels) })
+	runtime.ReadMemStats(&after)
+	if allocs > 1 {
+		t.Fatalf("RestoreLabels allocates %.1f objects, want only the Snapshot header", allocs)
+	}
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / (runs + 1); perRun >= 1024 {
+		t.Fatalf("RestoreLabels allocates %d bytes per call on %d vertices, want no label copy", perRun, g.N)
+	}
+	snap := e.Snapshot()
+	if &snap.Labels[0] != &labels[0] {
+		t.Fatal("the published snapshot is a copy of the restored labels")
+	}
+	if snap.Components != countDistinct(labels) || snap.Batches != 0 {
+		t.Fatalf("restored snapshot: %d components, %d batches", snap.Components, snap.Batches)
+	}
 }

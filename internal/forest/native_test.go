@@ -1,4 +1,4 @@
-package native
+package forest
 
 import (
 	"context"
@@ -29,6 +29,23 @@ func requireLabels(t *testing.T, what string, want, labels []int32) {
 	}
 }
 
+// result is a one-shot solve's labeling and statistics.
+type result struct {
+	Labels  []int32
+	Rounds  int
+	Workers int
+}
+
+// components solves g one-shot: a fresh engine (and worker pool) is
+// built and torn down around a single Run.
+func components(g *graph.Graph, opt Options) *result {
+	e := New(0, opt)
+	defer e.Close()
+	labels := make([]int32, g.N)
+	rounds, _ := e.Run(context.Background(), g, labels)
+	return &result{Labels: labels, Rounds: rounds, Workers: e.Workers()}
+}
+
 func TestSmallGraphs(t *testing.T) {
 	cases := []struct {
 		name string
@@ -47,7 +64,7 @@ func TestSmallGraphs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res := Components(tc.g, Options{})
+			res := components(tc.g, Options{})
 			requireOracle(t, tc.g, res.Labels)
 			if len(res.Labels) != tc.g.N {
 				t.Fatalf("got %d labels for %d vertices", len(res.Labels), tc.g.N)
@@ -60,7 +77,7 @@ func TestSmallGraphs(t *testing.T) {
 // minimum vertex id of each component, giving canonical labels.
 func TestMinLabelRepresentatives(t *testing.T) {
 	g := graph.DisjointUnion(graph.Cycle(10), graph.Star(7), graph.Path(4))
-	res := Components(g, Options{})
+	res := components(g, Options{})
 	uf := baseline.Components(g)
 	min := map[int32]int32{}
 	for v, r := range uf {
@@ -86,7 +103,7 @@ func TestWorkersSweep(t *testing.T) {
 	for _, g := range gs {
 		oracle := baseline.Components(g)
 		for _, w := range []int{1, 2, 3, 7, 16} {
-			res := Components(g, Options{Workers: w})
+			res := components(g, Options{Workers: w})
 			if res.Workers != w {
 				t.Fatalf("workers=%d: resolved to %d", w, res.Workers)
 			}
@@ -114,7 +131,7 @@ func TestRaceStress(t *testing.T) {
 	for _, g := range gs {
 		oracle := baseline.Components(g)
 		for i := 0; i < iters; i++ {
-			res := Components(g, Options{Workers: 32})
+			res := components(g, Options{Workers: 32})
 			if err := check.SamePartition(res.Labels, oracle); err != nil {
 				t.Fatalf("iter %d: %v", i, err)
 			}
@@ -126,7 +143,7 @@ func TestRaceStress(t *testing.T) {
 // diameter on its own — the whole point over naive label propagation.
 func TestRoundsAreFew(t *testing.T) {
 	g := graph.Path(100000)
-	res := Components(g, Options{})
+	res := components(g, Options{})
 	requireOracle(t, g, res.Labels)
 	if res.Rounds != 1 {
 		t.Fatalf("path-100000 took %d rounds, want 1", res.Rounds)
@@ -168,7 +185,7 @@ func TestRootLinkRoundIsExact(t *testing.T) {
 		wantRounds := min(g.NumEdges(), 1)
 		for _, workers := range []int{1, 2, 4, 32} {
 			for _, grain := range []int{0, 1, 7} {
-				res := Components(g, Options{Workers: workers, Grain: grain})
+				res := components(g, Options{Workers: workers, Grain: grain})
 				requireLabels(t, fmt.Sprintf("%s workers=%d grain=%d",
 					tc.name, workers, grain), want, res.Labels)
 				if res.Rounds != wantRounds {
@@ -184,7 +201,7 @@ func BenchmarkNativeGnm(b *testing.B) {
 	g := graph.Gnm(100000, 400000, 42)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Components(g, Options{})
+		components(g, Options{})
 	}
 }
 
@@ -192,15 +209,15 @@ func BenchmarkNativeHighDiameter(b *testing.B) {
 	g := graph.CliqueBeads(graph.CliqueBeadsSpec{Beads: 1024, Size: 24, IntraDeg: 20, Bridges: 2, Seed: 1})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Components(g, Options{})
+		components(g, Options{})
 	}
 }
 
-// TestEngineReuse: the long-lived Engine form must match the one-shot
-// Components across repeated runs on differently-sized graphs, with
-// the caller-owned label buffer regrown as needed.
+// TestEngineReuse: a long-lived Engine must match the oracle across
+// repeated runs on differently-sized graphs, with the caller-owned
+// label buffer regrown as needed.
 func TestEngineReuse(t *testing.T) {
-	e := NewEngine(3)
+	e := New(0, Options{Workers: 3})
 	defer e.Close()
 	graphs := []*graph.Graph{
 		graph.Gnm(2000, 6000, 1),
@@ -232,7 +249,7 @@ func TestEngineReuse(t *testing.T) {
 // TestEngineRunCancellation: a cancelled context aborts Run at a round
 // boundary with ctx.Err(), and the engine stays usable.
 func TestEngineRunCancellation(t *testing.T) {
-	e := NewEngine(2)
+	e := New(0, Options{Workers: 2})
 	defer e.Close()
 	g := graph.Gnm(3000, 9000, 4)
 	labels := make([]int32, g.N)
@@ -266,7 +283,7 @@ func (c *cancelAfterFirstCheck) Err() error {
 // must still be seen, by the check at the round's end; the engine then
 // solves exactly.
 func TestEngineRunCancelledDuringOnlyRound(t *testing.T) {
-	e := NewEngine(2)
+	e := New(0, Options{Workers: 2})
 	defer e.Close()
 	g := graph.Gnm(3000, 9000, 4)
 	labels := make([]int32, g.N)
@@ -284,7 +301,7 @@ func TestEngineRunCancelledDuringOnlyRound(t *testing.T) {
 // TestEngineRunBadBuffer: a mis-sized label buffer is a programming
 // error and must panic loudly, not corrupt memory.
 func TestEngineRunBadBuffer(t *testing.T) {
-	e := NewEngine(1)
+	e := New(0, Options{Workers: 1})
 	defer e.Close()
 	defer func() {
 		if recover() == nil {
@@ -308,7 +325,7 @@ func TestEngineFirstRunZeroAlloc(t *testing.T) {
 	labels := make([]int32, g.N)
 	engines := make([]*Engine, runs+1) // +1 for AllocsPerRun's warm-up call
 	for i := range engines {
-		engines[i] = NewEngine(2)
+		engines[i] = New(0, Options{Workers: 2})
 		defer engines[i].Close()
 	}
 	ctx := context.Background()
@@ -363,13 +380,13 @@ func TestSampledFirstRound(t *testing.T) {
 		want := g.ComponentsBFS()
 		for _, workers := range []int{1, 2, 4} {
 			for _, grain := range []int{0, 1, 7} {
-				res := Components(g, Options{Workers: workers, Grain: grain})
+				res := components(g, Options{Workers: workers, Grain: grain})
 				requireLabels(t, fmt.Sprintf("%s workers=%d grain=%d", tc.name, workers, grain), want, res.Labels)
 			}
 		}
 	}
 	g := graph.Gnm(50000, 500000, 25)
-	if res := Components(g, Options{}); res.Rounds != 1 {
+	if res := components(g, Options{}); res.Rounds != 1 {
 		t.Fatalf("Gnm(5e4, 5e5) took %d rounds, want 1 (the sampled round alone)", res.Rounds)
 	}
 }

@@ -1,6 +1,6 @@
 //go:build !race
 
-package native
+package forest
 
 // raceEnabled reports whether the race detector instruments this test
 // build; its shadow-memory bookkeeping shows up in allocation counts,

@@ -1,6 +1,6 @@
 //go:build race
 
-package native
+package forest
 
 // raceEnabled: see race_off_test.go.
 const raceEnabled = true

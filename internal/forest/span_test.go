@@ -1,4 +1,4 @@
-package incremental
+package forest
 
 import (
 	"context"
@@ -8,7 +8,6 @@ import (
 	"repro/graph"
 	"repro/internal/baseline"
 	"repro/internal/check"
-	"repro/internal/native"
 )
 
 // TestAddSpanMatchesFromPairs: replaying the same graph as zero-copy
@@ -20,7 +19,7 @@ import (
 func TestAddSpanMatchesFromPairs(t *testing.T) {
 	for name, g := range zoo() {
 		t.Run(name, func(t *testing.T) {
-			want := native.Components(g, native.Options{}).Labels
+			want := components(g, Options{}).Labels
 			rng := rand.New(rand.NewSource(19))
 			for trial := 0; trial < 3; trial++ {
 				k := 1 + rng.Intn(9)
@@ -62,6 +61,7 @@ func TestAddSpanRejects(t *testing.T) {
 		"odd arc count":          {U: []int32{0}, V: []int32{1}},
 		"out of range":           {U: []int32{0, 1, 2, 9}, V: []int32{1, 0, 9, 2}},
 		"negative endpoint":      {U: []int32{0, 1, -1, 2}, V: []int32{1, 0, 2, -1}},
+		"non-mirror pair":        {U: []int32{0, 2}, V: []int32{1, 0}},
 	}
 	for name, s := range bad {
 		if _, err := e.AddSpan(s); err == nil {
@@ -77,8 +77,7 @@ func TestAddSpanRejects(t *testing.T) {
 }
 
 // TestAddSpanDegenerate: empty spans publish (batch bookkeeping
-// advances), self-loops and parallel edges are absorbed, and the
-// mirror arcs of a span are never consulted by ingestion.
+// advances), and self-loops and parallel edges are absorbed.
 func TestAddSpanDegenerate(t *testing.T) {
 	e := New(5, Options{Workers: 3})
 	defer e.Close()
@@ -154,7 +153,7 @@ func TestSpanIngestZeroAlloc(t *testing.T) {
 	const runs = 10
 	batchesBefore, edgesBefore := mBatches.Value(), mEdges.Value()
 	if avg := testing.AllocsPerRun(runs, func() {
-		if err := e.validateSpan(span); err != nil {
+		if err := span.Validate(e.N()); err != nil {
 			t.Fatal(err)
 		}
 		if err := e.ingestSpan(ctx, span); err != nil {

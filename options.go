@@ -18,20 +18,19 @@ const (
 	// wall-clock speed is not a goal.
 	BackendSimulated Backend = iota
 	// BackendNative runs on the shared-memory engine
-	// (internal/native): goroutines with atomic CAS root links on the
+	// (internal/forest): goroutines with atomic CAS root links on the
 	// label array, no step barriers and no per-step accounting. Same
 	// partition, real wall-clock speed; all model-cost Stats fields
 	// are zero.
 	BackendNative
-	// BackendIncremental runs on the streaming union-find engine
-	// (internal/incremental): a lock-free CAS-linked disjoint-set
-	// forest built for batched edge arrival. Components feeds the
-	// whole graph as a single batch and returns the same partition as
-	// the other backends; the engine's real strength is streaming
-	// ingest through a Service (IngestSpan, Ingest), where each batch
-	// costs Θ(batch) union work plus a Θ(n) snapshot flatten instead
-	// of a full multi-round recompute over all edges. Model-only Stats
-	// fields are zero.
+	// BackendIncremental runs on the same engine (internal/forest)
+	// and adds streaming: a lock-free CAS-linked disjoint-set forest
+	// kept across batches. A one-shot solve is BackendNative's, and
+	// its Stats count it as one batch; the backend's real strength is
+	// streaming ingest through a Service (IngestSpan, Ingest), where
+	// each batch costs Θ(batch) union work plus a Θ(n) snapshot
+	// flatten instead of a full recompute over all edges. Model-only
+	// Stats fields are zero.
 	BackendIncremental
 )
 

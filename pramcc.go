@@ -24,7 +24,7 @@ type Stats struct {
 	Backend Backend       // engine that produced the result
 	Wall    time.Duration // wall clock of the run itself — result assembly (label counting) is excluded
 	Workers int           // host goroutine count that executed the run
-	Rounds  int           // main-loop rounds: EXPAND-MAXLINK rounds or phases (simulated), link+shortcut rounds (native)
+	Rounds  int           // main-loop rounds: EXPAND-MAXLINK rounds or phases (simulated); link+shortcut rounds, 1 or 0 with no edges (native); batches since the last reset, 1 for a one-shot solve (incremental)
 	Grain   int           // configured scheduler claim grain (WithGrain); 0 means adaptive sizing
 
 	// ---- model-only quantities (BackendSimulated; zero on native) ----
@@ -159,11 +159,11 @@ func apply(opts []Option) config {
 
 // Components computes the connected components of g on the backend
 // selected with WithBackend: the model-cost PRAM simulation (default;
-// equivalent to ConnectedComponents, the paper's Theorem-3 algorithm),
-// the native shared-memory engine, or the streaming union-find engine
-// fed the whole graph as one batch. All three compute the same
-// partition; the non-simulated backends leave every model-only Stats
-// field zero. This is the recommended entry point when the goal is the
+// equivalent to ConnectedComponents, the paper's Theorem-3 algorithm)
+// or the shared-memory engine, which runs the same one-shot solve on
+// BackendNative and BackendIncremental. All backends compute the same
+// partition; the non-simulated ones leave every model-only Stats field
+// zero. This is the recommended entry point when the goal is the
 // answer rather than a specific theorem's cost profile.
 //
 // Components is one Solve on a Solver built for this call and closed

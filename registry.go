@@ -7,8 +7,7 @@ import (
 
 	"repro/graph"
 	"repro/internal/core"
-	"repro/internal/incremental"
-	"repro/internal/native"
+	"repro/internal/forest"
 	"repro/internal/pram"
 )
 
@@ -30,12 +29,12 @@ func (out *solveOutput) setLabels(src []int32) {
 
 // engine is the execution-backend interface behind Solver: one
 // implementation per registered Backend, each adapting one of the
-// internal engine packages (internal/core via the PRAM simulator,
-// internal/native, internal/incremental). solve computes the component
-// labeling of g into out, honouring ctx at round/batch boundaries; a
-// cancelled solve returns ctx.Err() and leaves no partial result
-// visible to callers. close releases any long-lived resources (worker
-// pools); it is idempotent.
+// internal engine packages (internal/core via the PRAM simulator, or
+// internal/forest). solve computes the component labeling of g into
+// out, honouring ctx at round/chunk boundaries; a cancelled solve
+// returns ctx.Err() and leaves no partial result visible to callers.
+// close releases any long-lived resources (worker pools); it is
+// idempotent.
 type engine interface {
 	solve(ctx context.Context, g *graph.Graph, out *solveOutput) error
 	close()
@@ -50,10 +49,12 @@ type streamEngine interface {
 	// and returns the identity labels it published, which are
 	// immutable.
 	reset(n int) []int32
-	// restore re-initialises the live labeling to a previously
-	// published canonical labeling — the recovery path after a
-	// cancelled destructive rebuild (see Service.Update).
-	restore(labels []int32)
+	// restore re-initialises the live labeling to a canonical
+	// labeling and publishes it without a copy, so labels must be
+	// immutable: a published snapshot (after an Update, or to drop a
+	// batch that never reached the WAL) or a recovered checkpoint. It
+	// returns the labeling's component count.
+	restore(labels []int32) int
 	// grow extends the vertex set to n, preserving components.
 	grow(n int)
 	// ingest unions one batch — a columnar arc-pair span, the
@@ -93,7 +94,7 @@ var registry = []backendInfo{
 		backend: BackendNative,
 		name:    "native",
 		newEngine: func(c *config) engine {
-			return &nativeEngine{eng: native.NewEngineOpt(native.Options{Workers: c.workers, Grain: c.grain})}
+			return &nativeEngine{eng: newForest(c)}
 		},
 	},
 	{
@@ -101,7 +102,7 @@ var registry = []backendInfo{
 		name:    "incremental",
 		aliases: []string{"inc"},
 		newEngine: func(c *config) engine {
-			return &incrementalEngine{eng: incremental.New(0, incremental.Options{Workers: c.workers, Grain: c.grain})}
+			return &incrementalEngine{nativeEngine{eng: newForest(c)}}
 		},
 	},
 }
@@ -206,75 +207,66 @@ func (e *simulatedEngine) solve(ctx context.Context, g *graph.Graph, out *solveO
 
 func (e *simulatedEngine) close() {}
 
-// ---- native: the shared-memory root-linking engine ----
+// ---- native and incremental: the shared-memory forest engine ----
 
-// nativeEngine wraps a long-lived native.Engine: the worker pool and
-// the engine's pre-bound worker closure live across solves, and the
-// labels are computed directly into out.labels, so repeated solves on
+// newForest builds the forest engine of a config, with its worker pool.
+func newForest(c *config) *forest.Engine {
+	return forest.New(0, forest.Options{Workers: c.workers, Grain: c.grain})
+}
+
+// nativeEngine wraps a long-lived forest.Engine: the worker pool and
+// the engine's pre-bound chunk body live across solves, and the labels
+// are computed in place into out.labels, so repeated solves on
 // same-sized graphs allocate nothing.
 type nativeEngine struct {
-	eng *native.Engine
+	eng *forest.Engine
 }
 
 func (e *nativeEngine) solve(ctx context.Context, g *graph.Graph, out *solveOutput) error {
+	rounds, err := e.run(ctx, g, out)
+	out.stats = e.stats(BackendNative, rounds)
+	return err
+}
+
+// run solves g into out.labels, reusing their capacity.
+func (e *nativeEngine) run(ctx context.Context, g *graph.Graph, out *solveOutput) (int, error) {
 	if cap(out.labels) >= g.N {
 		out.labels = out.labels[:g.N]
 	} else {
 		out.labels = make([]int32, g.N)
 	}
-	rounds, err := e.eng.Run(ctx, g, out.labels)
-	if err != nil {
-		return err
-	}
-	out.stats = Stats{
-		Backend: BackendNative,
-		Workers: e.eng.Workers(),
-		Rounds:  rounds,
-		Grain:   e.eng.Grain(),
-	}
-	return nil
+	return e.eng.Run(ctx, g, out.labels)
+}
+
+func (e *nativeEngine) stats(b Backend, rounds int) Stats {
+	return Stats{Backend: b, Workers: e.eng.Workers(), Rounds: rounds, Grain: e.eng.Grain()}
 }
 
 func (e *nativeEngine) close() { e.eng.Close() }
 
-// ---- incremental: the streaming union-find engine ----
-
-// incrementalEngine wraps a long-lived incremental.Engine. A one-shot
-// solve resets the forest (reusing its parent buffer and worker pool)
-// and ingests the whole graph as a single batch; Service additionally
-// uses the streamEngine surface to ingest batches into the live
-// labeling.
+// incrementalEngine is the same engine with the streamEngine surface,
+// which Service uses to link batches into the engine's live forest. A
+// one-shot solve is the native one; its Stats count it as one batch
+// into a fresh forest.
 type incrementalEngine struct {
-	eng *incremental.Engine
+	nativeEngine
 }
 
 func (e *incrementalEngine) solve(ctx context.Context, g *graph.Graph, out *solveOutput) error {
-	e.eng.Reset(g.N)
-	snap, err := e.eng.AddGraphContext(ctx, g)
-	if err != nil {
-		return err
-	}
-	// Published snapshot labels are immutable, so they are shared
-	// into the output rather than copied (the engine allocates a
-	// fresh slice per publish anyway).
-	out.labels = snap.Labels
-	out.stats = Stats{
-		Backend: BackendIncremental,
-		Workers: e.eng.Workers(),
-		Rounds:  snap.Batches, // one batch for a one-shot run
-		Grain:   e.eng.Grain(),
-	}
-	return nil
+	_, err := e.run(ctx, g, out)
+	out.stats = e.stats(BackendIncremental, 1)
+	return err
 }
-
-func (e *incrementalEngine) close() { e.eng.Close() }
 
 func (e *incrementalEngine) reset(n int) []int32 {
 	e.eng.Reset(n)
 	return e.eng.Snapshot().Labels
 }
 
-func (e *incrementalEngine) restore(labels []int32) { e.eng.RestoreLabels(labels) }
+func (e *incrementalEngine) restore(labels []int32) int {
+	e.eng.RestoreLabels(labels)
+	return e.eng.Snapshot().Components
+}
 
 func (e *incrementalEngine) grow(n int) { e.eng.Grow(n) }
 
@@ -283,15 +275,10 @@ func (e *incrementalEngine) ingest(ctx context.Context, span graph.EdgeSpan, out
 	if err != nil {
 		return 0, err
 	}
-	// As in solve: published snapshot labels are immutable and fresh
-	// per batch, so sharing them avoids a redundant Θ(n) copy on the
-	// per-batch hot path.
+	// Published snapshot labels are immutable and fresh per batch, so
+	// they are shared into the output rather than copied, which avoids
+	// a redundant Θ(n) copy on the per-batch hot path.
 	out.labels = snap.Labels
-	out.stats = Stats{
-		Backend: BackendIncremental,
-		Workers: e.eng.Workers(),
-		Rounds:  snap.Batches,
-		Grain:   e.eng.Grain(),
-	}
+	out.stats = e.stats(BackendIncremental, snap.Batches)
 	return snap.Components, nil
 }

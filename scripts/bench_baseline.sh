@@ -33,8 +33,8 @@ BASELINE=internal/bench/testdata/baseline.txt
 CURRENT="$(mktemp /tmp/bench_current.XXXXXX.txt)"
 trap 'rm -f "$CURRENT"' EXIT
 
-echo ">> go test -run '^$' -bench '$BENCH' -count $COUNT (., ./internal/native, ./internal/incremental, ./internal/durable, ./graph)"
-go test -run '^$' -bench "$BENCH" -count "$COUNT" . ./internal/native ./internal/incremental ./internal/durable ./graph | tee "$CURRENT"
+echo ">> go test -run '^$' -bench '$BENCH' -count $COUNT (., ./internal/forest, ./internal/durable, ./graph)"
+go test -run '^$' -bench "$BENCH" -count "$COUNT" . ./internal/forest ./internal/durable ./graph | tee "$CURRENT"
 
 if [ "${1:-}" = "update" ]; then
     mkdir -p "$(dirname "$BASELINE")"

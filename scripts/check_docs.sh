@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Docs consistency: fail if any *.md file referenced from Go sources or
-# from README.md does not exist in the repo. This is the guard against
-# the pre-ISSUE-2 state, where six source locations pointed readers at
-# an EXPERIMENTS.md that was never written.
+# from README.md does not exist in the repo, or if the docs or a Go
+# comment name an internal/<name> package path that is not a
+# directory. The first check guards against the state where six source
+# locations pointed readers at an EXPERIMENTS.md that was never
+# written.
 #
 #   scripts/check_docs.sh
 #
@@ -35,10 +37,30 @@ for ref in $refs; do
     fi
 done
 
+# Package paths: every internal/<name> named in README.md,
+# OPERATIONS.md, CONTRIBUTING.md or a Go comment must be a directory,
+# so a moved or deleted package leaves no dead path behind. The dated
+# records (EXPERIMENTS.md, CHANGES.md, ROADMAP.md) are exempt: they
+# describe the tree as it was.
+pkgs="$(
+    {
+        grep -hoE 'internal/[A-Za-z0-9_]+' README.md OPERATIONS.md CONTRIBUTING.md 2>/dev/null || true
+        grep -rhoE '//.*' --include='*.go' . 2>/dev/null | grep -oE 'internal/[A-Za-z0-9_]+' || true
+    } | sort -u
+)"
+for pkg in $pkgs; do
+    if [ ! -d "$pkg" ]; then
+        echo "check_docs: $pkg names no directory" >&2
+        grep -n -F "$pkg" README.md OPERATIONS.md CONTRIBUTING.md | head -5 >&2 || true
+        grep -rn --include='*.go' -F "$pkg" . | grep -F '//' | head -5 >&2 || true
+        fail=1
+    fi
+done
+
 if [ "$fail" -ne 0 ]; then
     exit 1
 fi
-echo "check_docs: all referenced .md files exist"
+echo "check_docs: all referenced .md files and internal package paths exist"
 
 # Metrics reference completeness: delegated to the metricdoc analyzer
 # (internal/analysis), which finds every obs registry registration

@@ -98,19 +98,11 @@ func (sv *Service) Update(ctx context.Context, g *graph.Graph) (*Result, error) 
 		return nil, ErrSolverClosed
 	}
 	start := time.Now()
+	// The solve runs in the Solver's own label buffer and leaves a
+	// streaming engine's live forest alone, so a cancelled or failed
+	// solve changes nothing that queries or the next Ingest see.
 	res, err := sv.solver.Solve(ctx, g)
 	if err != nil {
-		// A streaming engine rebuilds destructively (reset + ingest),
-		// so a cancelled or failed solve has wiped its live labeling.
-		// Snap it back to the published snapshot: queries never saw
-		// the failure, and the next Ingest must continue from what
-		// they see, not from a half-built forest. On a persisted
-		// service the store is untouched here — nothing was logged for
-		// the failed rebuild, so the WAL position still matches the
-		// published snapshot and replay cannot double-apply.
-		if st, ok := sv.solver.eng.(streamEngine); ok {
-			st.restore(sv.snap.Load().Labels)
-		}
 		mUpdateErrors.Inc()
 		if obsEnabled() {
 			emitService("update", statusOf(err), time.Since(start),
@@ -130,9 +122,6 @@ func (sv *Service) Update(ctx context.Context, g *graph.Graph) (*Result, error) 
 		// number of its own (Seq+1) so recovery never replays a
 		// pre-rebuild WAL record on top of the rebuilt snapshot.
 		if err := sv.store.Checkpoint(pub.Labels, sv.store.Seq()+1); err != nil {
-			if st, ok := sv.solver.eng.(streamEngine); ok {
-				st.restore(sv.snap.Load().Labels)
-			}
 			mUpdateErrors.Inc()
 			if obsEnabled() {
 				emitService("update", statusOf(err), time.Since(start),
@@ -140,6 +129,10 @@ func (sv *Service) Update(ctx context.Context, g *graph.Graph) (*Result, error) 
 			}
 			return nil, err
 		}
+	}
+	if st, ok := sv.solver.eng.(streamEngine); ok {
+		// Later Ingests continue from the new labeling.
+		st.restore(pub.Labels)
 	}
 	sv.publish(pub)
 	mUpdates.Inc()

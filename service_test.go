@@ -532,3 +532,36 @@ func TestNewServiceOneIdentityLabeling(t *testing.T) {
 		})
 	}
 }
+
+// TestServiceUpdateThenDenseIngest: after an Update, an Ingest batch
+// with m ≥ 2.5n takes the engine's sampled round over the forest the
+// Update left behind, and the published labels equal the BFS oracle's
+// component minima at every worker count.
+func TestServiceUpdateThenDenseIngest(t *testing.T) {
+	const n = 2000
+	base := graph.Gnm(n, n/2, 44)
+	dense := graph.Gnm(n, 10*n, 45)
+	all := base.Clone()
+	for _, e := range dense.Span().Pairs() {
+		all.AddEdge(e[0], e[1])
+	}
+	want := all.ComponentsBFS()
+	for _, workers := range []int{1, 2, 4} {
+		sv, err := NewService(0, WithBackend(BackendIncremental), WithWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sv.Update(context.Background(), base); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sv.Ingest(context.Background(), dense.Span().Pairs()); err != nil {
+			t.Fatal(err)
+		}
+		for v, l := range sv.Labels() {
+			if l != want[v] {
+				t.Fatalf("workers=%d: label[%d] = %d, BFS %d", workers, v, l, want[v])
+			}
+		}
+		sv.Close()
+	}
+}

@@ -19,16 +19,16 @@ var ErrSolverClosed = errors.New("pramcc: solver is closed")
 // Solver is the long-lived form of the one-shot entry points: a handle
 // that owns its execution engine — the worker pool and the pre-sized
 // scratch and label buffers — so that repeated solves amortize every
-// allocation and engine construction across calls. On the native
-// backend a steady-state Solve on same-sized graphs allocates nothing
-// at all (see BenchmarkSolverReuse).
+// allocation and engine construction across calls. On the native and
+// incremental backends a steady-state Solve on same-sized graphs
+// allocates nothing at all (see BenchmarkSolverReuse).
 //
 // The configuration (backend, workers, seed, algorithm parameters) is
 // fixed at NewSolver time. Solve honours its context at every round
-// (native, simulated) or batch (incremental) boundary: a cancelled or
-// expired context makes Solve return ctx.Err() promptly, with no
-// partial result; an already-cancelled context fails fast before any
-// work.
+// (simulated) or work chunk (native, incremental) boundary: a
+// cancelled or expired context makes Solve return ctx.Err() promptly,
+// with no partial result; an already-cancelled context fails fast
+// before any work.
 //
 // Solve and SpanningForest serialize on an internal mutex, so racing
 // calls cannot corrupt the engine — but the *Result returned by Solve

@@ -81,28 +81,32 @@ func TestSolverResultReuse(t *testing.T) {
 // TestSolverSolveZeroAllocNative is the acceptance bar of the Solver
 // redesign: steady-state Solve on same-sized graphs, native backend,
 // allocates nothing — no labels, no scratch, no Result, no closures.
+// The incremental backend's one-shot solve is the same code, so it is
+// held to the same bar.
 func TestSolverSolveZeroAllocNative(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	s, err := NewSolver(WithBackend(BackendNative), WithWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
 	g := graph.Gnm(20000, 60000, 1)
 	ctx := context.Background()
-	if _, err := s.Solve(ctx, g); err != nil { // warm the buffers
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		res, err := s.Solve(ctx, g)
-		if err != nil || res.NumComponents == 0 {
-			t.Fatal("solve failed in alloc loop")
+	for _, bk := range []Backend{BackendNative, BackendIncremental} {
+		s, err := NewSolver(WithBackend(bk), WithWorkers(2))
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state Solve allocates %.1f objects/op, want 0", allocs)
+		defer s.Close()
+		if _, err := s.Solve(ctx, g); err != nil { // warm the buffers
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			res, err := s.Solve(ctx, g)
+			if err != nil || res.NumComponents == 0 {
+				t.Fatal("solve failed in alloc loop")
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%v: steady-state Solve allocates %.1f objects/op, want 0", bk, allocs)
+		}
 	}
 }
 
