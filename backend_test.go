@@ -321,6 +321,101 @@ func TestNativeConvergesUnderConcurrentSweeps(t *testing.T) {
 	}
 }
 
+// TestInvalidGraphsEveryBackend: every backend rejects a malformed
+// graph with exactly Graph.Validate's error, no result and no panic —
+// the forest engines find it in their validation sweep, the simulator
+// in Validate itself — and the same Solver then solves a valid graph
+// exactly. The graphs have m = 10·n, so a forest engine would take the
+// sampled round over 256-edge blocks: edge 3 lies in block 0, which
+// the sample links, and edge 300 in block 1, which only the finish
+// sweep reads.
+func TestInvalidGraphsEveryBackend(t *testing.T) {
+	const n = 200
+	corrupt := func(f func(g *graph.Graph)) *graph.Graph {
+		g := graph.Gnm(n, 10*n, 51)
+		f(g)
+		return g
+	}
+	cases := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"out-of-range-in-sample", corrupt(func(g *graph.Graph) { g.U[7], g.V[6] = n, n })},
+		{"negative-outside-sample", corrupt(func(g *graph.Graph) { g.U[600], g.V[601] = -1, -1 })},
+		{"broken-mirror", corrupt(func(g *graph.Graph) { g.V[600] = (g.U[601] + 1) % n })},
+		{"unequal-columns", corrupt(func(g *graph.Graph) { g.V = g.V[:len(g.V)-2] })},
+		{"odd-columns", corrupt(func(g *graph.Graph) { g.U, g.V = g.U[:len(g.U)-1], g.V[:len(g.V)-1] })},
+	}
+	valid := graph.Gnm(n, 10*n, 52)
+	oracle := baseline.Components(valid)
+	ctx := context.Background()
+	for _, bk := range Backends() {
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("%v/%s", bk, tc.name), func(t *testing.T) {
+				want := tc.g.Validate()
+				if want == nil {
+					t.Fatal("the corrupted graph passes Validate")
+				}
+				s, err := NewSolver(WithBackend(bk), WithWorkers(2), WithSeed(1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				res, err := s.Solve(ctx, tc.g)
+				if res != nil || err == nil || err.Error() != want.Error() {
+					t.Fatalf("Solve = (%v, %v), want (nil, %q)", res, err, want)
+				}
+				res, err = s.Solve(ctx, valid)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := check.SamePartition(res.Labels, oracle); err != nil {
+					t.Fatalf("the valid solve after the rejected one: %v", err)
+				}
+			})
+		}
+	}
+}
+
+// TestForestBackendsCountComponents: the forest engines' component
+// count, taken by the closing shortcut sweep rather than by a pass over
+// the labels, equals the BFS count on every generator family and on
+// the edge cases of an empty graph, a graph without edges and one of
+// self-loops only, at every worker count.
+func TestForestBackendsCountComponents(t *testing.T) {
+	zoo := generatorZoo()
+	zoo["gnm-dense"] = graph.Gnm(2000, 20000, 53)
+	zoo["empty"] = graph.New(0)
+	zoo["no-edges"] = graph.New(37)
+	zoo["self-loops"] = graph.FromEdges(5, [][2]int{{0, 0}, {1, 1}, {3, 3}})
+	ctx := context.Background()
+	for name, g := range zoo {
+		want := 0
+		for v, l := range g.ComponentsBFS() {
+			if int(l) == v {
+				want++
+			}
+		}
+		for _, bk := range []Backend{BackendNative, BackendIncremental} {
+			for _, workers := range []int{1, 2, 4} {
+				s, err := NewSolver(WithBackend(bk), WithWorkers(workers))
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := s.Solve(ctx, g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.NumComponents != want {
+					t.Fatalf("%s %v workers=%d: %d components, BFS %d",
+						name, bk, workers, res.NumComponents, want)
+				}
+				s.Close()
+			}
+		}
+	}
+}
+
 // FuzzBackendEquivalence: arbitrary multigraphs, worker counts, grain
 // choices, and batch splits — native, one-shot incremental, batched
 // incremental, and union-find must always agree.

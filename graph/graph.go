@@ -122,11 +122,13 @@ func (g *Graph) Degree(v int) int {
 // Validate checks structural invariants: every arc in range, and arcs
 // forming mirror pairs. It returns a descriptive error on violation.
 //
-// It runs before every solve, so the check is one pass over the arc
-// pairs: pair (2k, 2k+1) is valid exactly when U[2k] and U[2k+1] are
-// in range and V mirrors them, and matching mirrors put V in range
-// too. The first failing pair hands over to validateFrom, which
-// produces the error.
+// The simulated solvers call it before they run; the parallel engine
+// runs the same pair check sharded on its worker pool and calls
+// Validate only to build the error, so every backend rejects a graph
+// with this text. The check is one pass over the arc pairs: pair
+// (2k, 2k+1) is valid exactly when U[2k] and U[2k+1] are in range and
+// V mirrors them, and matching mirrors put V in range too. The first
+// failing pair hands over to validateFrom, which produces the error.
 func (g *Graph) Validate() error {
 	if len(g.U) != len(g.V) {
 		return fmt.Errorf("graph: arc slices have different lengths %d, %d", len(g.U), len(g.V))

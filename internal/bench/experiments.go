@@ -580,9 +580,8 @@ func E11(scale Scale) *Table {
 				same = false
 				continue
 			}
-			// Stats.Wall times the run itself (validation and label
-			// counting excluded), the same quantity the old
-			// hand-rolled sim/native columns measured.
+			// Stats.Wall times the engine call: validation, the run
+			// and the component count, on every backend alike.
 			row = append(row, ms(res.Stats.Wall))
 			if check.SamePartition(res.Labels, uf) != nil {
 				same = false

@@ -10,20 +10,24 @@
 //
 //   - link a span of edges into the forest (link). Every sweep reads
 //     edge i as the mirror pair (U[2i], U[2i+1]) of the span's U column,
-//     one contiguous 8-byte record, so no sweep touches V. A span with
-//     m < 2.5·n is one root-link sweep: uf.Link on every edge, which
-//     connects the whole forest in one pass regardless of diameter. A
-//     larger span goes sample → shortcut → finish (the
-//     Afforest/ConnectIt recipe): it links every s-th edge,
-//     s = ⌊m/(5n/4)⌋, so about 1.25·n edges build most of the forest,
-//     shortcuts it flat, then sweeps every edge, skipping those whose
-//     endpoints already carry one parent (two reads, no CAS — the bulk
-//     of a sample's giant component) and linking the rest. Both forms
-//     hold on any forest that keeps the uf invariants, fresh or not.
+//     one contiguous 8-byte record, so no link sweep touches V. A span
+//     with m < 2.5·n is one root-link sweep: uf.Link on every edge,
+//     which connects the whole forest in one pass regardless of
+//     diameter. A larger span goes sample → shortcut → finish (the
+//     Afforest/ConnectIt recipe) over blocks of 256 consecutive edges
+//     (2 KiB of U): it links every s-th block, s = ⌊m/(5n/4)⌋, so about
+//     1.25·n edges build most of the forest while the sweep reads only
+//     the sampled blocks of U, shortcuts it flat, then sweeps the other
+//     blocks, skipping edges whose endpoints already carry one parent
+//     (two reads, no CAS — the bulk of a sample's giant component) and
+//     linking the rest. Both forms hold on any forest that keeps the uf
+//     invariants, fresh or not.
 //   - flatten the forest in place (Run). The forest is the caller's
 //     label array, started as the identity: a one-shot solve is one
-//     link of the graph's own arc column and one shortcut sweep, with
-//     no verification round after it, and allocates nothing.
+//     round — a validation sweep over the graph's arc pairs, one link
+//     of its own arc column and one shortcut sweep that also counts the
+//     components — with no verification round after it, and allocates
+//     nothing.
 //   - flatten the forest into a fresh column and publish it
 //     (AddSpan). The engine keeps a live forest that streaming batches
 //     are linked into; after each batch every vertex's root is
@@ -58,6 +62,7 @@ package forest
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -92,7 +97,8 @@ type Options struct {
 	Workers int
 	// Grain is the number of edges or vertices a worker claims per
 	// fetch of a range cursor; 0 derives pool.AdaptiveGrain from the
-	// sweep size and worker count.
+	// sweep size and worker count. A sampled round claims whole blocks
+	// of edges, so its sweeps round the grain up to a block multiple.
 	Grain int
 }
 
@@ -113,18 +119,26 @@ type Snapshot struct {
 
 // phase selects the chunk body of the current sweep.
 const (
-	phaseRootLink   int32 = iota // link the roots of every stride-th edge
-	phaseFinishLink              // link the roots of edges whose parents differ
-	phaseShortcut                // point every vertex at its root, in place
-	phaseFlatten                 // resolve every vertex's root into out
+	phaseValidate   int32 = iota // OR range and mirror violations of arc pairs
+	phaseRootLink                // link the roots of every edge
+	phaseSampleLink              // link the roots of every edge of every stride-th block
+	phaseFinishLink              // link the roots of edges whose parents differ, outside the sample
+	phaseShortcut                // point every vertex at its root, in place, counting roots
+	phaseFlatten                 // resolve every vertex's root into out, counting roots
 )
 
-// sampleStride returns the stride s of a link's sample, ⌊m/(5n/4)⌋,
-// so the sample holds about 1.25·n edges. The sample pays off only
-// when it leaves most edges to the skip test, so link samples only at
-// s ≥ 2, that is m ≥ 2.5·n (forcing s = 2 was no faster at m/n = 2
-// and slower at m/n = 1); the constant is from the stride sweep in
-// EXPERIMENTS.md appendix A3.
+// blockEdges is the edge count of a sampled round's block: 256 edges
+// are 2 KiB of U, so a sample of whole blocks streams only the blocks
+// it links, where a sample of every s-th edge touches every cache line
+// of U once s·8 bytes reach the 64-byte line.
+const blockEdges = 256
+
+// sampleStride returns the block stride s of a link's sample,
+// ⌊m/(5n/4)⌋, so the sample of every s-th block holds about 1.25·n
+// edges. The sample pays off only when it leaves most edges to the
+// skip test, so link samples only at s ≥ 2, that is m ≥ 2.5·n (forcing
+// s = 2 was no faster at m/n = 2 and slower at m/n = 1); the constant
+// is from the stride sweep in EXPERIMENTS.md appendix A3.
 //
 //pramcc:zeroalloc
 func sampleStride(n, m int) int {
@@ -150,14 +164,19 @@ type Engine struct {
 	// only and read by chunk, the one chunk body, which is bound once
 	// at construction so no operation creates a closure (and therefore
 	// allocates) per call. The claim cursors live in the scheduler.
-	ctx    context.Context
-	forest []int32 // the forest being swept: parent, or Run's labels
-	arcs   []int32 // the U column being linked
-	stride int     // phaseRootLink's edge stride: 1, or the sample stride
-	out    []int32 // phaseFlatten's fresh labels
-	roots  atomic.Int64
-	phase  int32
-	chunk  func(worker, lo, hi int) bool
+	ctx     context.Context
+	forest  []int32 // the forest being swept: parent, or Run's labels
+	arcs    []int32 // the U column being linked or validated
+	mirrors []int32 // phaseValidate's V column
+	stride  int     // a sampled round's block stride
+	out     []int32 // phaseFlatten's fresh labels
+	bad     atomic.Bool
+	roots   atomic.Int64
+	phase   int32
+	chunk   func(worker, lo, hi int) bool
+
+	// comps is the component count of the last Run that returned nil.
+	comps int
 }
 
 // New returns an engine with a live worker pool and a streaming forest
@@ -197,19 +216,39 @@ func (e *Engine) Snapshot() *Snapshot { return e.snap.Load() }
 
 // Run computes the connected components of g into labels, which must
 // have length g.N; on return labels[v] is the minimum vertex id of
-// v's component. labels is the forest: it starts as the identity, g's
-// edges are linked into it, and it is flattened in place. The
-// streaming forest is not touched. Run returns the number of
-// link+shortcut rounds run: 1 on any graph with an edge, 0 on a graph
-// without edges.
+// v's component, and Components reports how many components there are.
+// labels is the forest: it starts as the identity, g's edges are linked
+// into it, and it is flattened in place. The streaming forest is not
+// touched. Run returns the number of link+shortcut rounds run: 1 on any
+// graph with an edge, 0 on a graph without edges.
 //
-// ctx is checked before the round, at every chunk boundary and after
-// the round: when it is cancelled or past its deadline, Run returns
-// ctx.Err() with the rounds it started. The labels buffer then holds a
-// partial labeling that the caller must discard.
+// The round opens with a validation sweep over g's arc pairs on the
+// pool, so no link reads an arc before it is known to be in range. A
+// graph that Graph.Validate rejects gets exactly its error, with 0
+// rounds; the labels buffer then holds the identity.
+//
+// ctx is checked before the round, at every chunk boundary, after the
+// validation sweep and after the round: when it is cancelled or past
+// its deadline, Run returns ctx.Err() with the rounds it started. The
+// labels buffer then holds a partial labeling that the caller must
+// discard.
+func (e *Engine) Run(ctx context.Context, g *graph.Graph, labels []int32) (int, error) {
+	rounds, err := e.run(ctx, g, labels)
+	if err == errInvalid {
+		return 0, g.Validate()
+	}
+	return rounds, err
+}
+
+// errInvalid is run's report of a graph that Graph.Validate rejects;
+// Run replaces it with Validate's own error, so only a rejected graph
+// pays for building one.
+var errInvalid = errors.New("forest: invalid graph")
+
+// run is Run without the error text of a rejected graph.
 //
 //pramcc:zeroalloc
-func (e *Engine) Run(ctx context.Context, g *graph.Graph, labels []int32) (int, error) {
+func (e *Engine) run(ctx context.Context, g *graph.Graph, labels []int32) (int, error) {
 	if len(labels) != g.N {
 		panic("forest: label buffer length does not match g.N")
 	}
@@ -219,7 +258,11 @@ func (e *Engine) Run(ctx context.Context, g *graph.Graph, labels []int32) (int, 
 	for i := range labels {
 		labels[i] = int32(i)
 	}
-	if g.N == 0 || g.NumEdges() == 0 {
+	if len(g.U) != len(g.V) || len(g.U)%2 != 0 {
+		return 0, errInvalid
+	}
+	if g.NumEdges() == 0 {
+		e.comps = g.N
 		return 0, ctx.Err()
 	}
 	if err := ctx.Err(); err != nil {
@@ -233,9 +276,22 @@ func (e *Engine) Run(ctx context.Context, g *graph.Graph, labels []int32) (int, 
 	if emit {
 		start = time.Now()
 	}
-	e.ctx, e.forest = ctx, labels
+	e.ctx, e.forest, e.arcs, e.mirrors = ctx, labels, g.U, g.V
+	e.bad.Store(false)
+	e.sweep(phaseValidate, g.NumEdges(), e.grain)
+	e.mirrors = nil
+	if err := ctx.Err(); err != nil {
+		e.ctx, e.forest, e.arcs = nil, nil, nil
+		return cancelled(1, err)
+	}
+	if e.bad.Load() {
+		e.ctx, e.forest, e.arcs = nil, nil, nil
+		return 0, errInvalid
+	}
 	e.link(g.U)
-	e.sweep(phaseShortcut, g.N)
+	e.roots.Store(0)
+	e.sweep(phaseShortcut, g.N, e.grain)
+	e.comps = int(e.roots.Load())
 	e.ctx, e.forest, e.arcs = nil, nil, nil
 	if emit {
 		obs.Emit(obs.Event{Source: "native", Category: "engine",
@@ -250,6 +306,12 @@ func (e *Engine) Run(ctx context.Context, g *graph.Graph, labels []int32) (int, 
 	mRounds.Inc()
 	return 1, nil
 }
+
+// Components returns the component count of the labels the last Run
+// that returned nil produced, counted by its closing shortcut sweep.
+//
+//pramcc:zeroalloc
+func (e *Engine) Components() int { return e.comps }
 
 // cancelled reports a run abandoned after the given rounds, emitting
 // the cancelled-run event when a sink is attached.
@@ -446,7 +508,7 @@ func (e *Engine) publish(edges int64) *Snapshot {
 	labels := wire.Column(len(e.parent))
 	e.ctx, e.forest, e.out = context.Background(), e.parent, labels
 	e.roots.Store(0)
-	e.sweep(phaseFlatten, len(labels))
+	e.sweep(phaseFlatten, len(labels), e.grain)
 	e.ctx, e.forest, e.out = nil, nil, nil
 	s := &Snapshot{
 		Labels:     labels,
@@ -460,31 +522,44 @@ func (e *Engine) publish(edges int64) *Snapshot {
 
 // link joins the endpoints of every edge of arcs, a mirror-pair U
 // column, in e.forest: one root-link sweep, or on m ≥ 2.5·n the
-// sampled sample → shortcut → finish round. The caller binds e.ctx and
-// e.forest; a cancelled ctx stops every sweep within a chunk per
-// worker.
+// sampled sample → shortcut → finish round over whole blocks. The
+// caller binds e.ctx and e.forest; a cancelled ctx stops every sweep
+// within a chunk per worker.
 //
 //pramcc:zeroalloc
 func (e *Engine) link(arcs []int32) {
 	n, m := len(e.forest), len(arcs)/2
 	e.arcs = arcs
-	if e.stride = sampleStride(n, m); e.stride >= 2 {
-		e.sweep(phaseRootLink, (m+e.stride-1)/e.stride)
-		e.sweep(phaseShortcut, n)
-		e.sweep(phaseFinishLink, m)
-	} else {
-		e.stride = 1
-		e.sweep(phaseRootLink, m)
+	if e.stride = sampleStride(n, m); e.stride < 2 {
+		e.sweep(phaseRootLink, m, e.grain)
+		return
 	}
+	blocks := (m + blockEdges - 1) / blockEdges
+	e.sweep(phaseSampleLink, (blocks+e.stride-1)/e.stride, e.blockGrain(m/e.stride))
+	e.sweep(phaseShortcut, n, e.grain)
+	e.sweep(phaseFinishLink, blocks, e.blockGrain(m))
+}
+
+// blockGrain is the claim grain, in blocks, of a block sweep over the
+// given number of edges: the engine's edge grain, or the adaptive one
+// for that many edges, rounded up to whole blocks.
+//
+//pramcc:zeroalloc
+func (e *Engine) blockGrain(edges int) int {
+	grain := e.grain
+	if grain <= 0 {
+		grain = pool.AdaptiveGrain(edges, e.pool.Workers())
+	}
+	return (grain + blockEdges - 1) / blockEdges
 }
 
 // sweep runs one phase over [0, total) on the shared locality-aware
-// scheduler.
+// scheduler, grain items per claim (0 = adaptive).
 //
 //pramcc:zeroalloc
-func (e *Engine) sweep(phase int32, total int) {
+func (e *Engine) sweep(phase int32, total, grain int) {
 	e.phase = phase
-	e.pool.Sharded(total, e.grain, e.chunk)
+	e.pool.Sharded(total, grain, e.chunk)
 }
 
 // chunkBody runs one claimed chunk of the current phase. The ctx poll
@@ -498,10 +573,14 @@ func (e *Engine) chunkBody(_, lo, hi int) bool {
 		return false
 	}
 	switch e.phase {
+	case phaseValidate:
+		e.validateEdges(lo, hi)
 	case phaseRootLink:
 		e.rootLinkEdges(lo, hi)
+	case phaseSampleLink:
+		e.sampleLinkBlocks(lo, hi)
 	case phaseFinishLink:
-		e.finishLinkEdges(lo, hi)
+		e.finishLinkBlocks(lo, hi)
 	case phaseShortcut:
 		e.shortcut(lo, hi)
 	default:
@@ -510,52 +589,96 @@ func (e *Engine) chunkBody(_, lo, hi int) bool {
 	return true
 }
 
-// rootLinkEdges links, for each j in [lo, hi), the roots of edge
-// j·stride all the way (uf.Link), so both endpoints share a root when
-// the call moves on. Arcs come in mirror pairs, so edge i is the
-// adjacent pair (U[2i], U[2i+1]) and covering it once covers both
-// directions; Graph.Validate and EdgeSpan.Validate reject non-mirror
-// arcs before any link. With stride 1 the sweep covers every edge and
-// connects the whole forest regardless of diameter; with a larger
-// stride it links the round's sample.
+// validateEdges checks the arc pairs of edges [lo, hi) the way
+// Graph.Validate does — both arcs of a pair in [0, n) and V mirroring
+// them — without a branch per pair: it keeps the largest endpoint seen,
+// as unsigned so a negative one is huge, and ORs the XOR of each V arc
+// with the U arc it must mirror. A chunk that finds a violation sets
+// e.bad; Run then asks Graph.Validate for the error.
+//
+//pramcc:zeroalloc
+func (e *Engine) validateEdges(lo, hi int) {
+	arcs := e.arcs[2*lo : 2*hi]
+	mirrors := e.mirrors[2*lo : 2*hi]
+	mirrors = mirrors[:len(arcs)]
+	var top uint32
+	var diff int32
+	for i := 0; i+1 < len(arcs); i += 2 {
+		u, v := arcs[i], arcs[i+1]
+		top = max(top, uint32(u), uint32(v))
+		diff |= (mirrors[i] ^ v) | (mirrors[i+1] ^ u)
+	}
+	if top >= uint32(len(e.forest)) || diff != 0 {
+		e.bad.Store(true)
+	}
+}
+
+// rootLinkEdges links the roots of every edge of [lo, hi) all the way
+// (uf.Link), so both endpoints share a root when the call moves on.
+// Arcs come in mirror pairs, so edge i is the adjacent pair
+// (U[2i], U[2i+1]) and covering it once covers both directions; Run's
+// validation sweep and EdgeSpan.Validate reject non-mirror arcs before
+// any link. Over every edge the sweep connects the whole forest
+// regardless of diameter; over a block it links part of a sample.
 //
 //pramcc:zeroalloc
 func (e *Engine) rootLinkEdges(lo, hi int) {
-	arcs, forest, stride := e.arcs, e.forest, e.stride
-	for j := lo; j < hi; j++ {
-		i := 2 * j * stride
+	arcs, forest := e.arcs[2*lo:2*hi], e.forest
+	for i := 0; i+1 < len(arcs); i += 2 {
 		if u, v := arcs[i], arcs[i+1]; u != v {
 			uf.Link(forest, u, v)
 		}
 	}
 }
 
-// finishLinkEdges is the rest of a sampled round: every edge of
-// [lo, hi) whose endpoints have different parents is root-linked, and
-// the others are skipped. The skip is sound because equal parents mean
-// u and v already share a tree; after the sample's shortcut that
-// covers most edges of its giant component, which then cost two reads
-// and no CAS.
+// sampleLinkBlocks root-links the sample blocks j·stride, j in
+// [lo, hi): whole blocks of consecutive edges, the last one cut at m.
 //
 //pramcc:zeroalloc
-func (e *Engine) finishLinkEdges(lo, hi int) {
-	arcs, forest := e.arcs, e.forest
-	for i := lo; i < hi; i++ {
-		u, v := arcs[2*i], arcs[2*i+1]
-		if atomic.LoadInt32(&forest[u]) != atomic.LoadInt32(&forest[v]) {
-			uf.Link(forest, u, v)
+func (e *Engine) sampleLinkBlocks(lo, hi int) {
+	m := len(e.arcs) / 2
+	for j := lo; j < hi; j++ {
+		first := j * e.stride * blockEdges
+		e.rootLinkEdges(first, min(first+blockEdges, m))
+	}
+}
+
+// finishLinkBlocks is the rest of a sampled round over blocks [lo, hi):
+// it skips the sample blocks, already linked, and in every other block
+// root-links each edge whose endpoints have different parents, skipping
+// the others. The skip is sound because equal parents mean u and v
+// already share a tree; after the sample's shortcut that covers most
+// edges of its giant component, which then cost two reads and no CAS.
+//
+//pramcc:zeroalloc
+func (e *Engine) finishLinkBlocks(lo, hi int) {
+	m, forest := len(e.arcs)/2, e.forest
+	for b := lo; b < hi; b++ {
+		if b%e.stride == 0 {
+			continue
+		}
+		first := b * blockEdges
+		arcs := e.arcs[2*first : 2*min(first+blockEdges, m)]
+		for i := 0; i+1 < len(arcs); i += 2 {
+			u, v := arcs[i], arcs[i+1]
+			if atomic.LoadInt32(&forest[u]) != atomic.LoadInt32(&forest[v]) {
+				uf.Link(forest, u, v)
+			}
 		}
 	}
 }
 
-// shortcut points every vertex in [lo, hi) at its root. No link runs
-// during a shortcut sweep and each vertex belongs to one chunk, so
-// forest[v] has one writer, and a concurrent walk through v reads
-// either its old parent or its root, both ancestors.
+// shortcut points every vertex in [lo, hi) at its root and counts the
+// roots. No link runs during a shortcut sweep and each vertex belongs
+// to one chunk, so forest[v] has one writer, and a concurrent walk
+// through v reads either its old parent or its root, both ancestors.
+// Roots stay put, so the count after Run's closing shortcut is the
+// component count.
 //
 //pramcc:zeroalloc
 func (e *Engine) shortcut(lo, hi int) {
 	forest := e.forest
+	local := int64(0)
 	for v := lo; v < hi; v++ {
 		p := atomic.LoadInt32(&forest[v])
 		root := p
@@ -569,6 +692,12 @@ func (e *Engine) shortcut(lo, hi int) {
 		if root != p {
 			atomic.StoreInt32(&forest[v], root)
 		}
+		if root == int32(v) {
+			local++
+		}
+	}
+	if local != 0 {
+		e.roots.Add(local)
 	}
 }
 

@@ -3,6 +3,7 @@ package forest
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync/atomic"
 	"testing"
 
@@ -150,11 +151,27 @@ func TestRoundsAreFew(t *testing.T) {
 	}
 }
 
+// sortedGnm is Gnm(n, m, seed) with its edges sorted by endpoints,
+// duplicates kept, so m stays exact: a block of consecutive edges then
+// holds the edges of a few consecutive vertices.
+func sortedGnm(n, m int, seed int64) *graph.Graph {
+	edges := graph.Gnm(n, m, seed).Span().Pairs()
+	sort.Slice(edges, func(i, j int) bool {
+		if edges[i][0] != edges[j][0] {
+			return edges[i][0] < edges[j][0]
+		}
+		return edges[i][1] < edges[j][1]
+	})
+	return graph.FromEdges(n, edges)
+}
+
 // TestRootLinkRoundIsExact: the root-linking round is the whole solve —
 // one round whose labels equal the BFS oracle's minimum-id labels on
 // every worker count and grain, with no verification round behind it
 // to catch a wrong one. The Gnm densities straddle the sampling cutoff
-// m ≥ 2.5n, so both forms of the round run.
+// m ≥ 2.5n, so both forms of the round run; the sampled ones include
+// edge-sorted inputs, whose sample blocks each cover a few consecutive
+// vertices, and a last block that is sampled but not full.
 func TestRootLinkRoundIsExact(t *testing.T) {
 	const n = 1000
 	messy := graph.WithIsolated(graph.Gnm(n, 2*n, 31), 40)
@@ -163,6 +180,7 @@ func TestRootLinkRoundIsExact(t *testing.T) {
 		messy.AddEdge(i, (i*5+1)%n) // and the same edge twice
 		messy.AddEdge(i, (i*5+1)%n)
 	}
+	dense := graph.Gnm(n, 10*n, 39)
 	cases := []struct {
 		name string
 		g    *graph.Graph
@@ -178,6 +196,9 @@ func TestRootLinkRoundIsExact(t *testing.T) {
 		{"loops-multi-isolated", messy},
 		{"isolated", graph.WithIsolated(graph.Path(50), 200)},
 		{"empty", graph.New(0)},
+		{"gnm-sorted-m/n=10", graph.FromEdges(n, dense.SortedDedupEdges())},
+		{"gnm-partial-last-block", graph.Gnm(n, 12*blockEdges+5, 40)},
+		{"gnm-sorted-m/n=2.5", sortedGnm(n, 5*n/2, 41)},
 	}
 	for _, tc := range cases {
 		g := tc.g
@@ -199,6 +220,18 @@ func TestRootLinkRoundIsExact(t *testing.T) {
 
 func BenchmarkNativeGnm(b *testing.B) {
 	g := graph.Gnm(100000, 400000, 42)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		components(g, Options{})
+	}
+}
+
+// BenchmarkNativeGnmSorted is BenchmarkNativeGnm's graph with its
+// edges sorted: each sample block then covers a few consecutive
+// vertices instead of a spread of random ones.
+func BenchmarkNativeGnmSorted(b *testing.B) {
+	g0 := graph.Gnm(100000, 400000, 42)
+	g := graph.FromEdges(g0.N, g0.SortedDedupEdges())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		components(g, Options{})

@@ -69,6 +69,8 @@ func New(workers int) *Pool {
 }
 
 // Workers returns the pool's worker count.
+//
+//pramcc:zeroalloc
 func (p *Pool) Workers() int { return len(p.jobs) }
 
 // Run executes f once on every worker and waits for all of them.

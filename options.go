@@ -154,9 +154,11 @@ func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 // (BackendNative, BackendIncremental). 0 (the default) selects
 // adaptive sizing, total/(workers·8) clamped to [64, 4096], which is
 // right for almost every workload; a fixed grain pins the claim size
-// for benchmarks and reproduces legacy behaviour (grain 4096). The
-// simulator has no scheduler: it runs every step on the calling
-// goroutine.
+// for benchmarks and reproduces legacy behaviour (grain 4096). An item
+// is an edge or a vertex; the sweeps of a sampled round (m ≥ 2.5n)
+// claim whole blocks of 256 edges, so they round the edge grain up to
+// a block multiple. The simulator has no scheduler: it runs every step
+// on the calling goroutine.
 func WithGrain(n int) Option { return func(c *config) { c.grain = n } }
 
 // WithMaxRounds caps the main loop of ConnectedComponents (EXPAND-

@@ -22,7 +22,7 @@ type Stats struct {
 	// ---- real quantities (all backends) ----
 
 	Backend Backend       // engine that produced the result
-	Wall    time.Duration // wall clock of the run itself — result assembly (label counting) is excluded
+	Wall    time.Duration // wall clock of the run; a Solve's also covers its engine's validation and component count
 	Workers int           // host goroutine count that executed the run
 	Rounds  int           // main-loop rounds: EXPAND-MAXLINK rounds or phases (simulated); link+shortcut rounds, 1 or 0 with no edges (native); batches since the last reset, 1 for a one-shot solve (incremental)
 	Grain   int           // configured scheduler claim grain (WithGrain); 0 means adaptive sizing
@@ -70,16 +70,21 @@ type ForestResult struct {
 	Span graph.EdgeSpan
 }
 
+// errNilGraph is every entry point's error for a nil graph.
+var errNilGraph = errors.New("pramcc: nil graph")
+
 func validate(g *graph.Graph) error {
 	if g == nil {
-		return errors.New("pramcc: nil graph")
+		return errNilGraph
 	}
 	return g.Validate()
 }
 
 // countLabels returns the number of distinct labels, counting in
 // *seen, which it grows to len(labels) and leaves there for the next
-// call (a Solver keeps it, so a steady-state count allocates nothing).
+// call (the simulated engine keeps it, so a steady-state count
+// allocates nothing). The forest engines count their roots in their
+// closing shortcut instead.
 // Every backend labels a component by one of its vertices, so labels
 // live in [0, len(labels)) and one indexed pass over a flat seen-array
 // counts them in O(n) — the map that used to live here cost more than

@@ -13,13 +13,15 @@ import (
 
 // solveOutput is the reusable buffer an engine fills in place of
 // returning freshly allocated results: labels is resized (reusing
-// capacity) and overwritten, stats is fully rewritten except Wall,
-// which the Solver measures around the engine call. Keeping the buffer
-// on the caller side is what lets a long-lived Solver reach zero
-// steady-state allocations on the native backend.
+// capacity) and overwritten, components is the labeling's component
+// count, and stats is fully rewritten except Wall, which the Solver
+// measures around the engine call. Keeping the buffer on the caller
+// side is what lets a long-lived Solver reach zero steady-state
+// allocations on the native backend.
 type solveOutput struct {
-	labels []int32
-	stats  Stats
+	labels     []int32
+	components int
+	stats      Stats
 }
 
 // setLabels overwrites out.labels with src, reusing capacity.
@@ -30,9 +32,11 @@ func (out *solveOutput) setLabels(src []int32) {
 // engine is the execution-backend interface behind Solver: one
 // implementation per registered Backend, each adapting one of the
 // internal engine packages (internal/core via the PRAM simulator, or
-// internal/forest). solve computes the component labeling of g into
-// out, honouring ctx at round/chunk boundaries; a cancelled solve
-// returns ctx.Err() and leaves no partial result visible to callers.
+// internal/forest). solve validates g — a graph that Graph.Validate
+// rejects gets exactly its error on every backend — and computes the
+// component labeling of g into out, honouring ctx at round/chunk
+// boundaries; a cancelled solve returns ctx.Err() and leaves no partial
+// result visible to callers. g is never nil.
 // close releases any long-lived resources (worker pools); it is
 // idempotent.
 type engine interface {
@@ -152,6 +156,7 @@ func errUnknownBackend(v interface{}) error {
 // simulation itself.
 type simulatedEngine struct {
 	params core.Params // everything but Ctx, which each solve sets
+	seen   []bool      // countLabels scratch
 }
 
 // simulatorWorkers is the Stats.Workers every simulated run reports:
@@ -180,6 +185,9 @@ func coreParams(c *config) core.Params {
 }
 
 func (e *simulatedEngine) solve(ctx context.Context, g *graph.Graph, out *solveOutput) error {
+	if err := g.Validate(); err != nil {
+		return err
+	}
 	m := pram.New()
 	p := e.params
 	p.Ctx = ctx
@@ -188,6 +196,7 @@ func (e *simulatedEngine) solve(ctx context.Context, g *graph.Graph, out *solveO
 		return res.CtxErr
 	}
 	out.setLabels(res.Labels)
+	out.components = countLabels(out.labels, &e.seen)
 	out.stats = Stats{
 		Backend:       BackendSimulated,
 		Workers:       simulatorWorkers,
@@ -215,9 +224,9 @@ func newForest(c *config) *forest.Engine {
 }
 
 // nativeEngine wraps a long-lived forest.Engine: the worker pool and
-// the engine's pre-bound chunk body live across solves, and the labels
-// are computed in place into out.labels, so repeated solves on
-// same-sized graphs allocate nothing.
+// the engine's pre-bound chunk body live across solves, the graph is
+// validated on that pool, and the labels are computed in place into
+// out.labels, so repeated solves on same-sized graphs allocate nothing.
 type nativeEngine struct {
 	eng *forest.Engine
 }
@@ -228,14 +237,17 @@ func (e *nativeEngine) solve(ctx context.Context, g *graph.Graph, out *solveOutp
 	return err
 }
 
-// run solves g into out.labels, reusing their capacity.
+// run solves g into out.labels, reusing their capacity, and records
+// the component count the engine's closing shortcut counted.
 func (e *nativeEngine) run(ctx context.Context, g *graph.Graph, out *solveOutput) (int, error) {
 	if cap(out.labels) >= g.N {
 		out.labels = out.labels[:g.N]
 	} else {
 		out.labels = make([]int32, g.N)
 	}
-	return e.eng.Run(ctx, g, out.labels)
+	rounds, err := e.eng.Run(ctx, g, out.labels)
+	out.components = e.eng.Components()
+	return rounds, err
 }
 
 func (e *nativeEngine) stats(b Backend, rounds int) Stats {

@@ -89,8 +89,8 @@ func (sv *Service) publish(r *Result) {
 // round/batch boundaries — nothing is published and the previous
 // snapshot keeps serving queries.
 func (sv *Service) Update(ctx context.Context, g *graph.Graph) (*Result, error) {
-	if err := validate(g); err != nil {
-		return nil, err
+	if g == nil {
+		return nil, errNilGraph
 	}
 	sv.mu.Lock()
 	defer sv.mu.Unlock()

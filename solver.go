@@ -47,9 +47,8 @@ type Solver struct {
 	closed bool
 
 	// Reusable per-solve state, all guarded by mu.
-	out  solveOutput
-	seen []bool // countLabels scratch
-	res  Result // the returned Result, rewritten by every Solve
+	out solveOutput
+	res Result // the returned Result, rewritten by every Solve
 }
 
 // NewSolver builds a Solver from the same options the free functions
@@ -72,11 +71,13 @@ func newSolverFromConfig(c config) (*Solver, error) {
 func (s *Solver) Backend() Backend { return s.cfg.backend }
 
 // Solve computes the connected components of g on the Solver's
-// backend. See the Solver doc for the buffer-ownership and context
-// contract.
+// backend. A graph that Graph.Validate rejects gets exactly its error
+// on every backend. Stats.Wall times the whole engine call: the
+// engine's validation, its run and its component count. See the Solver
+// doc for the buffer-ownership and context contract.
 func (s *Solver) Solve(ctx context.Context, g *graph.Graph) (*Result, error) {
-	if err := validate(g); err != nil {
-		return nil, err
+	if g == nil {
+		return nil, errNilGraph
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -94,11 +95,9 @@ func (s *Solver) Solve(ctx context.Context, g *graph.Graph) (*Result, error) {
 	if err := s.eng.solve(ctx, g, &s.out); err != nil {
 		return nil, err
 	}
-	// Wall is fixed before the O(n) label count below, so the counting
-	// pass is never charged to the run (the E11/E12 discipline).
 	s.out.stats.Wall = time.Since(start)
 	s.res.Labels = s.out.labels
-	s.res.NumComponents = countLabels(s.out.labels, &s.seen)
+	s.res.NumComponents = s.out.components
 	s.res.Stats = s.out.stats
 	return &s.res, nil
 }
