@@ -131,7 +131,10 @@
 // published labelings are checkpointed every WithCheckpointEvery
 // batches (and on every Update), and reopening the directory
 // warm-starts from the newest valid snapshot plus an exactly-once
-// replay of the log — RecoveryStats reports what was done.
+// replay of the log, linked into the engine's forest and published
+// once — RecoveryStats reports what was done. A fresh store's root is
+// a manifest entry of n isolated vertices, not an n-sized snapshot
+// file, so creating one costs the same whatever n is.
 // Service.Persist makes an already-running in-memory service durable
 // the same way. A cold Open starts from WithInitialVertices isolated
 // vertices:

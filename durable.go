@@ -1,7 +1,6 @@
 package pramcc
 
 import (
-	"context"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -41,11 +40,12 @@ func init() {
 // RecoveryStats describes the warm start that produced a Service, as
 // reported by Service.RecoveryStats.
 type RecoveryStats struct {
-	// SnapshotSeq is the batch sequence number of the snapshot the
-	// recovery started from.
+	// SnapshotSeq is the batch sequence number of the root the
+	// recovery started from: a snapshot's, or 0 for the identity root
+	// of a store that never checkpointed a snapshot.
 	SnapshotSeq uint64
 	// ReplayedBatches and ReplayedEdges count the WAL records (and the
-	// edges inside span records) replayed on top of the snapshot.
+	// edges inside span records) replayed on top of the root.
 	ReplayedBatches int
 	ReplayedEdges   int64
 	// Duration is the wall-clock time of restore plus replay.
@@ -53,17 +53,25 @@ type RecoveryStats struct {
 }
 
 // recoveryHook, when non-nil, runs after a warm start publishes the
-// recovered snapshot and before WAL replay begins — a test seam for
+// recovered root and before WAL replay begins — a test seam for
 // exercising concurrent queries against a service mid-recovery.
 var recoveryHook func(*Service)
 
 // Open opens (or creates) a durable Service rooted at dir. A fresh
 // directory starts the service on WithInitialVertices isolated
-// vertices and checkpoints that empty labeling immediately; a
-// directory with existing state warm-starts instead — the newest valid
-// snapshot is restored and the write-ahead log past it is replayed
-// exactly once, after which Service.RecoveryStats reports what was
-// done. From then on every accepted Ingest/IngestSpan/Grow batch is
+// vertices and makes that empty labeling the store's root at once — a
+// manifest entry of n isolated vertices at seq 0, not an n-sized
+// snapshot file — so a crash before the first batch reopens to the
+// same n vertices. A directory with existing state warm-starts
+// instead: the newest valid root is restored and published, every
+// record of the write-ahead log past it is replayed exactly once into
+// the engine's forest (spans linked, grows applied, in log order), and
+// the result is published once, after which Service.RecoveryStats
+// reports what was done. A warm start's work is the root's Θ(n)
+// restore, the Θ(replayed edges) links and one Θ(n) flatten, whatever
+// the number of replayed records; its published Stats.Rounds counts
+// the replayed span records, as if they had been ingested one by one.
+// From then on every accepted Ingest/IngestSpan/Grow batch is
 // logged (and fsynced) to the WAL before its snapshot publishes, every
 // Update is checkpointed before it publishes, and a snapshot
 // checkpoint is written every WithCheckpointEvery logged batches, so a
@@ -98,10 +106,10 @@ func openFS(dir string, fsys durable.FS, opts ...Option) (*Service, error) {
 			st.Close()
 			return nil, err
 		}
-		// The initial checkpoint makes the empty labeling the manifest's
+		// The identity root makes the empty labeling the manifest's
 		// root of truth: a crash before the first batch reopens to the
 		// same n isolated vertices the caller started with.
-		if err := st.Checkpoint(sv.snap.Load().Labels, 0); err != nil {
+		if err := st.CheckpointIdentity(sv.N()); err != nil {
 			sv.Close()
 			st.Close()
 			return nil, err
@@ -116,26 +124,11 @@ func openFS(dir string, fsys durable.FS, opts ...Option) (*Service, error) {
 		st.Close()
 		return nil, err
 	}
-	// The decoded labels are immutable from here on: the engine's
-	// forest copies them once, and they are published as they are.
-	se := sv.solver.eng.(streamEngine)
-	sv.publish(&Result{
-		Labels:        rec.Labels,
-		NumComponents: se.restore(rec.Labels),
-		Stats:         Stats{Backend: cfg.backend},
-	})
-	if recoveryHook != nil {
-		recoveryHook(sv)
-	}
-	var edges int64
-	for _, r := range rec.Records {
-		n, err := sv.replay(se, r)
-		if err != nil {
-			sv.Close()
-			st.Close()
-			return nil, fmt.Errorf("pramcc: wal replay at seq %d: %w", r.Seq, err)
-		}
-		edges += n
+	edges, err := sv.recoverFrom(rec)
+	if err != nil {
+		sv.Close()
+		st.Close()
+		return nil, err
 	}
 	sv.attachStore(st, cfg)
 	sv.recovery = &RecoveryStats{
@@ -182,41 +175,51 @@ func (sv *Service) attachStore(st *durable.Store, cfg config) {
 	}
 }
 
-// replay applies one recovered WAL record to the engine and publishes
-// the resulting snapshot, mirroring the live IngestSpan/Grow paths
-// minus the logging (the record is already durable). Publishing per
-// record means queries running during recovery see the same labeling
-// progression they would have seen live.
-func (sv *Service) replay(se streamEngine, r durable.Record) (edges int64, err error) {
-	switch r.Kind {
-	case durable.KindGrow:
-		cur := sv.snap.Load()
-		if r.N <= len(cur.Labels) {
-			return 0, nil
-		}
-		se.grow(r.N)
-		sv.publish(&Result{
-			Labels:        grownLabels(cur.Labels, r.N),
-			NumComponents: cur.NumComponents + r.N - len(cur.Labels),
-			Stats:         cur.Stats,
-		})
-		return 0, nil
-	case durable.KindSpan:
-		var out solveOutput
-		components, err := se.ingest(context.Background(), r.Span, &out)
-		if err != nil {
-			return 0, err
-		}
-		out.stats.Backend = sv.solver.cfg.backend
-		sv.publish(&Result{
-			Labels:        out.labels,
-			NumComponents: components,
-			Stats:         out.stats,
-		})
-		return int64(r.Span.Len()), nil
-	default:
-		return 0, fmt.Errorf("pramcc: unknown wal record kind %d", r.Kind)
+// recoverFrom restores rec's root into the engine and publishes it,
+// then links the recovered WAL records into the engine's forest in
+// sequence order — a span is linked, a grow widens the forest — and
+// publishes the result once. It mirrors the live IngestSpan/Grow paths
+// minus the logging (the records are already durable) and minus the
+// per-record flatten: K records cost their edges plus one Θ(n) pass,
+// not K of them. Queries running during recovery see the restored root
+// until the replayed labeling replaces it whole.
+func (sv *Service) recoverFrom(rec *durable.Recovered) (edges int64, err error) {
+	// The decoded labels are immutable from here on: the engine's
+	// forest copies them once, and they are published as they are.
+	se := sv.solver.eng.(streamEngine)
+	sv.publish(&Result{
+		Labels:        rec.Labels,
+		NumComponents: se.restore(rec.Labels),
+		Stats:         Stats{Backend: sv.solver.cfg.backend},
+	})
+	if recoveryHook != nil {
+		recoveryHook(sv)
 	}
+	if len(rec.Records) == 0 {
+		return 0, nil
+	}
+	for _, r := range rec.Records {
+		switch r.Kind {
+		case durable.KindGrow:
+			se.grow(r.N)
+		case durable.KindSpan:
+			if err := se.link(r.Span); err != nil {
+				return 0, fmt.Errorf("pramcc: wal replay at seq %d: %w", r.Seq, err)
+			}
+			edges += int64(r.Span.Len())
+		default:
+			return 0, fmt.Errorf("pramcc: wal replay at seq %d: unknown wal record kind %d", r.Seq, r.Kind)
+		}
+	}
+	var out solveOutput
+	components := se.flatten(&out)
+	out.stats.Backend = sv.solver.cfg.backend
+	sv.publish(&Result{
+		Labels:        out.labels,
+		NumComponents: components,
+		Stats:         out.stats,
+	})
+	return edges, nil
 }
 
 // Persist makes a live in-memory Service durable: dir (which must not

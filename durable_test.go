@@ -329,6 +329,64 @@ func TestServiceCrashEveryWriteOffset(t *testing.T) {
 	}
 }
 
+// TestFreshOpenCrashEveryWriteOffset is the crash suite of a fresh
+// open alone: a crash at every write offset of creating a store of n
+// vertices reopens either to a fresh store (nothing was promised) or
+// to exactly n isolated vertices at seq 0 — the identity root, with no
+// snapshot file behind it.
+func TestFreshOpenCrashEveryWriteOffset(t *testing.T) {
+	const n = 9
+	create := func(dir string, fsys durable.FS) bool {
+		sv, err := openFS(dir, fsys, WithInitialVertices(n))
+		if err != nil {
+			return false
+		}
+		sv.Close()
+		return true
+	}
+	probe := durable.NewFailFS(durable.OSFS{}, 1<<40)
+	if !create(t.TempDir(), probe) {
+		t.Fatal("probe open failed")
+	}
+	total := probe.Cost()
+	sawFresh, sawRoot := false, false
+	for budget := int64(0); budget <= total; budget++ {
+		dir := t.TempDir()
+		created := create(dir, durable.NewFailFS(durable.OSFS{}, budget))
+
+		st, rec, err := durable.Open(dir, nil)
+		if err != nil {
+			t.Fatalf("budget %d: reopen after crash: %v", budget, err)
+		}
+		st.Close()
+		if rec == nil {
+			if created {
+				t.Fatalf("budget %d: open succeeded but reopen found a fresh store", budget)
+			}
+			sawFresh = true
+			continue
+		}
+		sawRoot = true
+		if rec.SnapshotSeq != 0 || len(rec.Records) != 0 || len(rec.Labels) != n {
+			t.Fatalf("budget %d: reopened to seq %d, %d records, %d vertices; want %d isolated vertices at seq 0",
+				budget, rec.SnapshotSeq, len(rec.Records), len(rec.Labels), n)
+		}
+		for v, l := range rec.Labels {
+			if int(l) != v {
+				t.Fatalf("budget %d: reopened vertex %d labeled %d, want isolated", budget, v, l)
+			}
+		}
+		sv := openDurable(t, dir)
+		if sv.N() != n || sv.NumComponents() != n {
+			t.Fatalf("budget %d: reopened service has %d vertices in %d components, want %d isolated", budget, sv.N(), sv.NumComponents(), n)
+		}
+		sv.Close()
+	}
+	if !sawFresh || !sawRoot {
+		t.Fatalf("sweep of %d budgets saw fresh=%v root=%v, want both", total+1, sawFresh, sawRoot)
+	}
+}
+
 // TestConcurrentQueriesDuringRecovery drives lock-free queries against
 // a service while its WAL replay is still running — the -race lane's
 // check that recovery publishes snapshots with the same discipline as

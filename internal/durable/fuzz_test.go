@@ -2,6 +2,8 @@ package durable
 
 import (
 	"bytes"
+	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -74,6 +76,47 @@ func FuzzWALDecode(f *testing.F) {
 		}
 		if !bytes.Equal(re, data[:tornAt]) {
 			t.Fatalf("accepted prefix does not re-encode: %d records, tornAt %d, re-encoded %d bytes", len(recs), tornAt, len(re))
+		}
+	})
+}
+
+// FuzzManifestDecode hardens decodeManifest: arbitrary bytes must never
+// panic, and whatever it accepts must be a list of recovery roots that
+// re-encodes and decodes to the same roots — bare snapshot file names,
+// and at most one identity root, in [0, 2^31) and last.
+func FuzzManifestDecode(f *testing.F) {
+	f.Add(encodeManifest([]manifestEntry{{n: 6}}))
+	f.Add(encodeManifest([]manifestEntry{{file: "snap-0000000000000002.pccs", seq: 2}, {n: 6}}))
+	f.Add(encodeManifest([]manifestEntry{{file: "snap-0000000000000006.pccs", seq: 6}, {file: "snap-0000000000000004.pccs", seq: 4}}))
+	f.Add(sealManifest("identity 6", "snapshot snap-0000000000000002.pccs 2"))
+	f.Add(sealManifest("identity 2147483648"))
+	f.Add(sealManifest("identity -1"))
+	good := encodeManifest([]manifestEntry{{n: 6}})
+	f.Add(good[:len(good)-2]) // truncated footer
+	f.Add([]byte("PCCM 1\ncrc 00000000\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		entries, err := decodeManifest(data)
+		if err != nil {
+			return
+		}
+		if len(entries) == 0 {
+			t.Fatal("decoder accepted a manifest with no roots")
+		}
+		for i, e := range entries {
+			if e.identity() {
+				if i != len(entries)-1 || e.n < 0 || e.n > maxIdentityN || e.seq != 0 {
+					t.Fatalf("decoder accepted identity root %d of %d: %+v", i, len(entries), e)
+				}
+			} else if e.file != filepath.Base(e.file) {
+				t.Fatalf("decoder accepted snapshot name %q", e.file)
+			}
+		}
+		again, err := decodeManifest(encodeManifest(entries))
+		if err != nil {
+			t.Fatalf("re-encoding of accepted roots %v rejected: %v", entries, err)
+		}
+		if !reflect.DeepEqual(again, entries) {
+			t.Fatalf("roots %v re-decode as %v", entries, again)
 		}
 	})
 }

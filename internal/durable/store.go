@@ -6,6 +6,10 @@
 // (every K batches), the batch stream is logged continuously with one
 // fsync per batch, and recovery is the newest valid snapshot plus an
 // exactly-once replay of the WAL records past its sequence number.
+// A fresh store writes no snapshot at all: CheckpointIdentity makes
+// "n isolated vertices at seq 0" its root with one manifest write, and
+// recovery rebuilds those identity labels from n, so opening a store
+// costs what the store holds rather than a dense n-sized file.
 //
 // Crash discipline, enforced by the crash-injection suite
 // (crash_test.go) at every write-site byte offset:
@@ -18,9 +22,11 @@
 //     reachable only when the MANIFEST — replaced via write-temp,
 //     fsync, rename, fsync-dir — points at them, so a half-written
 //     snapshot is never consulted.
-//   - The WAL is retained back to the manifest's fallback snapshot, so
+//   - The WAL is retained back to the manifest's fallback root, so
 //     recovery converges on the same labeling from either manifest
-//     entry even if the newest snapshot file is damaged.
+//     entry even if the newest snapshot file is damaged. An identity
+//     root in the fallback slot retains the WAL from seq 1 and has no
+//     file to delete when a later checkpoint drops it.
 //
 // Any write or sync failure poisons the store: the failed write leaves
 // the durable tail unknowable (the fsync-error discipline), so every
@@ -40,6 +46,7 @@ import (
 
 	"repro/graph"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // Durability metrics, process-wide across stores (ccserve, the
@@ -50,7 +57,7 @@ var (
 	mWALBytes = obs.Default.Counter("pramcc_wal_append_bytes_total",
 		"bytes appended to the ingest write-ahead log")
 	mCheckpoints = obs.Default.Counter("pramcc_checkpoints_total",
-		"snapshot checkpoints written by durable stores")
+		"checkpoints written by durable stores: snapshots, and the identity root of each fresh store")
 	mDurableSeq = obs.Default.Gauge("pramcc_durable_seq",
 		"last batch sequence number made durable (logged and fsynced) by the most recent store")
 	mDurableSnapSeq = obs.Default.Gauge("pramcc_durable_snapshot_seq",
@@ -73,12 +80,13 @@ func init() {
 }
 
 // Recovered is the warm-start state Open reconstructs from an existing
-// store directory: the newest valid snapshot's labeling and the WAL
+// store directory: the newest valid root's labeling and the WAL
 // records logged after it, in sequence order. The caller restores the
 // labeling and replays the records exactly once.
 type Recovered struct {
-	// Labels is the snapshot's canonical labeling (labels[v] is the
-	// minimum vertex id of v's component).
+	// Labels is the root's canonical labeling (labels[v] is the
+	// minimum vertex id of v's component): a snapshot's, or the
+	// identity labels an identity root rebuilds.
 	Labels []int32
 	// SnapshotSeq is the batch sequence number the snapshot reflects.
 	SnapshotSeq uint64
@@ -100,17 +108,15 @@ type Store struct {
 	dir  string
 	fsys FS
 
-	seq         uint64 // last durably logged batch seq
-	snapSeq     uint64 // seq covered by the manifest's newest snapshot
-	snapFile    string
-	prevSeq     uint64 // fallback snapshot seq (WAL retention floor)
-	prevFile    string
-	segments    []segInfo // live segments, ascending start; last is open
-	seg         File      // open tail segment
-	sinceCkpt   int       // batches logged since the last checkpoint
-	encBuf      []byte    // reusable record encode buffer
-	failed      error
-	hasSnapshot bool
+	seq       uint64        // last durably logged batch seq
+	cur       manifestEntry // the manifest's newest root
+	prev      manifestEntry // its fallback root; prev.seq is the WAL retention floor
+	hasRoot   bool          // the manifest exists (cur and prev are set)
+	segments  []segInfo     // live segments, ascending start; last is open
+	seg       File          // open tail segment
+	sinceCkpt int           // batches logged since the last checkpoint
+	encBuf    []byte        // reusable record encode buffer
+	failed    error
 }
 
 // Open opens the store directory, creating it (and returning a nil
@@ -168,37 +174,30 @@ func Open(dir string, fsys FS) (*Store, *Recovered, error) {
 		return nil, nil, err
 	}
 	mDurableSeq.Set(int64(s.seq))
-	mDurableSnapSeq.Set(int64(s.snapSeq))
+	mDurableSnapSeq.Set(int64(s.cur.seq))
 	return s, rec, nil
 }
 
-// recover loads the newest valid snapshot among entries and scans the
-// WAL for the records past it.
+// recover loads the newest valid root among entries and scans the WAL
+// for the records past it.
 func (s *Store) recover(entries []manifestEntry) (*Recovered, error) {
 	var labels []int32
-	var snapErrs []error
+	var rootErrs []error
 	ok := false
 	for _, e := range entries {
-		data, err := s.fsys.ReadFile(filepath.Join(s.dir, e.file))
-		if err == nil {
-			var seq uint64
-			seq, labels, err = DecodeSnapshot(data)
-			if err == nil && seq == e.seq {
-				s.snapSeq, s.snapFile, ok = e.seq, e.file, true
-				break
-			}
-			if err == nil {
-				err = fmt.Errorf("durable: snapshot %s carries seq %d, manifest says %d", e.file, seq, e.seq)
-			}
+		var err error
+		if labels, err = s.loadRoot(e); err == nil {
+			s.cur, ok = e, true
+			break
 		}
-		snapErrs = append(snapErrs, err)
+		rootErrs = append(rootErrs, err)
 	}
 	if !ok {
-		return nil, fmt.Errorf("durable: no manifest snapshot is readable: %v", snapErrs)
+		return nil, fmt.Errorf("durable: no manifest root is readable: %v", rootErrs)
 	}
-	s.hasSnapshot = true
-	s.prevSeq, s.prevFile = entries[len(entries)-1].seq, entries[len(entries)-1].file
-	s.seq = s.snapSeq
+	s.hasRoot = true
+	s.prev = entries[len(entries)-1]
+	s.seq = s.cur.seq
 
 	names, err := s.fsys.ReadDir(s.dir)
 	if err != nil {
@@ -213,8 +212,8 @@ func (s *Store) recover(entries []manifestEntry) (*Recovered, error) {
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].start < segs[j].start })
 
-	rec := &Recovered{Labels: labels, SnapshotSeq: s.snapSeq}
-	next := s.snapSeq + 1
+	rec := &Recovered{Labels: labels, SnapshotSeq: s.cur.seq}
+	next := s.cur.seq + 1
 	var live []segInfo
 	broken := false
 	for _, seg := range segs {
@@ -275,6 +274,31 @@ func (s *Store) recover(entries []manifestEntry) (*Recovered, error) {
 	return rec, nil
 }
 
+// loadRoot returns the labeling of one manifest root: the identity
+// labels of an identity root, or the decoded labels of a snapshot file
+// that carries the seq the manifest lists.
+func (s *Store) loadRoot(e manifestEntry) ([]int32, error) {
+	if e.identity() {
+		labels := wire.Column(e.n)
+		for v := range labels {
+			labels[v] = int32(v)
+		}
+		return labels, nil
+	}
+	data, err := s.fsys.ReadFile(filepath.Join(s.dir, e.file))
+	if err != nil {
+		return nil, err
+	}
+	seq, labels, err := DecodeSnapshot(data)
+	if err != nil {
+		return nil, err
+	}
+	if seq != e.seq {
+		return nil, fmt.Errorf("durable: snapshot %s carries seq %d, manifest says %d", e.file, seq, e.seq)
+	}
+	return labels, nil
+}
+
 // openSegment creates and syncs a fresh tail segment whose first
 // record will carry seq start.
 func (s *Store) openSegment(start uint64) error {
@@ -316,8 +340,8 @@ func (s *Store) Failed() error { return s.failed }
 func (s *Store) Seq() uint64 { return s.seq }
 
 // SnapshotSeq returns the sequence number covered by the manifest's
-// newest snapshot.
-func (s *Store) SnapshotSeq() uint64 { return s.snapSeq }
+// newest root.
+func (s *Store) SnapshotSeq() uint64 { return s.cur.seq }
 
 // BatchesSinceCheckpoint returns how many batches have been logged (or
 // recovered) since the last checkpoint — the checkpoint-every-K input.
@@ -361,10 +385,10 @@ func (s *Store) logRecord(enc func(buf []byte, seq uint64) []byte) (uint64, erro
 
 // Checkpoint persists labels as the snapshot covering seq, swaps the
 // manifest to it, rotates the tail segment, and drops WAL segments
-// that precede the new fallback snapshot. seq must be the store's
-// current Seq() (a batch-boundary checkpoint) or Seq()+1 (a full
-// rebuild — Service.Update — which consumes a sequence number of its
-// own so replay cannot double-apply across it).
+// that precede the new fallback root. seq must be the store's current
+// Seq() (a batch-boundary checkpoint) or Seq()+1 (a full rebuild —
+// Service.Update — which consumes a sequence number of its own so
+// replay cannot double-apply across it).
 func (s *Store) Checkpoint(labels []int32, seq uint64) error {
 	if s.failed != nil {
 		return s.failed
@@ -372,45 +396,70 @@ func (s *Store) Checkpoint(labels []int32, seq uint64) error {
 	if seq != s.seq && seq != s.seq+1 {
 		return fmt.Errorf("durable: checkpoint seq %d out of step with store seq %d", seq, s.seq)
 	}
-	snapName := fmt.Sprintf("snap-%016x.pccs", seq)
-	f, err := s.fsys.Create(filepath.Join(s.dir, snapName))
-	if err != nil {
-		return s.fail(err)
+	return s.swapRoot(manifestEntry{file: fmt.Sprintf("snap-%016x.pccs", seq), seq: seq}, labels)
+}
+
+// CheckpointIdentity makes n isolated vertices at seq 0 the root of a
+// fresh store (one that has no root and has logged nothing): the
+// manifest lists only the identity root and no snapshot file is
+// written, so a fresh store's checkpoint costs one small manifest
+// write whatever n is. A later Checkpoint moves the identity root into
+// the fallback slot; recovery from it rebuilds the identity labels.
+func (s *Store) CheckpointIdentity(n int) error {
+	if s.failed != nil {
+		return s.failed
 	}
-	if err := WriteSnapshot(f, seq, labels); err != nil {
-		f.Close()
-		return s.fail(err)
+	if s.hasRoot || s.seq != 0 {
+		return fmt.Errorf("durable: identity root on a store that already has one or has logged batches (seq %d)", s.seq)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return s.fail(err)
+	if n < 0 || n > maxIdentityN {
+		return fmt.Errorf("durable: identity root of %d vertices outside [0, 2^31)", n)
 	}
-	if err := f.Close(); err != nil {
-		return s.fail(err)
+	return s.swapRoot(manifestEntry{n: n}, nil)
+}
+
+// swapRoot makes root the manifest's newest root, with the current
+// root — an identity root too — as its fallback. A snapshot root's
+// file is written and fsynced before the manifest names it; the
+// identity root has no file.
+func (s *Store) swapRoot(root manifestEntry, labels []int32) error {
+	if !root.identity() {
+		f, err := s.fsys.Create(filepath.Join(s.dir, root.file))
+		if err != nil {
+			return s.fail(err)
+		}
+		if err := WriteSnapshot(f, root.seq, labels); err != nil {
+			f.Close()
+			return s.fail(err)
+		}
+		if err := f.Sync(); err != nil {
+			f.Close()
+			return s.fail(err)
+		}
+		if err := f.Close(); err != nil {
+			return s.fail(err)
+		}
 	}
-	entries := []manifestEntry{{file: snapName, seq: seq}}
-	if s.hasSnapshot && s.snapFile != snapName {
-		entries = append(entries, manifestEntry{file: s.snapFile, seq: s.snapSeq})
+	entries := []manifestEntry{root}
+	if s.hasRoot && s.cur.file != root.file {
+		entries = append(entries, s.cur)
 	}
 	if err := writeManifest(s.fsys, s.dir, entries); err != nil {
 		return s.fail(err)
 	}
 
-	// The manifest now names the new snapshot; everything below is
-	// space reclamation and tail rotation, bounded by the same
-	// fail-stop discipline but never able to lose acknowledged state.
-	droppedSnap := s.prevFile
-	if len(entries) == 2 {
-		s.prevFile, s.prevSeq = entries[1].file, entries[1].seq
-	} else {
-		s.prevFile, s.prevSeq = snapName, seq
-	}
-	s.snapFile, s.snapSeq = snapName, seq
-	s.hasSnapshot = true
-	s.seq = seq
+	// The manifest now names the new root; everything below is space
+	// reclamation and tail rotation, bounded by the same fail-stop
+	// discipline but never able to lose acknowledged state.
+	dropped := s.prev
+	s.cur, s.prev = entries[0], entries[len(entries)-1]
+	s.hasRoot = true
+	s.seq = root.seq
 	s.sinceCkpt = 0
-	if droppedSnap != "" && droppedSnap != s.prevFile && droppedSnap != s.snapFile {
-		if err := s.fsys.Remove(filepath.Join(s.dir, droppedSnap)); err != nil {
+	// The dropped fallback's file goes, unless it is still named or it
+	// has none (the identity root).
+	if !dropped.identity() && dropped.file != s.prev.file && dropped.file != s.cur.file {
+		if err := s.fsys.Remove(filepath.Join(s.dir, dropped.file)); err != nil {
 			return s.fail(err)
 		}
 	}
@@ -421,8 +470,8 @@ func (s *Store) Checkpoint(labels []int32, seq uint64) error {
 		return err
 	}
 	mCheckpoints.Inc()
-	mDurableSnapSeq.Set(int64(seq))
-	mDurableSeq.Set(int64(seq))
+	mDurableSnapSeq.Set(int64(root.seq))
+	mDurableSeq.Set(int64(root.seq))
 	lastCheckpointNanos.Store(time.Now().UnixNano())
 	return nil
 }
@@ -441,10 +490,10 @@ func (s *Store) rotate() error {
 }
 
 // dropAppliedSegments removes WAL segments whose records all precede
-// the fallback snapshot — they can never be replayed again, from
-// either manifest entry.
+// the fallback root — they can never be replayed again, from either
+// manifest entry.
 func (s *Store) dropAppliedSegments() error {
-	floor := s.prevSeq
+	floor := s.prev.seq
 	keep := s.segments[:0]
 	for i, seg := range s.segments {
 		// A segment's records end where the next segment starts; only a

@@ -56,7 +56,9 @@
 // snapshot-consistent O(1) queries. Readers take the currently
 // published Snapshot, so they are safe to run concurrently with an
 // in-flight AddSpan and always observe a batch boundary, never a
-// half-linked batch. The writers (Run, AddSpan, AddSpanContext, Reset,
+// half-linked batch. A run of batches can also be linked with LinkSpan
+// and published once with Publish, which pays the flatten once. The
+// writers (Run, AddSpan, AddSpanContext, LinkSpan, Publish, Reset,
 // RestoreLabels, Grow) must be called from one goroutine at a time.
 package forest
 
@@ -364,7 +366,7 @@ func (e *Engine) RestoreLabels(labels []int32) {
 // Grow extends the vertex set to n, preserving every component built
 // so far; the new vertices are isolated. A no-op when n ≤ N(). The
 // published snapshot is not advanced (the new vertices appear in the
-// snapshot after the next completed batch).
+// snapshot after the next completed batch or Publish).
 func (e *Engine) Grow(n int) {
 	old := len(e.parent)
 	if n <= old {
@@ -410,13 +412,33 @@ func (e *Engine) AddSpan(span graph.EdgeSpan) (*Snapshot, error) {
 // the same span yields exactly the labeling the uncancelled call would
 // have produced.
 func (e *Engine) AddSpanContext(ctx context.Context, span graph.EdgeSpan) (*Snapshot, error) {
-	if err := span.Validate(len(e.parent)); err != nil {
+	if err := e.linkSpan(ctx, span); err != nil {
 		return nil, err
+	}
+	return e.Publish(), nil
+}
+
+// LinkSpan is AddSpan without the publish: the span is validated and
+// linked into the streaming forest and counted as a batch, but the
+// published snapshot stays where it was until the next Publish (or
+// AddSpan). A run of K spans then costs Θ(K·batch) links and one Θ(n)
+// flatten instead of K of them — how a warm start replays its WAL.
+func (e *Engine) LinkSpan(span graph.EdgeSpan) error {
+	return e.linkSpan(context.Background(), span)
+}
+
+// linkSpan validates span against the forest, links it and counts the
+// batch; on any error nothing is counted.
+func (e *Engine) linkSpan(ctx context.Context, span graph.EdgeSpan) error {
+	if err := span.Validate(len(e.parent)); err != nil {
+		return err
 	}
 	if err := e.ingestSpan(ctx, span); err != nil {
-		return nil, err
+		return err
 	}
-	return e.publish(int64(span.Len())), nil
+	e.batches++
+	e.edges += int64(span.Len())
+	return nil
 }
 
 // ingestSpan links a validated span into the streaming forest and
@@ -493,18 +515,18 @@ func elapsedIf(enabled bool, start time.Time) time.Duration {
 	return time.Since(start)
 }
 
-// publish flattens the streaming forest into a fresh snapshot. It runs
-// after the link barrier, so every tree is stable: finds during the
-// flatten only compress paths, never change roots. The labels slice
-// and the Snapshot itself are the only allocations of a whole batch —
-// inherent to immutable snapshot publication, since earlier snapshots
-// stay queryable forever. The labels come unzeroed from wire.Column:
-// the flatten sweeps all n vertices and writes each label once before
-// the snapshot is stored. The flatten runs to completion whatever the
-// batch's ctx, so it binds a context that is never cancelled.
-func (e *Engine) publish(edges int64) *Snapshot {
-	e.batches++
-	e.edges += edges
+// Publish flattens the streaming forest — every batch linked so far,
+// over every vertex grown so far — into a fresh snapshot, publishes it
+// and returns it. It runs after the link barrier, so every tree is
+// stable: finds during the flatten only compress paths, never change
+// roots. The labels slice and the Snapshot itself are the only
+// allocations of a whole batch — inherent to immutable snapshot
+// publication, since earlier snapshots stay queryable forever. The
+// labels come unzeroed from wire.Column: the flatten sweeps all n
+// vertices and writes each label once before the snapshot is stored.
+// The flatten runs to completion whatever the batch's ctx, so it binds
+// a context that is never cancelled.
+func (e *Engine) Publish() *Snapshot {
 	labels := wire.Column(len(e.parent))
 	e.ctx, e.forest, e.out = context.Background(), e.parent, labels
 	e.roots.Store(0)

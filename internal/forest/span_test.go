@@ -191,3 +191,68 @@ func BenchmarkEngineIngestSpan(b *testing.B) {
 		e.Close()
 	}
 }
+
+// TestLinkSpanPublishOnce: linking a run of spans with LinkSpan — with
+// grows between them — and publishing once yields exactly the snapshot
+// that AddSpan per span would end on (labels, components, batch and
+// edge counts), while the published snapshot stays put until Publish.
+// A rejected span counts nothing.
+func TestLinkSpanPublishOnce(t *testing.T) {
+	const n0, n1 = 3000, 4000
+	spans := graph.Gnm(n1, 2*n1, 5).SpanBatches(12)
+	// The first half of the spans keeps only the edges inside the
+	// first n0 vertices, the forest's size before it grows.
+	for i, b := range spans[:6] {
+		var pairs [][2]int
+		for _, p := range b.Pairs() {
+			if p[0] < n0 && p[1] < n0 {
+				pairs = append(pairs, p)
+			}
+		}
+		spans[i] = graph.FromPairs(pairs)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		live := New(n0, Options{Workers: workers})
+		batched := New(n0, Options{Workers: workers})
+		before := batched.Snapshot()
+		for i, b := range spans[:6] {
+			if _, err := live.AddSpan(b); err != nil {
+				t.Fatal(err)
+			}
+			if err := batched.LinkSpan(b); err != nil {
+				t.Fatal(err)
+			}
+			if i == 2 {
+				live.Grow(n0 + 10)
+				batched.Grow(n0 + 10)
+			}
+		}
+		live.Grow(n1)
+		batched.Grow(n1)
+		if err := batched.LinkSpan(graph.EdgeSpan{U: []int32{0, int32(n1)}, V: []int32{int32(n1), 0}}); err == nil {
+			t.Fatal("LinkSpan accepted an out-of-range span")
+		}
+		for _, b := range spans[6:] {
+			if _, err := live.AddSpan(b); err != nil {
+				t.Fatal(err)
+			}
+			if err := batched.LinkSpan(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if batched.Snapshot() != before {
+			t.Fatalf("workers=%d: LinkSpan advanced the published snapshot", workers)
+		}
+		want, got := live.Snapshot(), batched.Publish()
+		if batched.Snapshot() != got {
+			t.Fatalf("workers=%d: Publish did not publish its snapshot", workers)
+		}
+		if got.Components != want.Components || got.Batches != want.Batches || got.Edges != want.Edges {
+			t.Fatalf("workers=%d: Publish = %d components, %d batches, %d edges; AddSpan per span = %d, %d, %d",
+				workers, got.Components, got.Batches, got.Edges, want.Components, want.Batches, want.Edges)
+		}
+		requireLabels(t, "LinkSpan+Publish", want.Labels, got.Labels)
+		live.Close()
+		batched.Close()
+	}
+}

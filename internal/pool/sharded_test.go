@@ -162,9 +162,15 @@ func TestShardedStealsFromMostLoaded(t *testing.T) {
 	}
 }
 
-// TestShardedHomeRangesAreSticky pins the affinity property on an
-// uncontended sweep: with every worker equally fast and chunked home
-// ranges, each worker's first claim lands inside its own home range.
+// TestShardedHomeRangesAreSticky pins the affinity property of Work: a
+// worker claims from its own home range until that range's cursor is
+// exhausted, and steals only after. Each worker records its claims in
+// its own program order, and every claim inside its home range must
+// come before every claim outside it. A worker that starts late may
+// find its home range already drained by stealers, so its first claim
+// can legitimately be a steal; but the first claim of the whole sweep
+// is made while every cursor is still at its range start, so at least
+// one worker's first claim lies in its home range.
 func TestShardedHomeRangesAreSticky(t *testing.T) {
 	const (
 		w     = 4
@@ -172,23 +178,31 @@ func TestShardedHomeRangesAreSticky(t *testing.T) {
 	)
 	p := New(w)
 	defer p.Close()
-	var firstLo [w]atomic.Int64
-	for i := range firstLo {
-		firstLo[i].Store(-1)
-	}
+	var claims [w][]int
 	p.Sharded(total, 64, func(worker, lo, _ int) bool {
-		firstLo[worker].CompareAndSwap(-1, int64(lo))
+		claims[worker] = append(claims[worker], lo)
 		return true
 	})
+	homeFirst := false
 	for worker := 0; worker < w; worker++ {
-		lo := firstLo[worker].Load()
-		if lo < 0 {
-			continue // this worker never got a chunk; fine on a loaded box
+		home, end := worker*total/w, (worker+1)*total/w
+		stoleAt := -1
+		for i, lo := range claims[worker] {
+			inHome := lo >= home && lo < end
+			if i == 0 && inHome {
+				homeFirst = true
+			}
+			if !inHome && stoleAt < 0 {
+				stoleAt = i
+			}
+			if inHome && stoleAt >= 0 {
+				t.Errorf("worker %d claimed %d in its home range [%d, %d) after stealing %d (claims %v)",
+					worker, lo, home, end, claims[worker][stoleAt], claims[worker])
+				break
+			}
 		}
-		home := worker * total / w
-		if lo < int64(home) || lo >= int64(home+total/w) {
-			t.Errorf("worker %d's first claim was %d, outside home range [%d, %d)",
-				worker, lo, home, home+total/w)
-		}
+	}
+	if !homeFirst {
+		t.Errorf("no worker's first claim lay in its home range: %v", claims)
 	}
 }

@@ -113,6 +113,7 @@ type Router struct {
 
 	mu      sync.RWMutex
 	tenants map[string]*Tenant
+	pending map[string]bool // ids whose service is being built
 	closed  bool
 
 	wg sync.WaitGroup
@@ -143,7 +144,7 @@ func New(cfg Config) (*Router, error) {
 	if cfg.CoalesceLimit < 1 {
 		cfg.CoalesceLimit = DefaultCoalesceLimit
 	}
-	r := &Router{cfg: cfg, tenants: map[string]*Tenant{}}
+	r := &Router{cfg: cfg, tenants: map[string]*Tenant{}, pending: map[string]bool{}}
 	mQueueCap.Set(int64(cfg.QueueCap))
 	for i := 0; i < cfg.Shards; i++ {
 		sh := &shardState{
@@ -196,7 +197,10 @@ func ValidTenantID(id string) bool {
 // CreateTenant creates tenant id with n initial isolated vertices,
 // building its service via Config.NewService and assigning it to its
 // hash shard. The id must satisfy ValidTenantID; n beyond MaxVertices
-// is rejected up front.
+// is rejected up front. The id is reserved while its service is built
+// outside the router lock, so creates of different tenants — a durable
+// router's recovery opening its stores — run concurrently, and a second
+// create of the same id fails with ErrTenantExists.
 func (r *Router) CreateTenant(id string, n int) (*Tenant, error) {
 	if !ValidTenantID(id) {
 		return nil, fmt.Errorf("shard: invalid tenant id %q (want 1-64 chars of [a-zA-Z0-9._-], starting alphanumeric)", id)
@@ -209,16 +213,29 @@ func (r *Router) CreateTenant(id string, n int) (*Tenant, error) {
 		return nil, fmt.Errorf("%w: %d > %d vertices", ErrVertexQuota, n, r.cfg.MaxVertices)
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.closed {
+		r.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if _, ok := r.tenants[id]; ok {
+	if _, ok := r.tenants[id]; ok || r.pending[id] {
+		r.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q", ErrTenantExists, id)
 	}
+	r.pending[id] = true
+	r.mu.Unlock()
+
 	svc, err := r.cfg.NewService(id, n)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	delete(r.pending, id)
 	if err != nil {
 		return nil, err
+	}
+	if r.closed {
+		// Close ran while the service was built; it closed every tenant
+		// it could see, so this one is closed here.
+		svc.Close()
+		return nil, ErrClosed
 	}
 	t := &Tenant{
 		id:     id,

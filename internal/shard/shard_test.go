@@ -624,3 +624,74 @@ func TestConcurrentMultiTenantIngest(t *testing.T) {
 		}
 	}
 }
+
+// closeTrackingSvc records whether the router closed it.
+type closeTrackingSvc struct {
+	*fakeSvc
+	closed chan struct{}
+}
+
+func (s closeTrackingSvc) Close() { close(s.closed) }
+
+// TestCreateTenantBuildsOutsideLock: a tenant's service is built
+// without the router lock, so another tenant's create and lookups
+// proceed meanwhile; the id stays reserved (a second create of it
+// fails, a lookup does not find it) until the build ends; and a service
+// whose build outlives Close is closed, not leaked.
+func TestCreateTenantBuildsOutsideLock(t *testing.T) {
+	entered, gate := make(chan string, 1), make(chan struct{})
+	var built sync.Map // tenant id -> closeTrackingSvc
+	r, err := New(Config{Shards: 2, NewService: func(tenant string, n int) (Service, error) {
+		svc := closeTrackingSvc{newFakeSvc(n), make(chan struct{})}
+		built.Store(tenant, svc)
+		if tenant != "fast" {
+			entered <- tenant
+			<-gate
+		}
+		return svc, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	create := func(id string) chan error {
+		done := make(chan error, 1)
+		go func() {
+			_, err := r.CreateTenant(id, 4)
+			done <- err
+		}()
+		return done
+	}
+
+	slow := create("slow")
+	<-entered
+	if _, err := r.CreateTenant("fast", 4); err != nil {
+		t.Fatalf("create beside an in-flight build: %v", err)
+	}
+	if _, err := r.CreateTenant("slow", 4); !errors.Is(err, ErrTenantExists) {
+		t.Fatalf("second create of an id being built: %v, want ErrTenantExists", err)
+	}
+	if _, ok := r.Tenant("slow"); ok {
+		t.Fatal("lookup found a tenant whose service is still being built")
+	}
+	gate <- struct{}{}
+	if err := <-slow; err != nil {
+		t.Fatalf("in-flight create: %v", err)
+	}
+	if _, ok := r.Tenant("slow"); !ok {
+		t.Fatal("created tenant not found")
+	}
+
+	late := create("late")
+	<-entered
+	r.Close()
+	close(gate)
+	if err := <-late; !errors.Is(err, ErrClosed) {
+		t.Fatalf("create whose build outlived Close: %v, want ErrClosed", err)
+	}
+	svc, _ := built.Load("late")
+	select {
+	case <-svc.(closeTrackingSvc).closed:
+	default:
+		t.Fatal("service built after Close was not closed")
+	}
+}

@@ -69,6 +69,13 @@ type streamEngine interface {
 	// returned. [][2]int callers adapt through graph.FromPairs at the
 	// public-API boundary (Service.Ingest), not here.
 	ingest(ctx context.Context, span graph.EdgeSpan, out *solveOutput) (int, error)
+	// link validates one batch and unions it into the live labeling
+	// without publishing a snapshot; flatten then publishes every batch
+	// linked (and vertex grown) since the last snapshot into out, with
+	// one Θ(n) pass, and returns its component count. A warm start
+	// replays its WAL through them.
+	link(span graph.EdgeSpan) error
+	flatten(out *solveOutput) int
 }
 
 // backendInfo is one registry entry: the Backend value, its canonical
@@ -287,10 +294,19 @@ func (e *incrementalEngine) ingest(ctx context.Context, span graph.EdgeSpan, out
 	if err != nil {
 		return 0, err
 	}
-	// Published snapshot labels are immutable and fresh per batch, so
-	// they are shared into the output rather than copied, which avoids
-	// a redundant Θ(n) copy on the per-batch hot path.
+	return e.output(snap, out), nil
+}
+
+func (e *incrementalEngine) link(span graph.EdgeSpan) error { return e.eng.LinkSpan(span) }
+
+func (e *incrementalEngine) flatten(out *solveOutput) int { return e.output(e.eng.Publish(), out) }
+
+// output hands a published snapshot to out and returns its component
+// count. Published snapshot labels are immutable and fresh per batch,
+// so they are shared into the output rather than copied, which avoids
+// a redundant Θ(n) copy on the per-batch hot path.
+func (e *incrementalEngine) output(snap *forest.Snapshot, out *solveOutput) int {
 	out.labels = snap.Labels
 	out.stats = e.stats(BackendIncremental, snap.Batches)
-	return snap.Components, nil
+	return snap.Components
 }

@@ -5,7 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/graph"
 	"repro/internal/shard"
@@ -121,7 +122,13 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 // tenant is created with n=0: Open ignores the initial vertex count
 // when a durable store exists, so the recovered labeling decides the
 // real N — and a tenant persisted under an older, larger quota still
-// comes back (only further Grow calls are quota-checked).
+// comes back (only further Grow calls are quota-checked). Tenants are
+// opened concurrently, one goroutine per shard opening that shard's
+// tenants in id order, so at most one open is in flight per shard and
+// recovery takes about the longest shard's opens rather than the sum.
+// After a failure no further open starts, the error names the tenant
+// whose open failed, and NewRouter's Close then closes every tenant
+// that did open.
 func (r *Router) recover() error {
 	entries, err := os.ReadDir(filepath.Join(r.cfg.DataDir, "t"))
 	if os.IsNotExist(err) {
@@ -130,19 +137,40 @@ func (r *Router) recover() error {
 	if err != nil {
 		return err
 	}
-	names := make([]string, 0, len(entries))
+	// os.ReadDir sorts by name, so each shard's list is in id order.
+	byShard := make([][]string, r.rt.Shards())
 	for _, e := range entries {
 		if e.IsDir() && shard.ValidTenantID(e.Name()) {
-			names = append(names, e.Name())
+			i := r.rt.ShardOf(e.Name())
+			byShard[i] = append(byShard[i], e.Name())
 		}
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		if _, err := r.rt.CreateTenant(name, 0); err != nil {
-			return fmt.Errorf("pramcc: recovering tenant %q: %w", name, err)
-		}
+	var (
+		wg     sync.WaitGroup
+		stop   atomic.Bool
+		once   sync.Once
+		failed error
+	)
+	for _, names := range byShard {
+		wg.Add(1)
+		go func(names []string) {
+			defer wg.Done()
+			for _, name := range names {
+				if stop.Load() {
+					return
+				}
+				if _, err := r.rt.CreateTenant(name, 0); err != nil {
+					once.Do(func() {
+						stop.Store(true)
+						failed = fmt.Errorf("pramcc: recovering tenant %q: %w", name, err)
+					})
+					return
+				}
+			}
+		}(names)
 	}
-	return nil
+	wg.Wait()
+	return failed
 }
 
 // routedService adapts *Service to the shard layer's interface: the

@@ -5,6 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -259,6 +262,203 @@ func TestRouterWarmRestart(t *testing.T) {
 		// Recovered tenants accept writes immediately.
 		if _, err := tn.IngestSpan(context.Background(), graph.FromPairs([][2]int{{0, 1}})); err != nil {
 			t.Errorf("tenant %s ingest after recovery: %v", id, err)
+		}
+	}
+}
+
+// TestRouterRecoversUnwrittenTenant: a tenant created on a durable
+// router and never written holds only its identity root, and a warm
+// restart brings it back with its n isolated vertices.
+func TestRouterRecoversUnwrittenTenant(t *testing.T) {
+	cfg := RouterConfig{Shards: 2, DataDir: t.TempDir()}
+	r1, err := NewRouter(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r1.CreateTenant("idle", 37); err != nil {
+		t.Fatal(err)
+	}
+	r1.Close()
+
+	r2, err := NewRouter(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r2.Close()
+	tn, err := r2.Tenant("idle")
+	if err != nil {
+		t.Fatalf("unwritten tenant not recovered: %v", err)
+	}
+	if tn.N() != 37 || tn.NumComponents() != 37 {
+		t.Fatalf("recovered N = %d with %d components, want 37 isolated vertices", tn.N(), tn.NumComponents())
+	}
+	if st := tn.Stats(); !st.Durable || st.DurableSeq != 0 {
+		t.Fatalf("recovered tenant stats %+v, want durable at seq 0", st)
+	}
+}
+
+// routerRecoveryFixture persists one tenant per id on a 2-shard durable
+// router — each a random graph ingested in a few spans under a small
+// checkpoint cadence, so recovery starts from snapshots and from
+// identity roots and replays WAL tails — and returns the config and
+// every tenant's labels at close.
+func routerRecoveryFixture(t *testing.T, ids []string) (RouterConfig, map[string][]int32) {
+	t.Helper()
+	cfg := RouterConfig{Shards: 2, DataDir: t.TempDir(), Options: []Option{WithCheckpointEvery(4)}}
+	r, err := NewRouter(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	shards := map[int]bool{}
+	want := map[string][]int32{}
+	// Distinct vertex counts let a recovery hook tell the tenants apart.
+	for i, id := range ids {
+		n := 50 + 17*i
+		tn, err := r.CreateTenant(id, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards[tn.Shard()] = true
+		g := graph.Gnm(n, n, int64(100+i))
+		for _, b := range g.SpanBatches(1 + i%7) {
+			ingestWithRetry(t, tn, b)
+		}
+		want[id] = tn.LabelsInto(nil)
+	}
+	if len(shards) != 2 {
+		t.Fatalf("tenants %v landed on %d shard(s), want both", ids, len(shards))
+	}
+	return cfg, want
+}
+
+// shardOf is the shard a tenant id maps to under cfg's shard count.
+func shardOf(cfg RouterConfig, id string) int {
+	r, err := NewRouter(RouterConfig{Shards: cfg.Shards})
+	if err != nil {
+		panic(err)
+	}
+	defer r.Close()
+	return r.ShardOf(id)
+}
+
+// TestRouterConcurrentRecovery: tenants spread over both shards are
+// recovered concurrently — the two shards' opens overlap — with at most
+// one open in flight per shard, and every tenant comes back with
+// exactly its labels.
+func TestRouterConcurrentRecovery(t *testing.T) {
+	ids := []string{"ada", "bob", "cyd", "dee", "eve", "fay", "gus", "hal"}
+	cfg, want := routerRecoveryFixture(t, ids)
+
+	// Every fixture tenant has its own vertex count, which identifies
+	// its shard inside the hook.
+	shardOfN := map[int]int{}
+	for id, labels := range want {
+		shardOfN[len(labels)] = shardOf(cfg, id)
+	}
+	var (
+		mu       sync.Mutex
+		inFlight [2]int
+		overlap  []string
+		met      = make(chan struct{})
+		metOnce  sync.Once
+	)
+	// An open holds its shard until both shards have an open in flight
+	// (or 2 s pass), so recovery one tenant at a time cannot pass.
+	recoveryHook = func(sv *Service) {
+		sh := shardOfN[sv.N()]
+		mu.Lock()
+		inFlight[sh]++
+		if inFlight[sh] > 1 {
+			overlap = append(overlap, fmt.Sprintf("shard %d", sh))
+		}
+		both := inFlight[0] > 0 && inFlight[1] > 0
+		mu.Unlock()
+		if both {
+			metOnce.Do(func() { close(met) })
+		}
+		select {
+		case <-met:
+		case <-time.After(2 * time.Second):
+		}
+		mu.Lock()
+		inFlight[sh]--
+		mu.Unlock()
+	}
+	defer func() { recoveryHook = nil }()
+
+	r, err := NewRouter(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if len(overlap) != 0 {
+		t.Fatalf("two opens in flight at once on %v", overlap)
+	}
+	select {
+	case <-met:
+	default:
+		t.Fatal("the two shards' opens never overlapped: recovery ran one tenant at a time")
+	}
+	if got := len(r.Tenants()); got != len(ids) {
+		t.Fatalf("recovered %d tenants, want %d", got, len(ids))
+	}
+	for _, id := range ids {
+		tn, err := r.Tenant(id)
+		if err != nil {
+			t.Fatalf("tenant %s not recovered: %v", id, err)
+		}
+		got := tn.LabelsInto(nil)
+		if fmt.Sprint(got) != fmt.Sprint(want[id]) {
+			t.Fatalf("tenant %s recovered labels differ from its labels at close", id)
+		}
+	}
+}
+
+// TestRouterRecoveryFailureClosesTenants: one corrupt store fails
+// NewRouter with that tenant's name, and every tenant service recovery
+// did open is closed again — none is left holding its store.
+func TestRouterRecoveryFailureClosesTenants(t *testing.T) {
+	ids := []string{"ada", "bob", "cyd", "dee", "eve", "fay", "zed"}
+	cfg, _ := routerRecoveryFixture(t, ids)
+	manifest := filepath.Join(cfg.DataDir, "t", "zed", "MANIFEST")
+	if err := os.WriteFile(manifest, []byte("PCCM 1\nidentity 5\ncrc 00000000\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var (
+		mu     sync.Mutex
+		opened []*Service
+	)
+	recoveryHook = func(sv *Service) {
+		mu.Lock()
+		opened = append(opened, sv)
+		mu.Unlock()
+	}
+	defer func() { recoveryHook = nil }()
+
+	r, err := NewRouter(cfg)
+	if err == nil {
+		r.Close()
+		t.Fatal("NewRouter recovered a corrupt store")
+	}
+	if !strings.Contains(err.Error(), `"zed"`) {
+		t.Fatalf("NewRouter error %q does not name the corrupt tenant", err)
+	}
+	// zed sorts last, so its shard opens every other tenant it holds
+	// before it fails.
+	before := 0
+	for _, id := range ids[:len(ids)-1] {
+		if shardOf(cfg, id) == shardOf(cfg, "zed") {
+			before++
+		}
+	}
+	if len(opened) < before {
+		t.Fatalf("recovery opened %d tenants, want at least the %d ahead of zed on its shard", len(opened), before)
+	}
+	for _, sv := range opened {
+		if _, err := sv.Ingest(nil, nil); !errors.Is(err, ErrSolverClosed) {
+			t.Fatalf("a recovered tenant service is still open after the failed NewRouter (Ingest: %v)", err)
 		}
 	}
 }

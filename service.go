@@ -294,8 +294,8 @@ func (sv *Service) Grow(n int) error {
 }
 
 // grownLabels returns cur widened to n labels, each new vertex its own
-// component: the labeling a Grow (live or replayed) publishes, and from
-// an empty cur a new Service's identity labeling.
+// component: the labeling a live Grow publishes, and from an empty cur
+// a new Service's identity labeling.
 func grownLabels(cur []int32, n int) []int32 {
 	labels := wire.Column(n)
 	copy(labels, cur)
